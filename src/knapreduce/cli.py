@@ -273,6 +273,8 @@ _DEFAULT_COUNTS = {
 
 
 def _cmd_verify(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     count = args.count if args.count is not None else _DEFAULT_COUNTS[args.suite]
     report = run_suite(args.suite, count, args.seed)
     if args.format == "json":

@@ -3,8 +3,11 @@
 Four instance forms live here: bounded-occurrence 3-SAT, plain binary CSP
 over a constraint graph, the rectangular variant whose edges compare two
 projections into a shared range, and its per-vertex-alphabet
-generalization.  All oracles are exhaustive (with pruning) and refuse
-instances above their configured caps instead of truncating the search.
+generalization.  Both rectangular forms expose per-vertex alphabets and
+symbol-indexed projections, so one consistency check (is_consistent) and
+one partial-assignment oracle (par_bruteforce) serve both.  All oracles
+are exhaustive (with pruning) and refuse instances above their configured
+caps instead of truncating the search.
 
 Symbols and vertices are dense 0-based integers throughout; the rectangular
 range {1..m} of the literature is stored 0-based here and shifted only at
@@ -14,6 +17,7 @@ None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,9 +116,6 @@ class Csp2Instance:
                 if not (0 <= a < self.sigma_size and 0 <= b < self.sigma_size):
                     raise ValueError(f"constraint pair ({a}, {b}) outside alphabet")
 
-    def __hash__(self):
-        return hash((self.graph, self.sigma_size, tuple(sorted(self.constraints.items()))))
-
 
 def csp_value(gamma: Csp2Instance, assignment) -> int:
     """Number of edges whose endpoint pair is allowed under a total assignment."""
@@ -198,125 +199,11 @@ class RcspInstance:
                 if any(not 0 <= t < self.upsilon_size for t in proj):
                     raise ValueError(f"projection on {e} maps outside the range")
 
-    def __hash__(self):
-        return hash(
-            (
-                self.graph,
-                self.sigma_size,
-                self.upsilon_size,
-                tuple(sorted(self.projections.items())),
-            )
-        )
 
-
-@dataclass(frozen=True)
-class PartialAssignment:
-    """Vertex labeling that may leave vertices unassigned (None)."""
-
-    values: tuple[Symbol, ...]
-
-    def size(self) -> int:
-        return sum(1 for s in self.values if s is not None)
-
-    def assigned_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.values) if s is not None)
-
-
-def is_consistent(pi: RcspInstance, phi: PartialAssignment) -> bool:
-    """True iff every edge with both endpoints assigned has agreeing projections."""
-    if len(phi.values) != pi.graph.vertex_count:
-        raise ValueError("partial assignment must cover the vertex set")
-    for (u, v), (pu, pv) in pi.projections.items():
-        a, b = phi.values[u], phi.values[v]
-        if a is None or b is None:
-            continue
-        if pu[a] != pv[b]:
-            return False
-    return True
-
-
-def _max_consistent_partial(
-    vertex_count: int,
-    symbols_for,
-    edges_closing_at,
-    agrees,
-    enum_states: int,
-    enum_cap: int,
-    max_nodes: Optional[int],
-) -> tuple[int, tuple[Symbol, ...]]:
-    """Shared pruned DFS behind the two partial-assignment oracles.
-
-    symbols_for(v) yields the candidate symbols of vertex v;
-    edges_closing_at[v] lists edges (u, v) with u < v; agrees(e, a, b)
-    tests edge satisfaction.  Branches die as soon as an edge between two
-    assigned vertices is violated or the remaining vertices cannot beat
-    the incumbent.
-    """
-    if enum_states > enum_cap:
-        raise CapExceededError(
-            f"{enum_states} partial assignments exceeds enumeration cap {enum_cap}"
-        )
-    best_size = 0
-    best: tuple[Symbol, ...] = (None,) * vertex_count
-    current: list[Symbol] = [None] * vertex_count
-    nodes = 0
-
-    def descend(v: int, assigned: int):
-        nonlocal best_size, best, nodes
-        if v == vertex_count:
-            if assigned > best_size:
-                best_size = assigned
-                best = tuple(current)
-            return
-        if assigned + (vertex_count - v) <= best_size:
-            return
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise CapExceededError(f"search exceeded node budget {max_nodes}")
-        for s in symbols_for(v):
-            ok = True
-            for (u, w) in edges_closing_at[v]:
-                a = current[u]
-                if a is not None and not agrees((u, w), a, s):
-                    ok = False
-                    break
-            if ok:
-                current[v] = s
-                descend(v + 1, assigned + 1)
-                current[v] = None
-                if best_size == vertex_count:
-                    return
-        descend(v + 1, assigned)
-
-    descend(0, 0)
-    return best_size, best
-
-
-def par_bruteforce(
-    pi: RcspInstance,
-    enum_cap: int = DEFAULT_ASSIGNMENT_ENUM_CAP,
-    max_nodes: Optional[int] = None,
-) -> tuple[int, PartialAssignment]:
-    """Maximum size of a consistent partial assignment, with a witness."""
-    n = pi.graph.vertex_count
-    closing: list[list[Edge]] = [[] for _ in range(n)]
-    for e in pi.graph.edge_list:
-        closing[e[1]].append(e)
-
-    def agrees(e: Edge, a: int, b: int) -> bool:
-        pu, pv = pi.projections[e]
-        return pu[a] == pv[b]
-
-    size, values = _max_consistent_partial(
-        n,
-        lambda v: range(pi.sigma_size),
-        closing,
-        agrees,
-        (pi.sigma_size + 1) ** n,
-        enum_cap,
-        max_nodes,
-    )
-    return size, PartialAssignment(values)
+    @property
+    def alphabets(self) -> tuple[range, ...]:
+        """Every vertex shares the alphabet range(sigma_size)."""
+        return (range(self.sigma_size),) * self.graph.vertex_count
 
 
 @dataclass(frozen=True)
@@ -348,27 +235,30 @@ class GcspInstance:
                 if any(not 0 <= t < self.upsilon_size for t in proj.values()):
                     raise ValueError(f"projection on ({u}, {v}) maps outside the range")
 
-    def __hash__(self):
-        return hash(
-            (
-                self.graph,
-                self.alphabets,
-                self.upsilon_size,
-                tuple(sorted((e, tuple(sorted(pu.items())), tuple(sorted(pv.items()))))
-                      for e, (pu, pv) in self.projections.items()),
-            )
-        )
+
+@dataclass(frozen=True)
+class PartialAssignment:
+    """Vertex labeling that may leave vertices unassigned (None)."""
+
+    values: tuple[Symbol, ...]
+
+    def size(self) -> int:
+        return sum(1 for s in self.values if s is not None)
 
 
-def gcsp_is_consistent(delta: GcspInstance, phi: PartialAssignment) -> bool:
-    """Consistency plus membership: assigned symbols must lie in their
-    vertex's own alphabet."""
-    if len(phi.values) != delta.graph.vertex_count:
+def is_consistent(pi: RcspInstance | GcspInstance, phi: PartialAssignment) -> bool:
+    """True iff every assigned symbol lies in its vertex's alphabet and every
+    edge with both endpoints assigned has agreeing projections.
+
+    One check for both rectangular forms: the uniform form is the special
+    case whose vertices all have the alphabet range(sigma_size).
+    """
+    if len(phi.values) != pi.graph.vertex_count:
         raise ValueError("partial assignment must cover the vertex set")
-    for x, s in enumerate(phi.values):
-        if s is not None and s not in delta.alphabets[x]:
+    for s, alphabet in zip(phi.values, pi.alphabets):
+        if s is not None and s not in alphabet:
             return False
-    for (u, v), (pu, pv) in delta.projections.items():
+    for (u, v), (pu, pv) in pi.projections.items():
         a, b = phi.values[u], phi.values[v]
         if a is None or b is None:
             continue
@@ -377,32 +267,60 @@ def gcsp_is_consistent(delta: GcspInstance, phi: PartialAssignment) -> bool:
     return True
 
 
-def gcsp_par_bruteforce(
-    delta: GcspInstance,
+def par_bruteforce(
+    pi: RcspInstance | GcspInstance,
     enum_cap: int = DEFAULT_ASSIGNMENT_ENUM_CAP,
     max_nodes: Optional[int] = None,
 ) -> tuple[int, PartialAssignment]:
-    """Maximum consistent partial assignment size for the per-vertex form."""
-    n = delta.graph.vertex_count
-    closing: list[list[Edge]] = [[] for _ in range(n)]
-    for e in delta.graph.edge_list:
-        closing[e[1]].append(e)
-    symbol_lists = [tuple(sorted(alpha)) for alpha in delta.alphabets]
+    """Maximum size of a consistent partial assignment, with a witness.
 
-    def agrees(e: Edge, a: int, b: int) -> bool:
-        pu, pv = delta.projections[e]
-        return pu[a] == pv[b]
+    One oracle for both rectangular forms.  The search assigns vertices in
+    index order, trying each alphabet's symbols ascending before leaving the
+    vertex unassigned.  A branch dies as soon as an edge between two
+    assigned vertices is violated or the remaining vertices cannot beat the
+    incumbent.  Refuses when the prod(|alphabet| + 1) candidate partial
+    assignments exceed enum_cap, or the search exceeds max_nodes nodes.
+    """
+    n = pi.graph.vertex_count
+    symbol_lists = [sorted(alphabet) for alphabet in pi.alphabets]
+    states = math.prod(len(symbols) + 1 for symbols in symbol_lists)
+    if states > enum_cap:
+        raise CapExceededError(
+            f"{states} partial assignments exceeds enumeration cap {enum_cap}"
+        )
+    # closing[v] holds (u, proj_u, proj_v) for each edge (u, v) with u < v.
+    closing: list[list[tuple]] = [[] for _ in range(n)]
+    for e in pi.graph.edge_list:
+        closing[e[1]].append((e[0], *pi.projections[e]))
+    best_size = 0
+    best: tuple[Symbol, ...] = (None,) * n
+    current: list[Symbol] = [None] * n
+    nodes = 0
 
-    states = 1
-    for alpha in symbol_lists:
-        states *= len(alpha) + 1
-    size, values = _max_consistent_partial(
-        n,
-        lambda v: symbol_lists[v],
-        closing,
-        agrees,
-        states,
-        enum_cap,
-        max_nodes,
-    )
-    return size, PartialAssignment(values)
+    def descend(v: int, assigned: int):
+        nonlocal best_size, best, nodes
+        if v == n:
+            if assigned > best_size:
+                best_size = assigned
+                best = tuple(current)
+            return
+        if assigned + (n - v) <= best_size:
+            return
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        for s in symbol_lists[v]:
+            for u, pu, pv in closing[v]:
+                a = current[u]
+                if a is not None and pu[a] != pv[s]:
+                    break
+            else:
+                current[v] = s
+                descend(v + 1, assigned + 1)
+                current[v] = None
+                if best_size == n:
+                    return
+        descend(v + 1, assigned)
+
+    descend(0, 0)
+    return best_size, PartialAssignment(best)

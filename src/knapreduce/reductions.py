@@ -450,15 +450,6 @@ class EmbedReductionArtifacts:
     def chunk_count(self) -> int:
         return len(self.partition)
 
-    def digit_exponent(self, chunk: int, constraint: Constraint) -> int:
-        return self.partition[chunk].index(constraint) + 1
-
-    def chunk_of(self, constraint: Constraint) -> int:
-        for l, chunk in enumerate(self.partition):
-            if constraint in chunk:
-                return l
-        raise ValueError(f"unknown constraint {constraint}")
-
 
 def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifacts:
     """Deterministic partition and derived counts for the packed reduction.
@@ -641,37 +632,3 @@ def verify_base_q_digits(digits, base_q: int, target_digit: int) -> bool:
     rhs = sum(target_digit * base_q ** (i + 1) for i in range(len(digits)))
     return lhs == rhs
 
-
-# ---------------------------------------------------------------------------
-# certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ReductionCertificate:
-    """Binds a source solution to a target solution through one reduction.
-
-    relation compares source_value to target_value: "eq", or "ge"
-    (source_value >= target_value).  holds() is what the verification
-    harness asserts.
-    """
-
-    reduction: str
-    direction: str
-    source_instance: object
-    target_instance: object
-    source_solution: object
-    target_solution: object
-    source_value: int
-    target_value: int
-    relation: str
-    source_valid: bool
-    target_valid: bool
-
-    def holds(self) -> bool:
-        if not (self.source_valid and self.target_valid):
-            return False
-        if self.relation == "eq":
-            return self.source_value == self.target_value
-        if self.relation == "ge":
-            return self.source_value >= self.target_value
-        raise ValueError(f"unknown relation {self.relation!r}")

@@ -18,7 +18,6 @@ from .discretize import digamma, gamma_for_dimension, varpi_down, varpi_up
 from .generators import gen_csp2, gen_rcsp, gen_rcsp_planted
 from .knapsack import Solution, check_feasible, profit, solve_bruteforce
 from .reductions import (
-    ReductionCertificate,
     constraint_weight,
     csp2_assignment_from_rcsp,
     csp2_to_rcsp,
@@ -59,7 +58,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        # a run that performed no checks verified nothing
+        return bool(self.records) and all(r.passed for r in self.records)
 
     def counts(self) -> tuple[int, int]:
         ok = sum(1 for r in self.records if r.passed)
@@ -98,27 +98,17 @@ def check_simple_roundtrip(pi) -> list[CheckRecord]:
             item_index(pi, v, s) for v, s in enumerate(witness.values) if s is not None
         )
     )
-    cert = ReductionCertificate(
-        reduction="rcsp->vk-simple",
-        direction="forward",
-        source_instance=pi,
-        target_instance=target,
-        source_solution=witness,
-        target_solution=forward,
-        source_value=par,
-        target_value=profit(target, forward),
-        relation="eq",
-        source_valid=is_consistent(pi, witness),
-        target_valid=check_feasible(target, forward),
-    )
+    forward_profit = profit(target, forward)
     records.append(
         _rec(
             "simple-roundtrip",
             "forward-witness",
             digest,
             "witness items feasible with equal profit",
-            f"profit {cert.target_value}",
-            cert.holds(),
+            f"profit {forward_profit}",
+            is_consistent(pi, witness)
+            and check_feasible(target, forward)
+            and forward_profit == par,
         )
     )
     extracted = extract_partial_assignment(pi, "simple", opt_solution)

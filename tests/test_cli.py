@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -149,6 +150,14 @@ def test_verify_exit_zero_and_csv(tmp_path, capsys):
     assert read(out).startswith("suite,check,instance,passed")
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_count_below_one_is_usage_error(count, capsys):
+    assert main(["verify", "simple-roundtrip", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_reduce_is_byte_deterministic(tmp_path):
     src = tmp_path / "pi.json"
     main(["gen", "rcsp", "--regular3", "--vertices", "4", "--seed", "13",
@@ -195,3 +204,58 @@ def test_full_pipeline_sat_to_solved_knapsack(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     # the planted formula is satisfiable, so the chain reaches a full assignment
     assert int(record["value"]) == rcsp.graph.vertex_count
+
+
+# The README CLI examples on their exact paths (solve approx is left out),
+# each with the sha256 of every file it writes; "stdout" is the text report.
+README_GOLDEN = [
+    (["gen", "rcsp", "--regular3", "--vertices", "4", "--sigma", "2", "--upsilon", "2",
+      "--seed", "7", "--out", "pi.json"],
+     {"pi.json": "7002cdac78d796fed3277278f66e59d42d61a83a9b81009395f6e44fd8392078"}),
+    (["gen", "sat", "--n", "8", "--m", "5", "--bound", "4", "--planted", "--seed", "7",
+      "--out", "phi.json"],
+     {"phi.json": "49504b1762c956c258931cb4148f268eacb7ef59738b3f74c00ad1640b87228e"}),
+    (["gen", "vk", "--n", "10", "--dims", "3", "--vk-class", "mixed", "--seed", "7",
+      "--out", "inst.json"],
+     {"inst.json": "3eeff93e47be1595734c9c6c09c5d476a4faca2afaf1e1b4919a7f539cfe6493"}),
+    (["gen", "csp2", "--vertices", "4", "--sigma", "2", "--seed", "7", "--out", "gamma.json"],
+     {"gamma.json": "62ee23b67e4439fb52572d54802735bf6b86153cd485c9dc42e5aedae5c392c8"}),
+    (["reduce", "rcsp2vk-simple", "--in", "pi.json", "--out", "vk.json"],
+     {"vk.json": "d9b26e516460f24a0a68fdc95a8df0cd1a643411e993dbd423562579961e96d3"}),
+    (["reduce", "rcsp2vk-embed", "--in", "pi.json", "--F", "10", "--out", "vk-embed.json",
+      "--artifacts", "audit.json"],
+     {"vk-embed.json": "a4302db7441e257d5f461ba1c832a45e5e6da7717086bd1b42bf517c8d2ff00b",
+      "audit.json": "a19f7111f8ddcc559ef727b939e522b48764efcd5df02288e48eeec657c93682"}),
+    (["reduce", "csp2rcsp", "--in", "gamma.json", "--out", "pi-csp2.json"],
+     {"pi-csp2.json": "4307675ef69b1ad71d4ea2244b9062765932551523de2b51a19e8f3d33c5a101"}),
+    (["reduce", "sat2rcsp-embed", "--in", "phi.json", "--k", "8", "--out", "pi-embed.json"],
+     {"pi-embed.json": "b56922937db30c3a3da32e0a2ed26659dac8b4115ed52c177ecb4ccd4a21315a"}),
+    (["reduce", "sat2rcsp-disperser", "--in", "phi.json", "--k", "5", "--r", "2",
+      "--epsilon", "1/4", "--seed", "7", "--out", "pi-disperser.json"],
+     {"pi-disperser.json": "668aefa78fbe8517a00cbe44604b79df57119c47a12548529b99c1ea2895aa0d"}),
+    (["solve", "brute", "--in", "vk.json", "--out", "brute.json"],
+     {"brute.json": "873aa6064361b95aaa56be257382df1c81724d925ac4d33f48704f8b894d4b09"}),
+    (["solve", "brute", "--in", "inst.json", "--out", "brute-inst.json"],
+     {"brute-inst.json": "c1e2a64a556e7ade4848d0b2da1ada5fe0314d0d34f4756b10d1b1f8668f8550"}),
+    (["solve", "dp", "--in", "inst.json", "--cap-lattice", "500000", "--out", "dp.json"],
+     {"dp.json": "4a05ee0a52b60c6b242fcf917493f9daceb6f38c1372fca43246cd742b63072a"}),
+    (["verify", "simple-roundtrip", "--count", "20", "--seed", "7"],
+     {"stdout": "5f70e9691d3c52348faf70ec635961382f76f83b477ef70a49029069d510c479"}),
+    (["verify", "simple-roundtrip", "--count", "20", "--seed", "7", "--format", "json",
+      "--out", "simple.json"],
+     {"simple.json": "50cc776c5a60f6165e7971e991e3f3c9f8bc848c47f9c8c7b1152cbc27b4a838"}),
+    (["verify", "csp-chain", "--count", "10", "--seed", "7", "--format", "csv",
+      "--out", "chain.csv"],
+     {"chain.csv": "22a69a4a12cf95442f2581d2acaacee63c31e6dcef8c8f3b9aef6f739602f57d",
+      "stdout": "0305dcdb5735d6e1e39287f9a08a308652727610e7c6ec88201460cfed415cfe"}),
+]
+
+
+def test_readme_examples_write_golden_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, digests in README_GOLDEN:
+        assert main(argv) == 0, argv
+        stdout = capsys.readouterr().out.encode("utf-8")
+        for name, digest in digests.items():
+            data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (argv, name)

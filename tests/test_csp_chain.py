@@ -9,8 +9,6 @@ from knapreduce.csp import (
     PartialAssignment,
     csp_opt_bruteforce,
     csp_value,
-    gcsp_is_consistent,
-    gcsp_par_bruteforce,
     is_consistent,
     par_bruteforce,
 )
@@ -70,7 +68,7 @@ class TestLineGraphForm:
             )
             delta = csp2_to_gcsp(gamma)
             phi = gcsp_assignment_from_csp2(gamma, lam)
-            assert gcsp_is_consistent(delta, phi)
+            assert is_consistent(delta, phi)
             assert phi.size() == len(gamma.graph.edges)
 
     def test_labeling_reads_back(self):
@@ -89,7 +87,7 @@ class TestCollapseToSharedAlphabet:
     def test_single_vertex(self):
         delta = GcspInstance(Graph(1), (frozenset({4}),), 2, {})
         pi = gcsp_to_rcsp(delta)
-        assert par_bruteforce(pi)[0] == gcsp_par_bruteforce(delta)[0] == 1
+        assert par_bruteforce(pi)[0] == par_bruteforce(delta)[0] == 1
 
     def test_degree_cap(self):
         star = graph_from_edges(6, [(0, v) for v in range(1, 6)])
@@ -107,12 +105,12 @@ class TestCollapseToSharedAlphabet:
             rng = random.Random(2100 + i)
             delta = gen_gcsp(4, rng.randint(1, 4), 3, 2, rng)
             pi = gcsp_to_rcsp(delta)
-            gq, gwit = gcsp_par_bruteforce(delta)
+            gq, gwit = par_bruteforce(delta)
             rq, rwit = par_bruteforce(pi)
             assert gq == rq
             # backward extraction keeps size and consistency
             back = gcsp_assignment_from_rcsp(delta, rwit)
-            assert gcsp_is_consistent(delta, back)
+            assert is_consistent(delta, back)
             assert back.size() == rq
             # forward reindexing keeps size and consistency
             forth = rcsp_assignment_from_gcsp(delta, gwit)

@@ -12,8 +12,6 @@ from knapreduce.csp import (
     count_satisfied,
     csp_opt_bruteforce,
     csp_value,
-    gcsp_is_consistent,
-    gcsp_par_bruteforce,
     is_consistent,
     par_bruteforce,
     sat_opt_bruteforce,
@@ -151,6 +149,39 @@ class TestRcsp:
         assert is_consistent(pi, PartialAssignment((0, 1)))
         assert not is_consistent(pi, PartialAssignment((0, 0)))
 
+    def test_symbols_outside_alphabet_are_inconsistent(self):
+        g = graph_from_edges(2, [(0, 1)])
+        identity = RcspInstance(g, 2, 2, {(0, 1): ((0, 1), (0, 1))})
+        # negative symbols must not wrap around to the last projection entry
+        assert not is_consistent(identity, PartialAssignment((-1, 1)))
+        assert not is_consistent(identity, PartialAssignment((2, 1)))
+        assert not is_consistent(identity, PartialAssignment((2, None)))
+
+    def test_par_matches_uniform_per_vertex_form(self):
+        # the uniform form is the per-vertex form with every alphabet range(sigma)
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            sigma, upsilon = rng.randint(1, 3), rng.randint(1, 3)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = graph_from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            projections = {
+                e: (
+                    tuple(rng.randrange(upsilon) for _ in range(sigma)),
+                    tuple(rng.randrange(upsilon) for _ in range(sigma)),
+                )
+                for e in g.edge_list
+            }
+            pi = RcspInstance(g, sigma, upsilon, projections)
+            delta = GcspInstance(
+                g,
+                (frozenset(range(sigma)),) * n,
+                upsilon,
+                {e: (dict(enumerate(pu)), dict(enumerate(pv)))
+                 for e, (pu, pv) in projections.items()},
+            )
+            assert par_bruteforce(pi) == par_bruteforce(delta)
+
     def test_par_edgeless(self):
         pi = RcspInstance(Graph(3), 2, 1, {})
         size, witness = par_bruteforce(pi)
@@ -261,24 +292,24 @@ def tiny_gcsp(images_disjoint: bool) -> GcspInstance:
 class TestGcsp:
     def test_all_bottom(self):
         delta = tiny_gcsp(True)
-        assert gcsp_is_consistent(delta, PartialAssignment((None, None)))
-        size, _ = gcsp_par_bruteforce(delta)
+        assert is_consistent(delta, PartialAssignment((None, None)))
+        size, _ = par_bruteforce(delta)
         assert size == 1
 
     def test_single_vertex(self):
         delta = GcspInstance(Graph(1), (frozenset({5}),), 1, {})
-        size, witness = gcsp_par_bruteforce(delta)
+        size, witness = par_bruteforce(delta)
         assert size == 1
         assert witness.values == (5,)
 
     def test_agreeing_projections_allow_both(self):
         delta = tiny_gcsp(False)
-        size, _ = gcsp_par_bruteforce(delta)
+        size, _ = par_bruteforce(delta)
         assert size == 2
 
     def test_symbol_outside_alphabet_is_inconsistent(self):
         delta = tiny_gcsp(True)
-        assert not gcsp_is_consistent(delta, PartialAssignment((1, None)))
+        assert not is_consistent(delta, PartialAssignment((1, None)))
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from knapreduce.knapsack import VkInstance
 from knapreduce.reductions import rcsp_to_vk_embed
 from knapreduce.verify import (
     SUITES,
+    VerificationReport,
     check_embed_completeness,
     report_csv,
     report_json_payload,
@@ -36,6 +37,11 @@ def test_suites_are_deterministic():
     a = run_suite("simple-roundtrip", 6, seed=5)
     b = run_suite("simple-roundtrip", 6, seed=5)
     assert a.records == b.records
+
+
+def test_report_with_no_checks_fails():
+    assert not VerificationReport("simple-roundtrip", []).passed
+    assert not run_suite("simple-roundtrip", 0, seed=1).passed
 
 
 def test_unknown_suite():

@@ -19,7 +19,6 @@ from knapreduce.knapsack import (
     solve_bruteforce,
 )
 from knapreduce.reductions import (
-    ReductionCertificate,
     constraint_weight,
     embed_artifacts,
     extract_partial_assignment,
@@ -90,6 +89,15 @@ class TestSimpleTarget:
             vk_solution_from_assignment(pi, PartialAssignment((0, None)))
         with pytest.raises(ValueError):
             vk_solution_from_assignment(pi, PartialAssignment((0, 0)))
+
+    def test_forward_rejects_out_of_alphabet_symbol(self):
+        # -1 would index the last projection entry and alias item 1
+        g = graph_from_edges(2, [(0, 1)])
+        pi = RcspInstance(g, 2, 2, {(0, 1): ((0, 1), (0, 1))})
+        with pytest.raises(ValueError):
+            vk_solution_from_assignment(pi, PartialAssignment((1, -1)))
+        with pytest.raises(ValueError):
+            vk_solution_from_assignment(pi, PartialAssignment((1, 2)))
 
     def test_extract_rejects_infeasible(self):
         pi = swap_instance()
@@ -295,52 +303,6 @@ class TestDigitSums:
                     for digits in product(range(base), repeat=width):
                         expected = all(a == target for a in digits)
                         assert verify_base_q_digits(list(digits), base, target) == expected
-
-
-class TestCertificate:
-    def test_holds_and_fails(self):
-        cert = ReductionCertificate(
-            reduction="demo",
-            direction="forward",
-            source_instance=None,
-            target_instance=None,
-            source_solution=None,
-            target_solution=None,
-            source_value=3,
-            target_value=3,
-            relation="eq",
-            source_valid=True,
-            target_valid=True,
-        )
-        assert cert.holds()
-        bad = ReductionCertificate(
-            reduction="demo",
-            direction="forward",
-            source_instance=None,
-            target_instance=None,
-            source_solution=None,
-            target_solution=None,
-            source_value=3,
-            target_value=4,
-            relation="eq",
-            source_valid=True,
-            target_valid=True,
-        )
-        assert not bad.holds()
-        invalid_side = ReductionCertificate(
-            reduction="demo",
-            direction="backward",
-            source_instance=None,
-            target_instance=None,
-            source_solution=None,
-            target_solution=None,
-            source_value=5,
-            target_value=4,
-            relation="ge",
-            source_valid=False,
-            target_valid=True,
-        )
-        assert not invalid_side.holds()
 
 
 def test_item_indexing_roundtrip():
