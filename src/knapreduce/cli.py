@@ -32,7 +32,7 @@ from .generators import (
 )
 from .knapsack import (
     DEFAULT_BRUTE_CAP,
-    DEFAULT_LATTICE_CAP,
+    DEFAULT_STATE_CAP,
     VkInstance,
     check_feasible,
     profit,
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", default=None)
     solve.add_argument("--oracle", action="store_true", help="report ratio to brute force")
     solve.add_argument("--cap-enum", type=int, default=DEFAULT_BRUTE_CAP)
-    solve.add_argument("--cap-lattice", type=int, default=DEFAULT_LATTICE_CAP)
+    solve.add_argument("--cap-states", type=int, default=DEFAULT_STATE_CAP)
 
     ver = sub.add_parser("verify", help="run a property-verification suite")
     ver.add_argument("suite", choices=SUITES)
@@ -144,6 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    if args.dims < 1:
+        raise ValueError(f"--dims must be at least 1, got {args.dims}")
+    for flag in ("n", "m", "vertices"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
     rng = random.Random(args.seed)
     if args.kind == "sat":
         if args.planted:
@@ -231,7 +236,7 @@ def _cmd_solve(args) -> int:
     if args.method == "brute":
         value, solution = solve_bruteforce(inst, args.cap_enum)
     elif args.method == "dp":
-        value, solution = solve_dp(inst, args.cap_lattice)
+        value, solution = solve_dp(inst, args.cap_states)
     elif args.method == "approx":
         solution = approx_sqrt_d(inst, args.seed)
         value = profit(inst, solution)

@@ -1,9 +1,10 @@
 """Vector (d-dimensional) knapsack instances and two exact oracles.
 
-Costs and budgets are plain Python integers and may be arbitrarily large;
-the lattice dynamic program additionally requires machine-word budgets and
-a bounded lattice volume, so instances produced by the dimension-embedding
-reduction must be routed to the subset brute force instead.
+Costs and budgets are plain Python integers and may be arbitrarily large.
+The subset brute force is capped by item count and the dynamic program by
+the number of distinct reachable cost vectors, so budget magnitude limits
+neither; digit-packed targets of the dimension-embedding reduction are
+solved by both.
 
 Both solvers break ties between equal-profit optima toward the
 lexicographically smallest chosen index set (compared as sorted tuples),
@@ -15,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from operator import add, gt
 
 from .errors import CapExceededError
 
 DEFAULT_BRUTE_CAP = 22
 DEFAULT_BOUNDED_CAP = 2_000_000
-DEFAULT_LATTICE_CAP = 1_000_000
-_WORD_LIMIT = 1 << 63
+# tracemalloc measured up to ~2.2 KB per DP state at 50 cost coordinates (a
+# state holds one int per coordinate), so this keeps such a table near 225 MB
+DEFAULT_STATE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def max_budget(inst: VkInstance) -> int:
     return max(inst.budget)
 
 
-def _better(prof: int, items: tuple[int, ...], best_prof: int, best_items: tuple[int, ...]) -> bool:
+def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
     return prof > best_prof or (prof == best_prof and items < best_items)
 
 
@@ -165,70 +168,40 @@ def solve_bruteforce_bounded_size(
     return best_prof, Solution(frozenset(best_items))
 
 
-def solve_dp(inst: VkInstance, lattice_cap: int = DEFAULT_LATTICE_CAP) -> tuple[int, Solution]:
-    """Exact optimum via dynamic programming over the residual-budget lattice.
+def solve_dp(inst: VkInstance, state_cap: int = DEFAULT_STATE_CAP) -> tuple[int, Solution]:
+    """Exact optimum by dynamic programming over reachable cost vectors.
 
-    The table is indexed by residual budget vectors in mixed-radix encoding;
-    items are folded in one at a time and a per-stage inclusion flag is kept
-    for every lattice cell so a witness can be reconstructed.  Stages run
-    over items in reverse index order, which makes the reconstruction visit
-    item 0 first and reproduce the lexicographic tie-break of the brute
-    force.
+    Each exactly reachable cost vector within the budget keeps its best
+    (profit, witness) among subsets of the items folded in so far, so the
+    table size depends on how many distinct sums occur, never on how large
+    the budgets are.  Items are folded in from the last index down, and a
+    witness is the pair (smallest index, rest of the witness); nested pairs
+    compare like the flat sorted tuples, which reproduces the lexicographic
+    tie-break of the brute force while every state shares its tail.
+    Refuses with CapExceededError before the table holds more than
+    state_cap cost vectors.
     """
-    n = inst.item_count
-    d = inst.dimension
-    if any(b >= _WORD_LIMIT for b in inst.budget):
-        raise CapExceededError("budgets exceed the machine-word range supported by the DP")
-    volume = 1
-    for b in inst.budget:
-        volume *= b + 1
-        if volume > lattice_cap:
-            raise CapExceededError(f"lattice volume exceeds cap {lattice_cap}")
-
-    radix = [b + 1 for b in inst.budget]
-    strides = [0] * d
-    acc = 1
-    for j in range(d - 1, -1, -1):
-        strides[j] = acc
-        acc *= radix[j]
-
-    table = [0] * volume
-    taken: list[bytearray] = [bytearray(0)]  # stage 0 placeholder
-
-    for k in range(1, n + 1):
-        i = n - k
-        ci = inst.costs[i]
-        pi = inst.profits[i]
-        offset = sum(ci[j] * strides[j] for j in range(d))
-        fits_anywhere = all(ci[j] <= inst.budget[j] for j in range(d))
-        new_table = list(table)
-        flags = bytearray(volume)
-        if fits_anywhere:
-            coord = [0] * d
-            for cell in range(volume):
-                if all(coord[j] >= ci[j] for j in range(d)):
-                    include = pi + table[cell - offset]
-                    if include >= new_table[cell] and include > 0:
-                        new_table[cell] = include
-                        flags[cell] = 1
-                # odometer increment of the mixed-radix coordinates
-                for j in range(d - 1, -1, -1):
-                    coord[j] += 1
-                    if coord[j] < radix[j]:
-                        break
-                    coord[j] = 0
-        table = new_table
-        taken.append(flags)
-
-    top = volume - 1
-    value = table[top]
+    budget = inst.budget
+    states = {(0,) * inst.dimension: (0, ())}
+    for i in range(inst.item_count - 1, -1, -1):
+        ci, pi = inst.costs[i], inst.profits[i]
+        for cost, (prof, witness) in list(states.items()):
+            reached = tuple(map(add, cost, ci))
+            if any(map(gt, reached, budget)):
+                continue
+            candidate = (prof + pi, (i, witness))
+            incumbent = states.get(reached)
+            if incumbent is None:
+                if len(states) >= state_cap:
+                    raise CapExceededError(f"reachable cost vectors exceed state cap {state_cap}")
+                states[reached] = candidate
+            elif _better(*candidate, *incumbent):
+                states[reached] = candidate
+    value, witness = min(states.values(), key=lambda state: (-state[0], state[1]))
     chosen = []
-    cell = top
-    for i in range(n):
-        k = n - i
-        if taken[k][cell]:
-            chosen.append(i)
-            cell -= sum(inst.costs[i][j] * strides[j] for j in range(d))
+    while witness:
+        i, witness = witness
+        chosen.append(i)
     return value, Solution(frozenset(chosen))
 
 

@@ -96,8 +96,20 @@ def serialize_instance(obj) -> str:
 
 
 def parse_instance(text: str):
+    """Instance from its JSON text; any malformed document raises ValueError."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"instance document must be a JSON object, not {type(payload).__name__}")
     kind = payload.get("kind")
+    try:
+        return _instance_from_payload(kind, payload)
+    except KeyError as exc:
+        raise ValueError(f"malformed {kind} instance: missing key {exc}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed {kind} instance: {exc}") from None
+
+
+def _instance_from_payload(kind, payload: dict):
     if kind == "sat":
         return SatInstance(
             payload["variables"],

@@ -321,7 +321,7 @@ def test_criterion_09_oracle_agreement():
         assert profit(inst, dp_solution) == dp_value
         checked += 1
     assert checked >= 300
-    report(9, f"lattice dynamic program equals subset brute force on {checked} instances")
+    report(9, f"dynamic program equals subset brute force on {checked} instances")
 
 
 def test_criterion_10_sat_reduction_completeness():

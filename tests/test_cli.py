@@ -126,6 +126,28 @@ def test_solve_cap_exit_code(tmp_path):
     assert main(["solve", "brute", "--in", str(src), "--cap-enum", "3"]) == 3
 
 
+@pytest.mark.parametrize("document", ['{"kind":"vk"}', "[1,2]", '{"kind":"rcsp","vertices":2}'])
+@pytest.mark.parametrize("command", [["solve", "brute"], ["reduce", "rcsp2vk-simple"]],
+                         ids=["solve", "reduce"])
+def test_malformed_instance_is_usage_error(tmp_path, capsys, document, command):
+    src = tmp_path / "bad.json"
+    src.write_text(document, encoding="utf-8")
+    assert main(command + ["--in", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--dims", "0"], ["--n", "-3"], ["--vertices", "-1"],
+                                   ["--m", "-2"]])
+def test_gen_impossible_size_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "vk.json"
+    assert main(["gen", "vk", "--seed", "1", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["solve", "brute", "--in", str(tmp_path / "nope.json")]) == 2
 
@@ -237,8 +259,10 @@ README_GOLDEN = [
      {"brute.json": "873aa6064361b95aaa56be257382df1c81724d925ac4d33f48704f8b894d4b09"}),
     (["solve", "brute", "--in", "inst.json", "--out", "brute-inst.json"],
      {"brute-inst.json": "c1e2a64a556e7ade4848d0b2da1ada5fe0314d0d34f4756b10d1b1f8668f8550"}),
-    (["solve", "dp", "--in", "inst.json", "--cap-lattice", "500000", "--out", "dp.json"],
+    (["solve", "dp", "--in", "inst.json", "--cap-states", "500000", "--out", "dp.json"],
      {"dp.json": "4a05ee0a52b60c6b242fcf917493f9daceb6f38c1372fca43246cd742b63072a"}),
+    (["solve", "dp", "--in", "vk.json", "--cap-states", "500000", "--out", "dp-vk.json"],
+     {"dp-vk.json": "eccedd643f20eefcb631998de1d2c723ba265815d305c63eedada31413294316"}),
     (["verify", "simple-roundtrip", "--count", "20", "--seed", "7"],
      {"stdout": "5f70e9691d3c52348faf70ec635961382f76f83b477ef70a49029069d510c479"}),
     (["verify", "simple-roundtrip", "--count", "20", "--seed", "7", "--format", "json",
@@ -259,3 +283,5 @@ def test_readme_examples_write_golden_bytes(tmp_path, monkeypatch, capsys):
         for name, digest in digests.items():
             data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, (argv, name)
+    brute, dp = (json.loads(read(tmp_path / name)) for name in ("brute.json", "dp-vk.json"))
+    assert (dp["value"], dp["witness"]) == (brute["value"], brute["witness"])

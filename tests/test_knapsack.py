@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from knapreduce.cli import main
 from knapreduce.errors import CapExceededError
-from knapreduce.generators import gen_vk
+from knapreduce.generators import gen_rcsp_planted, gen_vk
 from knapreduce.knapsack import (
     Solution,
     VkInstance,
@@ -15,6 +16,7 @@ from knapreduce.knapsack import (
     solve_dp,
     subinstance,
 )
+from knapreduce.reductions import rcsp_to_vk_embed, rcsp_to_vk_simple
 
 
 def inst_1d(costs, profits, budget):
@@ -138,15 +140,41 @@ class TestDp:
             # the tie-break makes the witnesses identical, not just equal-value
             assert dp_sol == bf_sol
 
-    def test_lattice_cap(self):
-        inst = VkInstance((1,), ((1, 1),), (1000, 1000))
+    def test_state_cap(self):
+        # eight distinct reachable cost vectors, the empty one included
+        inst = VkInstance((1, 1, 1), ((1, 2), (2, 1), (1, 1)), (10, 10))
+        assert solve_dp(inst, state_cap=8) == solve_bruteforce(inst)
         with pytest.raises(CapExceededError):
-            solve_dp(inst, lattice_cap=1000)
+            solve_dp(inst, state_cap=7)
 
-    def test_machine_word_guard(self):
-        inst = VkInstance((1,), ((1,),), (1 << 70,))
-        with pytest.raises(CapExceededError):
-            solve_dp(inst)
+    def test_cli_state_cap_exits_3(self, tmp_path, capsys):
+        src = tmp_path / "vk.json"
+        main(["gen", "vk", "--n", "6", "--seed", "10", "--out", str(src)])
+        assert main(["solve", "dp", "--in", str(src), "--cap-states", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_budget_beyond_machine_word(self):
+        rng = random.Random(70)
+        big = 1 << 70
+        inst = VkInstance(
+            tuple(rng.randint(0, 9) for _ in range(10)),
+            tuple((rng.randint(0, big // 3), rng.randint(0, big // 2)) for _ in range(10)),
+            (big, big),
+        )
+        assert solve_dp(inst) == solve_bruteforce(inst)
+
+    def test_agrees_with_bruteforce_on_reduction_targets(self):
+        for i in range(20):
+            rng = random.Random(1500 + i)
+            pi, _ = gen_rcsp_planted(
+                rng.choice((4, 6)), rng.choice((2, 3)), rng.choice((2, 3)), rng, regular3=True
+            )
+            plain = rcsp_to_vk_simple(pi)
+            packed, _ = rcsp_to_vk_embed(pi, rng.randint(1, 3))
+            for target in (plain, packed):
+                assert solve_dp(target) == solve_bruteforce(target), i
 
 
 class TestProperties:
