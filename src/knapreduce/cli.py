@@ -149,6 +149,10 @@ def _cmd_gen(args) -> int:
     for flag in ("n", "m", "vertices"):
         if getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
+    alphabet_flags = {"csp2": ("sigma",), "rcsp": ("sigma", "upsilon")}.get(args.kind, ())
+    for flag in alphabet_flags:
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     rng = random.Random(args.seed)
     if args.kind == "sat":
         if args.planted:

@@ -1,21 +1,29 @@
 """Exact geometric discretization of costs and their budget complements.
 
 All rounding is done on the exact rational grid 1, g, g^2, ... for
-g = 1 + 1/(10 d); exponents are found by iterated multiplication and
-binary search over memoized powers, never by floating-point logarithms,
-so boundary values bucket deterministically.
+g = 1 + 1/(10 d).  Exponents are searched in integers only: for g = p/q a
+table holds the floors of g^t, extended from one running exact pair
+(p^t, q^t), and costs and budgets are integers, so g^t >= x exactly when
+floor(g^t) >= x.  A binary search over those floors finds every exponent;
+no floating-point logarithm is taken and no rational power is formed, so
+boundary values bucket deterministically.
 
 A coordinate's discretized value is the smaller of the geometric
 round-up of the cost and the budget minus the geometric round-down of
 the residual; ties go to the round-up branch.  The per-coordinate key
-(branch, exponent) determines the exact value given the budget and g.
+(branch, exponent) determines the exact value given the budget and g, so
+values are formed from the keys only when read.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+from .errors import CapExceededError
 
 ZERO = "zero"
 UP = "up"
@@ -23,7 +31,81 @@ COMP_DOWN = "comp_down"
 
 CoordKey = tuple  # (ZERO,) | (UP, t) | (COMP_DOWN, t or None)
 
-_powers: dict[Fraction, list[Fraction]] = {}
+# Exponents kept per scaling factor.  A budget B needs about ln(B) / ln(g)
+# of them: 8,900 for 91-bit budgets at d = 14, and this cap reaches
+# 336-bit budgets at d = 14 or 118-bit budgets at d = 40.  A table holds
+# floors no wider than its largest budget plus one running pair of
+# ~t * log2(10 d + 1) bits, so its memory grows linearly in the exponents
+# (~2 MB at the cap); each step divides the pair, so filling a table to
+# the cap takes time quadratic in it, ~3 s on a 2-vCPU VM.
+FLOOR_TABLE_CAP = 1 << 15
+# Scaling factors kept at once; the oldest table is dropped beyond this.
+TABLE_COUNT_CAP = 64
+
+
+class _FloorTable:
+    """floor(gamma^t) for t = 0, 1, ..., extended on demand."""
+
+    def __init__(self, gamma: Fraction):
+        if gamma <= 1:
+            raise ValueError("scaling factor must exceed 1")
+        self.gamma = gamma
+        self.floors = [1]
+        self.top = (1, 1)  # (p^t, q^t) for the last t in floors
+
+    def reach(self, upto: int) -> list[int]:
+        """The floors, extended until the last one is at least upto."""
+        floors = self.floors
+        while floors[-1] < upto:
+            if len(floors) >= FLOOR_TABLE_CAP:
+                raise CapExceededError(
+                    f"discretizing a {upto.bit_length()}-bit value at gamma {self.gamma} "
+                    f"needs more than {FLOOR_TABLE_CAP} exponents"
+                )
+            p, q = self.top
+            self.top = (p * self.gamma.numerator, q * self.gamma.denominator)
+            floors.append(self.top[0] // self.top[1])
+        return floors
+
+    def is_integer(self, t: int) -> bool:
+        """Whether gamma^t equals its floor: t = 0, or gamma is an integer."""
+        return t == 0 or self.gamma.denominator == 1
+
+    def round_down_exponent(self, x: int) -> int:
+        """Largest t with gamma^t <= x, for an integer x >= 1."""
+        floors = self.reach(x)
+        t = bisect_left(floors, x)
+        return t if floors[t] == x and self.is_integer(t) else t - 1
+
+    def sum_at_most(self, t_up: int, t_down, bound: int) -> bool:
+        """gamma^t_up + gamma^t_down <= bound, the second term absent when None.
+
+        Each term lies in [floor, floor + 1), and equals its floor only when
+        it is an integer.  The floors decide unless the two fractional parts
+        could sum to either side of 1; then one big-integer comparison does.
+        """
+        terms = (t_up,) if t_down is None else (t_up, t_down)
+        low = sum(self.floors[t] for t in terms)
+        fractional = sum(not self.is_integer(t) for t in terms)
+        if low + fractional <= bound:
+            return True
+        if low >= bound:
+            return False
+        p, q = self.gamma.numerator, self.gamma.denominator
+        top = max(terms)
+        return sum(p**t * q ** (top - t) for t in terms) <= bound * q**top
+
+
+_tables: dict[Fraction, _FloorTable] = {}
+
+
+def _table(gamma) -> _FloorTable:
+    table = _tables.get(gamma)
+    if table is None:
+        while len(_tables) >= TABLE_COUNT_CAP:
+            del _tables[next(iter(_tables))]
+        table = _tables[gamma] = _FloorTable(Fraction(gamma))
+    return table
 
 
 def gamma_for_dimension(d: int) -> Fraction:
@@ -33,80 +115,79 @@ def gamma_for_dimension(d: int) -> Fraction:
     return Fraction(10 * d + 1, 10 * d)
 
 
-def _power_table(gamma: Fraction, upto) -> list[Fraction]:
-    if gamma <= 1:
-        raise ValueError("scaling factor must exceed 1")
-    table = _powers.setdefault(gamma, [Fraction(1)])
-    while table[-1] < upto:
-        table.append(table[-1] * gamma)
-    return table
-
-
-def _round_up_exponent(x, gamma: Fraction) -> int:
-    """Smallest t >= 0 with gamma^t >= x, for x >= 1."""
-    table = _power_table(gamma, x)
-    return bisect_left(table, x)
+def _nonnegative(x) -> int:
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("negative values cannot be discretized")
+    return x
 
 
 def varpi_up(x: int, gamma: Fraction) -> Fraction:
     """0 at 0, else the smallest gamma power at or above x."""
-    if x < 0:
-        raise ValueError("negative values cannot be discretized")
+    x = _nonnegative(x)
     if x == 0:
         return Fraction(0)
-    return _power_table(gamma, x)[_round_up_exponent(x, gamma)]
+    table = _table(gamma)
+    return table.gamma ** bisect_left(table.reach(x), x)
 
 
 def varpi_down(x: int, gamma: Fraction) -> Fraction:
     """0 at 0, else the largest gamma power at or below x."""
-    if x < 0:
-        raise ValueError("negative values cannot be discretized")
+    x = _nonnegative(x)
     if x == 0:
         return Fraction(0)
-    table = _power_table(gamma, x)
-    t = bisect_left(table, x)
-    return table[t] if table[t] == x else table[t - 1]
+    table = _table(gamma)
+    return table.gamma ** table.round_down_exponent(x)
 
 
 @dataclass(frozen=True)
 class DiscretizedCost:
-    """Per-coordinate branch keys plus the exact values they denote."""
+    """Per-coordinate branch keys, with the budget and gamma they refer to.
+
+    values, the exact discretized coordinates, is derived from the keys on
+    first read; key comparison alone never forms a rational power.
+    """
 
     keys: tuple[CoordKey, ...]
-    values: tuple[Fraction, ...]
+    budget: tuple[int, ...]
+    gamma: Fraction
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        out = []
+        for key, b in zip(self.keys, self.budget):
+            if key[0] == ZERO:
+                out.append(Fraction(0))
+            elif key[0] == UP:
+                out.append(self.gamma ** key[1])
+            elif key[1] is None:
+                out.append(Fraction(b))
+            else:
+                out.append(b - self.gamma ** key[1])
+        return tuple(out)
 
 
 def digamma(cost_vector, budget, gamma: Fraction) -> DiscretizedCost:
     """Discretize one cost vector against its budget, coordinate by coordinate."""
     if len(cost_vector) != len(budget):
         raise ValueError("cost vector and budget must have equal length")
+    table = _table(gamma)
+    budget = tuple(operator.index(b) for b in budget)
     keys = []
-    values = []
     for x, b in zip(cost_vector, budget):
+        x = operator.index(x)
         if not 0 <= x <= b:
             raise ValueError(f"cost {x} outside the budget range [0, {b}]")
         if x == 0:
             keys.append((ZERO,))
-            values.append(Fraction(0))
             continue
-        table = _power_table(gamma, max(x, b))
-        t_up = bisect_left(table, x)
-        up = table[t_up]
-        residual = b - x
-        if residual == 0:
-            t_down = None
-            comp = Fraction(b)
-        else:
-            t = bisect_left(table, residual)
-            t_down = t if table[t] == residual else t - 1
-            comp = b - table[t_down]
-        if up <= comp:
+        t_up = bisect_left(table.reach(b), x)
+        t_down = None if x == b else table.round_down_exponent(b - x)
+        if table.sum_at_most(t_up, t_down, b):
             keys.append((UP, t_up))
-            values.append(up)
         else:
             keys.append((COMP_DOWN, t_down))
-            values.append(comp)
-    return DiscretizedCost(tuple(keys), tuple(values))
+    return DiscretizedCost(tuple(keys), budget, table.gamma)
 
 
 def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 from .csp import Csp2Instance, GcspInstance, RcspInstance, SatInstance
 from .graphs import Graph
 from .knapsack import VkInstance
 from .reductions import EmbedReductionArtifacts
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _graph_payload(graph: Graph) -> dict:
@@ -149,11 +152,21 @@ def _instance_from_payload(kind, payload: dict):
         return GcspInstance(graph, alphabets, payload["upsilon_size"], projections)
     if kind == "vk":
         return VkInstance(
-            tuple(payload["profits"]),
-            tuple(tuple(int(x) for x in row) for row in payload["costs"]),
-            tuple(int(b) for b in payload["budget"]),
+            tuple(_vk_integer(p, "profits", False) for p in payload["profits"]),
+            tuple(tuple(_vk_integer(x, "costs", True) for x in row) for row in payload["costs"]),
+            tuple(_vk_integer(b, "budget", True) for b in payload["budget"]),
         )
     raise ValueError(f"unknown instance kind {kind!r}")
+
+
+def _vk_integer(value, field: str, decimal_text: bool) -> int:
+    """An exact integer entry: a JSON integer (never a bool or a float) or,
+    for costs and budgets, whose canonical form is text, a decimal string."""
+    if type(value) is int:
+        return value
+    if decimal_text and isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"malformed vk instance: {field} entry {value!r} is not an integer")
 
 
 def instance_digest(obj) -> str:

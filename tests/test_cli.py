@@ -148,6 +148,49 @@ def test_gen_impossible_size_is_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, flag, value", [
+    ("rcsp", "--sigma", "0"), ("rcsp", "--upsilon", "0"), ("rcsp", "--sigma", "-1"),
+    ("csp2", "--sigma", "0"), ("csp2", "--sigma", "-1"),
+])
+def test_gen_empty_alphabet_is_usage_error(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "pi.json"
+    assert main(["gen", kind, "--regular3", "--seed", "1", "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
+
+
+VK_ENTRIES = {"profits": [3], "costs": [["1"]], "budget": ["2"]}
+
+
+@pytest.mark.parametrize("field, entry", [
+    ("profits", 1.5), ("profits", True), ("profits", "3"),
+    ("costs", 1.0), ("costs", False), ("costs", "1.5"),
+    ("budget", 2.5), ("budget", True), ("budget", "2e0"),
+])
+@pytest.mark.parametrize("command", [["solve", "approx"], ["reduce", "rcsp2vk-simple"]],
+                         ids=["solve", "reduce"])
+def test_vk_non_integer_entry_is_usage_error(tmp_path, capsys, field, entry, command):
+    document = {"kind": "vk", **VK_ENTRIES}
+    document[field] = [[entry]] if field == "costs" else [entry]
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(command + ["--in", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+
+
+def test_vk_integer_entries_parse(tmp_path, capsys):
+    # JSON integers and decimal strings both denote costs and budgets
+    src = tmp_path / "vk.json"
+    src.write_text(json.dumps({"kind": "vk", "profits": [3], "costs": [[1]], "budget": ["2"]}),
+                   encoding="utf-8")
+    assert main(["solve", "approx", "--in", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "3"
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["solve", "brute", "--in", str(tmp_path / "nope.json")]) == 2
 

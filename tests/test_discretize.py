@@ -1,8 +1,11 @@
+import functools
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
+from knapreduce import discretize
 from knapreduce.discretize import (
     COMP_DOWN,
     UP,
@@ -14,6 +17,55 @@ from knapreduce.discretize import (
     varpi_down,
     varpi_up,
 )
+from knapreduce.errors import CapExceededError
+from knapreduce.generators import gen_rcsp_planted
+from knapreduce.reductions import rcsp_to_vk_embed
+
+
+class FractionReference:
+    """Keys and values computed directly over exact rational powers."""
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+        self.power = functools.cache(lambda t: gamma ** t)
+
+    def exponent(self, x):
+        """Smallest t >= 0 with gamma^t >= x, by bisection over the powers."""
+        hi = 1
+        while self.power(hi) < x:
+            hi *= 2
+        return bisect_left(range(hi + 1), x, key=self.power)
+
+    def digamma(self, cost_vector, budget):
+        keys, values = [], []
+        for x, b in zip(cost_vector, budget):
+            if x == 0:
+                keys.append((ZERO,))
+                values.append(Fraction(0))
+                continue
+            t_up = self.exponent(x)
+            up = self.power(t_up)
+            if x == b:
+                t_down, comp = None, Fraction(b)
+            else:
+                t = self.exponent(b - x)
+                t_down = t if self.power(t) == b - x else t - 1
+                comp = b - self.power(t_down)
+            if up <= comp:
+                keys.append((UP, t_up))
+                values.append(up)
+            else:
+                keys.append((COMP_DOWN, t_down))
+                values.append(comp)
+        return tuple(keys), tuple(values)
+
+
+def packed_target():
+    """A 20-item digit-packed target: d = 14, budgets of 12 to 91 bits."""
+    rng = random.Random(1)
+    pi, _ = gen_rcsp_planted(10, 2, 2, rng, regular3=True)
+    inst, _ = rcsp_to_vk_embed(pi, 4)
+    return inst
 
 
 def test_gamma_values():
@@ -53,6 +105,72 @@ class TestRounding:
                 assert down <= x <= up
                 assert up < gamma * x
                 assert down > x / gamma
+
+
+class TestAgainstFractionReference:
+    def test_every_small_point(self):
+        for d in range(1, 6):
+            gamma = gamma_for_dimension(d)
+            reference = FractionReference(gamma)
+            for b in range(61):
+                for x in range(b + 1):
+                    out = digamma((x,), (b,), gamma)
+                    assert (out.keys, out.values) == reference.digamma((x,), (b,)), (d, b, x)
+                    assert all(type(v) is Fraction for v in out.values)
+
+    def test_integer_gamma(self):
+        # every power of 2 is an integer, so equality with x is reachable at t > 0
+        gamma = Fraction(2)
+        assert varpi_up(5, gamma) == 8 and varpi_down(5, gamma) == 4
+        assert varpi_up(8, gamma) == varpi_down(8, gamma) == 8
+        assert digamma((4,), (8,), gamma).keys == ((UP, 2),)
+        assert digamma((5,), (8,), gamma).keys == ((COMP_DOWN, 1),)
+        assert digamma((5,), (8,), gamma).values == (6,)
+        reference = FractionReference(gamma)
+        for b in range(61):
+            for x in range(b + 1):
+                out = digamma((x,), (b,), gamma)
+                assert (out.keys, out.values) == reference.digamma((x,), (b,)), (b, x)
+        assert varpi_up(5, 2) == 8
+
+    def test_packed_target(self):
+        inst = packed_target()
+        gamma = gamma_for_dimension(inst.dimension)
+        assert inst.dimension == 14 and max(inst.budget).bit_length() >= 90
+        discretize._tables.pop(gamma, None)
+        reference = FractionReference(gamma)
+        for cost in inst.costs:
+            out = digamma(cost, inst.budget, gamma)
+            assert (out.keys, out.values) == reference.digamma(cost, inst.budget)
+        # the cache holds small floors plus one exact running pair
+        table = discretize._tables[gamma]
+        widest = max(inst.budget).bit_length()
+        assert all(f.bit_length() <= widest for f in table.floors[:-1])
+        assert table.floors[-1] < gamma * max(inst.budget) + 1
+        top = len(table.floors) - 1
+        assert table.top == (gamma.numerator ** top, gamma.denominator ** top)
+
+    def test_over_cap_request_is_refused(self, monkeypatch):
+        gamma = Fraction(101, 100)
+        discretize._tables.pop(gamma, None)
+        monkeypatch.setattr(discretize, "FLOOR_TABLE_CAP", 100)
+        # 1.01^99 < 3, so rounding 3 up needs more than 100 exponents
+        with pytest.raises(CapExceededError):
+            varpi_up(3, gamma)
+        with pytest.raises(CapExceededError):
+            digamma((1,), (3,), gamma)
+        table = discretize._tables[gamma]
+        assert len(table.floors) == 100
+        assert table.top == (101 ** 99, 100 ** 99)
+        assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
+        discretize._tables.pop(gamma)
+
+    def test_table_count_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(discretize, "TABLE_COUNT_CAP", 3)
+        gammas = [Fraction(k + 1, k) for k in range(991, 996)]
+        for gamma in gammas:
+            assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
+        assert list(discretize._tables) == gammas[-3:]
 
 
 class TestDigamma:

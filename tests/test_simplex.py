@@ -5,7 +5,7 @@ import pytest
 
 from knapreduce.approx import lp_solve_relaxation
 from knapreduce.errors import CapExceededError
-from knapreduce.generators import gen_vk
+from knapreduce.generators import gen_vk, gen_vk_2bounded
 from knapreduce.knapsack import VkInstance, solve_bruteforce
 from knapreduce.simplex import knapsack_relaxation, simplex_maximize
 
@@ -34,6 +34,52 @@ def relaxation_vertex_oracle(profits, costs, budget):
             value = sum(profits[i] * x[i] for i in range(n))
             best = max(best, value)
     return best
+
+
+def reference_simplex(objective, rows, rhs):
+    """Textbook Bland's-rule tableau over Fractions: each pivot divides the
+    pivot row by the pivot and eliminates the entering column elsewhere.
+    Returns ((value, point), degenerate pivot count)."""
+    n, m = len(objective), len(rows)
+    tableau = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b)]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    cost = [Fraction(x) for x in objective] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    degenerate = 0
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] > 0), None)
+        if entering is None:
+            break
+        ratio, _, r = min(
+            (tableau[i][-1] / tableau[i][entering], basis[i], i)
+            for i in range(m)
+            if tableau[i][entering] > 0
+        )
+        degenerate += ratio == 0
+        pivot = tableau[r][entering]
+        tableau[r] = [x / pivot for x in tableau[r]]
+        for i in range(m):
+            if i != r:
+                f = tableau[i][entering]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[r])]
+        f = cost[entering]
+        cost = [x - f * y for x, y in zip(cost, tableau[r])]
+        basis[r] = entering
+    point = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            point[var] = tableau[i][-1]
+    value = sum(Fraction(c) * x for c, x in zip(objective, point))
+    return (value, tuple(point)), degenerate
+
+
+def reference_relaxation(profits, costs, budget):
+    n = len(profits)
+    rows = [[costs[i][j] for i in range(n)] for j in range(len(budget))]
+    rows += [[int(i == k) for i in range(n)] for k in range(n)]
+    return reference_simplex(list(profits), rows, list(budget) + [1] * n)
 
 
 class TestRelaxation:
@@ -77,6 +123,20 @@ class TestRelaxation:
             for j in range(inst.dimension):
                 assert sum(inst.costs[i][j] * x[i] for i in range(inst.item_count)) <= inst.budget[j]
 
+    def test_matches_fraction_tableau_reference(self):
+        # small budgets and zero profits make ties and degenerate pivots common
+        degenerate = 0
+        for i in range(600):
+            rng = random.Random(4100 + i)
+            maker = gen_vk if i % 2 == 0 else gen_vk_2bounded
+            max_budget = rng.choice((2, 3, 5, 8, 8, 40))
+            max_profit = rng.choice((0, 1, 3, 9))
+            inst = maker(rng.randint(1, 8), rng.randint(1, 3), max_budget, max_profit, rng)
+            expected, degenerate_pivots = reference_relaxation(inst.profits, inst.costs, inst.budget)
+            assert knapsack_relaxation(inst.profits, inst.costs, inst.budget) == expected, i
+            degenerate += degenerate_pivots
+        assert degenerate >= 50
+
     def test_variable_cap(self):
         inst = VkInstance((1,) * 10, ((1,),) * 10, (5,))
         with pytest.raises(CapExceededError):
@@ -111,3 +171,28 @@ class TestSimplexCore:
         # both constraints hold exactly
         assert 13 * x[0] + 17 * x[1] <= 29
         assert 19 * x[0] + 23 * x[1] <= 31
+
+    def test_rational_coefficients(self):
+        objective = [Fraction(1, 2), Fraction(2, 3), 1]
+        rows = [
+            [Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)],
+            [1, Fraction(5, 7), 0],
+            [0, Fraction(3, 2), Fraction(9, 4)],
+        ]
+        rhs = [Fraction(1, 2), 2, Fraction(7, 5)]
+        value, x = simplex_maximize(objective, rows, rhs)
+        assert (value, x) == reference_simplex(objective, rows, rhs)[0]
+        assert value == Fraction(73, 60)
+        for row, b in zip(rows, rhs):
+            assert sum(a * xi for a, xi in zip(row, x)) <= b
+
+    def test_rational_programs_match_reference(self):
+        rng = random.Random(88)
+        for _ in range(100):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            objective = [Fraction(rng.randint(-2, 6), rng.randint(1, 5)) for _ in range(n)]
+            rows = [[Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(m)]
+            rows += [[int(i == k) for i in range(n)] for k in range(n)]
+            rhs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)] + [1] * n
+            assert simplex_maximize(objective, rows, rhs) == reference_simplex(objective, rows, rhs)[0]
