@@ -21,7 +21,6 @@ from .knapsack import (
     DEFAULT_BOUNDED_CAP,
     Solution,
     VkInstance,
-    check_feasible,
     profit,
     solve_bruteforce_bounded_size,
     subinstance,
@@ -51,11 +50,9 @@ def split_by_boundedness(inst: VkInstance) -> BoundednessSplit:
     return BoundednessSplit(tuple(bounded), tuple(unbounded))
 
 
-def _best_solution(inst: VkInstance, a: Solution, b: Solution) -> Solution:
-    pa, pb = profit(inst, a), profit(inst, b)
-    if pa != pb:
-        return a if pa > pb else b
-    return a if a.sorted_items() <= b.sorted_items() else b
+def _best_solution(inst: VkInstance, *solutions: Solution) -> Solution:
+    """Highest profit, ties to the lexicographically smallest index set."""
+    return min(solutions, key=lambda sol: (-profit(inst, sol), sol.sorted_items()))
 
 
 def approx_2unbounded(
@@ -97,17 +94,6 @@ def lp_solve_relaxation(
     if inst.item_count == 0:
         return Fraction(0), ()
     return knapsack_relaxation(inst.profits, inst.costs, inst.budget, variable_cap)
-
-
-def _best_singleton(inst: VkInstance) -> Solution:
-    best = Solution()
-    best_profit = -1
-    for i in range(inst.item_count):
-        if check_feasible(inst, Solution(frozenset([i]))):
-            if inst.profits[i] > best_profit:
-                best = Solution(frozenset([i]))
-                best_profit = inst.profits[i]
-    return best if best_profit >= 0 else Solution()
 
 
 def _repair(inst: VkInstance, chosen: set[int]) -> set[int]:
@@ -152,7 +138,7 @@ def approx_lp_rounding(
     theta = min(1.0, 1.0 / (4.0 * math.sqrt(d)))
     probabilities = [min(1.0, theta * float(w)) for w in weights]
 
-    best = _best_singleton(inst)
+    _, best = solve_bruteforce_bounded_size(inst, 1)
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         drawn = {i for i, p in enumerate(probabilities) if rng.random() < p}
@@ -174,7 +160,4 @@ def approx_sqrt_d(inst: VkInstance, seed: int) -> Solution:
         sub, order = subinstance(inst, split.unbounded_items)
         sol = approx_2unbounded(sub)
         candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
-    best = candidates[0]
-    for candidate in candidates[1:]:
-        best = _best_solution(inst, best, candidate)
-    return best
+    return _best_solution(inst, *candidates)

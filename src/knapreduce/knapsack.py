@@ -1,12 +1,14 @@
 """Vector (d-dimensional) knapsack instances and two exact oracles.
 
-Costs and budgets are plain Python integers and may be arbitrarily large.
-The subset brute force is capped by item count and the dynamic program by
-the number of distinct reachable cost vectors, so budget magnitude limits
-neither; digit-packed targets of the dimension-embedding reduction are
-solved by both.
+Profits, costs and budgets are nonnegative Python integers and may be
+arbitrarily large.  One pruned subset search serves both brute forces:
+the exact one, capped by item count, and the bounded-size one that the
+approximation's over-half branch uses, capped by its number of subsets.
+The dynamic program is capped by the number of distinct reachable cost
+vectors, so budget magnitude limits no oracle; digit-packed targets of
+the dimension-embedding reduction are solved by the search and the DP.
 
-Both solvers break ties between equal-profit optima toward the
+All solvers break ties between equal-profit optima toward the
 lexicographically smallest chosen index set (compared as sorted tuples),
 so golden outputs are stable.
 """
@@ -14,9 +16,9 @@ so golden outputs are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate
 from math import comb
-from operator import add, gt
+from operator import add, gt, le, sub
 
 from .errors import CapExceededError
 
@@ -25,6 +27,16 @@ DEFAULT_BOUNDED_CAP = 2_000_000
 # tracemalloc measured up to ~2.2 KB per DP state at 50 cost coordinates (a
 # state holds one int per coordinate), so this keeps such a table near 225 MB
 DEFAULT_STATE_CAP = 100_000
+
+
+def _integers(row) -> bool:
+    """Whether every entry is an int.  One builtin sum keeps this cheap on
+    the thousands of rows a reduction builds: adding a float, a Fraction or
+    any other non-int number to ints never gives back an int."""
+    try:
+        return type(sum(row)) is int
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -39,14 +51,17 @@ class VkInstance:
         d = len(self.budget)
         if len(self.costs) != len(self.profits):
             raise ValueError("profits and costs must have one entry per item")
-        if any(p < 0 for p in self.profits):
-            raise ValueError("profits must be nonnegative")
-        if any(b < 0 for b in self.budget):
-            raise ValueError("budgets must be nonnegative")
+        for name, row in (("profits", self.profits), ("budgets", self.budget)):
+            if not _integers(row):
+                raise ValueError(f"{name} must be integers")
+            if min(row, default=0) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         for i, c in enumerate(self.costs):
             if len(c) != d:
                 raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
-            if any(x < 0 for x in c):
+            if not _integers(c):
+                raise ValueError(f"cost vector of item {i} has a non-integer coordinate")
+            if min(c, default=0) < 0:
                 raise ValueError(f"cost vector of item {i} has a negative coordinate")
 
     @property
@@ -99,73 +114,59 @@ def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
     return prof > best_prof or (prof == best_prof and items < best_items)
 
 
-def solve_bruteforce(inst: VkInstance, enum_cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, Solution]:
-    """Exact optimum by depth-first subset enumeration.
+def _best_subset(inst: VkInstance, max_size: int) -> tuple[int, Solution]:
+    """Best feasible subset of at most max_size items, by depth-first search.
 
-    Branches are cut when the running cost already exceeds the budget
-    (costs are nonnegative) or when the remaining profit cannot beat the
-    incumbent strictly.
+    Each call extends the current set by one larger index, so sets are
+    visited in lexicographic order and the recursion is as deep as the
+    largest set, never as deep as the item count.  A branch carries its
+    residual budget, so an item that does not fit is skipped in one test
+    (costs are nonnegative, so no superset can fit either), and the index
+    loop stops once the remaining profit cannot reach the incumbent.
     """
+    profits, costs, n = inst.profits, inst.costs, inst.item_count
+    suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
+    best_prof, best_items = 0, ()
+
+    # room is a list: tuple(map(...)) guesses a size and resizes, so each
+    # dropped d-tuple would join CPython's per-size tuple free list, which
+    # keeps up to 2,000 of them for the life of the process
+    def extend(start: int, room, prof: int, items: tuple, slots: int):
+        nonlocal best_prof, best_items
+        if _better(prof, items, best_prof, best_items):
+            best_prof, best_items = prof, items
+        if not slots:
+            return
+        for i in range(start, n):
+            if prof + suffix_profit[i] < best_prof:
+                return
+            ci = costs[i]
+            if all(map(le, ci, room)):
+                extend(i + 1, list(map(sub, room, ci)), prof + profits[i], items + (i,), slots - 1)
+
+    extend(0, inst.budget, 0, (), max_size)
+    return best_prof, Solution(frozenset(best_items))
+
+
+def solve_bruteforce(inst: VkInstance, enum_cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, Solution]:
+    """Exact optimum by pruned subset search; refuses more than enum_cap items."""
     n = inst.item_count
     if n > enum_cap:
         raise CapExceededError(f"{n} items exceeds brute-force cap {enum_cap}")
-    d = inst.dimension
-    budget = inst.budget
-    suffix_profit = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_profit[i] = suffix_profit[i + 1] + inst.profits[i]
-
-    best_prof = 0
-    best_items: tuple[int, ...] = ()
-    running = [0] * d
-    current: list[int] = []
-
-    def descend(i: int, prof: int):
-        nonlocal best_prof, best_items
-        if prof + suffix_profit[i] < best_prof:
-            return
-        if i == n:
-            items = tuple(current)
-            if _better(prof, items, best_prof, best_items):
-                best_prof, best_items = prof, items
-            return
-        ci = inst.costs[i]
-        if all(running[j] + ci[j] <= budget[j] for j in range(d)):
-            for j in range(d):
-                running[j] += ci[j]
-            current.append(i)
-            descend(i + 1, prof + inst.profits[i])
-            current.pop()
-            for j in range(d):
-                running[j] -= ci[j]
-        descend(i + 1, prof)
-
-    descend(0, 0)
-    return best_prof, Solution(frozenset(best_items))
+    return _best_subset(inst, n)
 
 
 def solve_bruteforce_bounded_size(
     inst: VkInstance, s_max: int, enum_cap: int = DEFAULT_BOUNDED_CAP
 ) -> tuple[int, Solution]:
-    """Best feasible solution among subsets of at most s_max items."""
+    """Best feasible solution among subsets of at most s_max items; refuses
+    when there are more than enum_cap such subsets, however many items."""
     n = inst.item_count
     s_max = max(0, min(s_max, n))
     total = sum(comb(n, k) for k in range(s_max + 1))
     if total > enum_cap:
         raise CapExceededError(f"{total} bounded-size subsets exceeds cap {enum_cap}")
-    d = inst.dimension
-    best_prof = 0
-    best_items: tuple[int, ...] = ()
-    for k in range(1, s_max + 1):
-        for items in combinations(range(n), k):
-            if any(
-                sum(inst.costs[i][j] for i in items) > inst.budget[j] for j in range(d)
-            ):
-                continue
-            prof = sum(inst.profits[i] for i in items)
-            if _better(prof, items, best_prof, best_items):
-                best_prof, best_items = prof, items
-    return best_prof, Solution(frozenset(best_items))
+    return _best_subset(inst, s_max)
 
 
 def solve_dp(inst: VkInstance, state_cap: int = DEFAULT_STATE_CAP) -> tuple[int, Solution]:
@@ -209,9 +210,9 @@ def subinstance(inst: VkInstance, items) -> tuple[VkInstance, tuple[int, ...]]:
     """Restriction to an item subset, plus the original indices in sub order."""
     order = tuple(sorted(items))
     _check_items(inst, Solution(frozenset(order)))
-    sub = VkInstance(
+    restricted = VkInstance(
         profits=tuple(inst.profits[i] for i in order),
         costs=tuple(inst.costs[i] for i in order),
         budget=inst.budget,
     )
-    return sub, order
+    return restricted, order

@@ -104,6 +104,9 @@ def parse_instance(text: str):
     if not isinstance(payload, dict):
         raise ValueError(f"instance document must be a JSON object, not {type(payload).__name__}")
     kind = payload.get("kind")
+    if kind in ("sat", "csp2", "rcsp", "gcsp"):
+        for field, value in payload.items():
+            _require_integers(kind, field, value)
     try:
         return _instance_from_payload(kind, payload)
     except KeyError as exc:
@@ -157,6 +160,19 @@ def _instance_from_payload(kind, payload: dict):
             tuple(_vk_integer(b, "budget", True) for b in payload["budget"]),
         )
     raise ValueError(f"unknown instance kind {kind!r}")
+
+
+def _require_integers(kind: str, field: str, value):
+    """Every number in a sat, csp2, rcsp or gcsp document is a JSON integer;
+    a float or a bool would fail deep in a reduction or be written back as
+    another number."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"malformed {kind} instance: {field} entry {value!r} is not an integer")
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _require_integers(kind, field, item)
 
 
 def _vk_integer(value, field: str, decimal_text: bool) -> int:

@@ -10,7 +10,7 @@ an algebraic identity evaluated from first principles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .csp import csp_opt_bruteforce, csp_value, is_consistent, par_bruteforce
@@ -516,15 +516,5 @@ def report_json_payload(report: VerificationReport) -> dict:
     return {
         "suite": report.suite,
         "passed": report.passed,
-        "records": [
-            {
-                "suite": r.suite,
-                "check": r.check,
-                "instance": r.instance,
-                "expected": r.expected,
-                "observed": r.observed,
-                "passed": r.passed,
-            }
-            for r in report.records
-        ],
+        "records": [asdict(r) for r in report.records],
     }

@@ -191,6 +191,60 @@ def test_vk_integer_entries_parse(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "3"
 
 
+GEN_FLAGS = {
+    "rcsp": ["--regular3", "--vertices", "4", "--sigma", "2", "--upsilon", "2"],
+    "csp2": ["--regular3", "--vertices", "4", "--sigma", "2"],
+    "sat": ["--n", "6", "--m", "3", "--bound", "4", "--planted"],
+}
+
+
+def _set_vertices(doc):
+    doc["vertices"] = float(doc["vertices"])
+
+
+def _set_upsilon(doc):
+    doc["upsilon_size"] = True
+
+
+def _set_projection(doc):
+    doc["projections"][0]["u"][0] = 1.0
+
+
+def _set_constraint(doc):
+    doc["constraints"][0][0] = [0, 1.5]
+
+
+def _set_literal(doc):
+    doc["clauses"][0][0] = float(doc["clauses"][0][0])
+
+
+def _set_bound(doc):
+    doc["occurrence_bound"] = True
+
+
+@pytest.mark.parametrize("kind, edit, route", [
+    ("rcsp", _set_vertices, ["rcsp2vk-simple"]),
+    ("rcsp", _set_upsilon, ["rcsp2vk-simple"]),
+    ("rcsp", _set_projection, ["rcsp2vk-embed", "--F", "2"]),
+    ("csp2", _set_constraint, ["csp2rcsp"]),
+    ("sat", _set_literal, ["sat2rcsp-embed", "--k", "7"]),
+    ("sat", _set_bound, ["sat2rcsp-embed", "--k", "7"]),
+], ids=["rcsp-vertices", "rcsp-upsilon", "rcsp-projection", "csp2-pair", "sat-literal",
+        "sat-bound"])
+def test_non_integer_number_is_usage_error(tmp_path, capsys, kind, edit, route):
+    src = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    main(["gen", kind, "--seed", "3", "--out", str(src)] + GEN_FLAGS[kind])
+    doc = json.loads(read(src))
+    edit(doc)
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["reduce"] + route + ["--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {kind} instance: ") and err.count("\n") == 1
+    assert "not an integer" in err
+    assert not out.exists()
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["solve", "brute", "--in", str(tmp_path / "nope.json")]) == 2
 

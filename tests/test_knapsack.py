@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from knapreduce.cli import main
 from knapreduce.errors import CapExceededError
-from knapreduce.generators import gen_rcsp_planted, gen_vk
+from knapreduce.generators import gen_rcsp_planted, gen_vk, gen_vk_2unbounded, gen_vk_mixed
 from knapreduce.knapsack import (
+    DEFAULT_BRUTE_CAP,
     Solution,
     VkInstance,
     check_feasible,
@@ -26,6 +28,24 @@ def inst_1d(costs, profits, budget):
 
 
 THREE_ITEMS = inst_1d([2, 3, 4], [3, 4, 5], 6)
+
+
+def combinations_reference(inst, s_max):
+    """The plain enumerator the pruned search replaced: every subset of at
+    most s_max items, sums recomputed from scratch, ties to the
+    lexicographically smallest sorted index tuple."""
+    best_prof, best_items = 0, ()
+    for k in range(1, min(s_max, inst.item_count) + 1):
+        for items in combinations(range(inst.item_count), k):
+            if any(
+                sum(inst.costs[i][j] for i in items) > inst.budget[j]
+                for j in range(inst.dimension)
+            ):
+                continue
+            prof = sum(inst.profits[i] for i in items)
+            if prof > best_prof or (prof == best_prof and items < best_items):
+                best_prof, best_items = prof, items
+    return best_prof, Solution(frozenset(best_items))
 
 
 class TestBasics:
@@ -64,6 +84,19 @@ class TestBasics:
             VkInstance((-1,), ((1,),), (3,))
         with pytest.raises(ValueError):
             VkInstance((1,), ((-1,),), (3,))
+
+    @pytest.mark.parametrize(
+        "profits, costs, budget",
+        [
+            ((1.5, 2), ((1,), (1,)), (4,)),
+            ((1, 2), ((1,), (1,)), (4.0,)),
+            ((1,), ((0.5,),), (4,)),
+            ((1,), (("1",),), (4,)),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, profits, costs, budget):
+        with pytest.raises(ValueError, match="integer"):
+            VkInstance(profits, costs, budget)
 
 
 class TestBruteForce:
@@ -115,6 +148,37 @@ class TestBoundedSize:
         inst = inst_1d([0] * 20, [1] * 20, 1)
         with pytest.raises(CapExceededError):
             solve_bruteforce_bounded_size(inst, 10, enum_cap=1000)
+
+    def test_matches_combinations_reference(self):
+        generators = (gen_vk, gen_vk_2unbounded, gen_vk_mixed)
+        for i in range(60):
+            rng = random.Random(2100 + i)
+            n = rng.randint(0, 10)
+            inst = generators[i % 3](n, rng.randint(1, 3), rng.randint(2, 14), rng.randint(0, 4), rng)
+            # a zero-profit item and a copy of item 0 force ties; n stays <= 12
+            if n:
+                inst = VkInstance(
+                    inst.profits + (0, inst.profits[0]),
+                    inst.costs + (inst.costs[n - 1], inst.costs[0]),
+                    inst.budget,
+                )
+            for s_max in range(inst.item_count + 2):
+                expected = combinations_reference(inst, s_max)
+                assert solve_bruteforce_bounded_size(inst, s_max) == expected, (i, s_max)
+            assert solve_bruteforce(inst) == combinations_reference(inst, inst.item_count), i
+
+    def test_not_item_capped(self):
+        rng = random.Random(2200)
+        inst = gen_vk_mixed(40, 3, 30, 9, rng)
+        assert inst.item_count > DEFAULT_BRUTE_CAP
+        with pytest.raises(CapExceededError):
+            solve_bruteforce(inst)
+        assert solve_bruteforce_bounded_size(inst, 2) == combinations_reference(inst, 2)
+
+    def test_recursion_depth_follows_subset_size(self):
+        rng = random.Random(2300)
+        inst = gen_vk_2unbounded(1500, 2, 50, 20, rng)
+        assert solve_bruteforce_bounded_size(inst, 1) == combinations_reference(inst, 1)
 
 
 class TestDp:

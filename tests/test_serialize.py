@@ -63,6 +63,20 @@ def test_gcsp_roundtrip():
     assert roundtrip(inst) == inst
 
 
+@pytest.mark.parametrize("field", ["alphabets", "projections", "upsilon_size"])
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_gcsp_non_integer_number_rejected(field, bad):
+    payload = json.loads(serialize_instance(gen_gcsp(4, 3, 3, 2, random.Random(4))))
+    if field == "alphabets":
+        payload[field][0][0] = bad
+    elif field == "projections":
+        payload[field][0]["v"][0] = bad
+    else:
+        payload[field] = bad
+    with pytest.raises(ValueError, match=f"malformed gcsp instance: {field} entry"):
+        parse_instance(json.dumps(payload))
+
+
 def test_vk_roundtrip_with_big_integers():
     pi = gen_rcsp(4, 2, 2, random.Random(5), regular3=True)
     target, _ = rcsp_to_vk_embed(pi, 4)
