@@ -43,7 +43,10 @@ class SatInstance:
     occurrence_bound: int
 
     def __post_init__(self):
-        counts = [0] * (self.variable_count + 1)
+        if self.variable_count < 0:
+            raise ValueError("variable_count must be nonnegative")
+        # counted per occurring variable: variable_count may be huge
+        counts: dict[int, int] = {}
         for clause in self.clauses:
             seen = set()
             for lit in clause:
@@ -51,10 +54,10 @@ class SatInstance:
                 if lit == 0 or not 1 <= v <= self.variable_count:
                     raise ValueError(f"literal {lit} out of range")
                 seen.add(v)
-                counts[v] += 1
+                counts[v] = counts.get(v, 0) + 1
             if len(seen) != 3:
                 raise ValueError(f"clause {clause} does not use 3 distinct variables")
-        if any(c > self.occurrence_bound for c in counts):
+        if any(c > self.occurrence_bound for c in counts.values()):
             raise ValueError("a variable exceeds the occurrence bound")
 
     @property

@@ -3,10 +3,10 @@
 All rounding is done on the exact rational grid 1, g, g^2, ... for
 g = 1 + 1/(10 d).  Exponents are searched in integers only: for g = p/q a
 table holds the floors of g^t, extended from one running exact pair
-(p^t, q^t), and costs and budgets are integers, so g^t >= x exactly when
-floor(g^t) >= x.  A binary search over those floors finds every exponent;
-no floating-point logarithm is taken and no rational power is formed, so
-boundary values bucket deterministically.
+(p^t mod q^t, q^t), and costs and budgets are integers, so g^t >= x
+exactly when floor(g^t) >= x.  A binary search over those floors finds
+every exponent; no floating-point logarithm is taken and no rational power
+is formed, so boundary values bucket deterministically.
 
 A coordinate's discretized value is the smaller of the geometric
 round-up of the cost and the budget minus the geometric round-down of
@@ -36,8 +36,9 @@ CoordKey = tuple  # (ZERO,) | (UP, t) | (COMP_DOWN, t or None)
 # 336-bit budgets at d = 14 or 118-bit budgets at d = 40.  A table holds
 # floors no wider than its largest budget plus one running pair of
 # ~t * log2(10 d + 1) bits, so its memory grows linearly in the exponents
-# (~2 MB at the cap); each step divides the pair, so filling a table to
-# the cap takes time quadratic in it, ~3 s on a 2-vCPU VM.
+# (~2 MB at the cap); each step multiplies the pair by small integers, so
+# filling a table to the cap still takes time quadratic in it, ~1 s on a
+# 2-vCPU VM.
 FLOOR_TABLE_CAP = 1 << 15
 # Scaling factors kept at once; the oldest table is dropped beyond this.
 TABLE_COUNT_CAP = 64
@@ -51,20 +52,39 @@ class _FloorTable:
             raise ValueError("scaling factor must exceed 1")
         self.gamma = gamma
         self.floors = [1]
-        self.top = (1, 1)  # (p^t, q^t) for the last t in floors
+        # (r, q^t) for the last t in floors: gamma^t = floors[t] + r / q^t
+        self.rest = (0, 1)
+
+    @property
+    def top(self) -> tuple[int, int]:
+        """(p^t, q^t) for the last t in floors."""
+        r, scale = self.rest
+        return self.floors[-1] * scale + r, scale
 
     def reach(self, upto: int) -> list[int]:
-        """The floors, extended until the last one is at least upto."""
+        """The floors, extended until the last one is at least upto.
+
+        With gamma^t = f + r / q^t and p * f = a * q + b, gamma^(t+1) =
+        a + (b * q^t + p * r) / q^(t+1), the last term below 1 + p / q: a
+        step multiplies by small integers, never divides two powers.
+        """
         floors = self.floors
+        p, q = self.gamma.numerator, self.gamma.denominator
         while floors[-1] < upto:
             if len(floors) >= FLOOR_TABLE_CAP:
                 raise CapExceededError(
                     f"discretizing a {upto.bit_length()}-bit value at gamma {self.gamma} "
                     f"needs more than {FLOOR_TABLE_CAP} exponents"
                 )
-            p, q = self.top
-            self.top = (p * self.gamma.numerator, q * self.gamma.denominator)
-            floors.append(self.top[0] // self.top[1])
+            r, scale = self.rest
+            f, b = divmod(p * floors[-1], q)
+            r = b * scale + p * r
+            scale *= q
+            while r >= scale:
+                r -= scale
+                f += 1
+            floors.append(f)
+            self.rest = (r, scale)
         return floors
 
     def is_integer(self, t: int) -> bool:

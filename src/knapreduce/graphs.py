@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConstructionError
 
@@ -17,7 +18,11 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph; edges oriented low-to-high vertex index."""
+    """Simple graph; edges oriented low-to-high vertex index.
+
+    The edge list and the incident-edge table are built once, on first use;
+    equality and hashing compare only vertex_count and edges.
+    """
 
     vertex_count: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
@@ -29,31 +34,42 @@ class Graph:
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) is not oriented within range")
 
-    @property
+    @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
         """Edges in lexicographic order; the canonical edge indexing."""
         return tuple(sorted(self.edges))
+
+    @cached_property
+    def incident(self) -> tuple[tuple[Edge, ...], ...]:
+        """incident[v]: the edges at v, in lexicographic order."""
+        table: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
+        for e in self.edge_list:
+            table[e[0]].append(e)
+            table[e[1]].append(e)
+        return tuple(map(tuple, table))
 
     def vertices(self) -> range:
         return range(self.vertex_count)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.incident[v])
 
     def adjacent_edges(self, v: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edge_list if v in e)
+        return self.incident[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [u + w - v for (u, w) in self.edges if v in (u, w)]
-        return tuple(sorted(out))
+        # edges (u, v) with u < v sort before edges (v, w), so this ascends
+        return tuple(u + w - v for (u, w) in self.incident[v])
 
     def is_regular(self, r: int) -> bool:
-        return all(self.degree(v) == r for v in self.vertices())
+        # the edge count refutes most claims before the table is built,
+        # which also keeps a huge declared vertex_count from allocating it
+        if 2 * len(self.edges) != r * self.vertex_count:
+            return False
+        return all(len(at) == r for at in self.incident)
 
     def max_degree(self) -> int:
-        if self.vertex_count == 0:
-            return 0
-        return max(self.degree(v) for v in self.vertices())
+        return max(map(len, self.incident), default=0)
 
 
 def graph_from_edges(vertex_count: int, pairs) -> Graph:
@@ -85,14 +101,11 @@ def circulant_cubic_graph(n: int) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are g's edges (in lexicographic order), joined
     when the underlying edges share exactly one endpoint."""
-    base = g.edge_list
-    index = {e: i for i, e in enumerate(base)}
-    pairs = []
-    for i, e in enumerate(base):
-        for f in base[i + 1:]:
-            if len(set(e) & set(f)) == 1:
-                pairs.append((index[e], index[f]))
-    return graph_from_edges(len(base), pairs)
+    index = {e: i for i, e in enumerate(g.edge_list)}
+    pairs = [
+        (index[e], index[f]) for at in g.incident for i, e in enumerate(at) for f in at[i + 1:]
+    ]
+    return graph_from_edges(len(index), pairs)
 
 
 def random_regular3_graph(n: int, rng: random.Random, max_tries: int = 1000) -> Graph:

@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .csp import (
@@ -53,25 +54,19 @@ def build_clause_conflict_graph(phi: SatInstance) -> Graph:
     return graph_from_edges(phi.clause_count, pairs)
 
 
-def _pack_bits(assignment: dict[int, int], variables: tuple[int, ...]) -> int:
-    """Pack an assignment on the given (ascending) variables, first variable
-    in the most significant bit, so ascending codes enumerate assignment
-    vectors in lexicographic order."""
-    code = 0
-    for v in variables:
-        code = (code << 1) | assignment[v]
-    return code
-
-
-def _unpack_bits(code: int, variables: tuple[int, ...]) -> dict[int, int]:
-    t = len(variables)
-    return {v: (code >> (t - 1 - i)) & 1 for i, v in enumerate(variables)}
-
-
 def _satisfying_codes(
     phi: SatInstance, clause_indices, alphabet_cap: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(ascending variables, codes of assignments satisfying all the clauses)."""
+    """(ascending variables, codes of assignments satisfying all the clauses).
+
+    A code packs an assignment to the variables first variable in the most
+    significant bit, so ascending codes enumerate assignment vectors in
+    lexicographic order.  Each clause becomes a pair (mask, falsifying):
+    mask holds the bits of its three distinct variables and falsifying the
+    bits set by the one assignment of them that makes every literal false
+    (the negated variables).  A code satisfies the clause iff
+    code & mask != falsifying.
+    """
     used: set[int] = set()
     for c in clause_indices:
         used |= clause_variables(phi.clauses[c])
@@ -81,19 +76,13 @@ def _satisfying_codes(
         raise ValueError(
             f"2^{t} candidate assignments exceed the alphabet cap {alphabet_cap}"
         )
-    good = []
-    for code in range(1 << t):
-        assignment = _unpack_bits(code, variables)
-        ok = True
-        for c in clause_indices:
-            if not any(
-                assignment[abs(lit)] == (1 if lit > 0 else 0)
-                for lit in phi.clauses[c]
-            ):
-                ok = False
-                break
-        if ok:
-            good.append(code)
+    bit = {v: 1 << (t - 1 - i) for i, v in enumerate(variables)}
+    good = range(1 << t)
+    for c in clause_indices:
+        clause = phi.clauses[c]
+        mask = sum(bit[abs(lit)] for lit in clause)
+        falsifying = sum(bit[-lit] for lit in clause if lit < 0)
+        good = [code for code in good if code & mask != falsifying]
     return variables, tuple(good)
 
 
@@ -142,14 +131,13 @@ def sat_to_rcsp(
         side = []
         for vertex in (x, y):
             variables, codes = per_vertex[vertex]
-            sentinel = packed_range + vertex
-            proj = []
-            for s in range(sigma_size):
-                if s < len(codes):
-                    assignment = _unpack_bits(codes[s], variables)
-                    proj.append(_pack_bits({v: assignment[v] for v in common}, common))
-                else:
-                    proj.append(sentinel)
+            # each code restricted to the common variables, packed likewise
+            t, k = len(variables), len(common)
+            proj = [0] * len(codes)
+            for j, v in enumerate(common):
+                src, dst = t - 1 - variables.index(v), k - 1 - j
+                proj = [p | ((code >> src) & 1) << dst for p, code in zip(proj, codes)]
+            proj += [packed_range + vertex] * (sigma_size - len(codes))
             side.append(tuple(proj))
         projections[(x, y)] = (side[0], side[1])
 
@@ -174,7 +162,8 @@ def rcsp_assignment_from_sat(
     for x in range(host.vertex_count):
         chosen = tuple(sorted(set(clause_sets[x])))
         variables, codes = _satisfying_codes(phi, chosen, alphabet_cap)
-        code = _pack_bits({v: int(bool(assignment[v - 1])) for v in variables}, variables)
+        t = len(variables)
+        code = sum(1 << (t - 1 - i) for i, v in enumerate(variables) if assignment[v - 1])
         if code not in codes:
             raise ValueError(f"assignment does not satisfy the clause set of vertex {x}")
         values.append(codes.index(code))
@@ -386,23 +375,24 @@ def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
     m = pi.upsilon_size
     sigma = pi.sigma_size
     d = n + 2 * len(edges)
-    items = n * sigma
-    costs = [[0] * d for _ in range(items)]
+    index = {e: t for t, e in enumerate(edges)}
+    zero = (0,) * sigma
+    costs = []
     for v in range(n):
-        for s in range(sigma):
-            costs[item_index(pi, v, s)][v] = m
-    for t, (u, v) in enumerate(edges):
-        dim_u = n + 2 * t
-        dim_v = n + 2 * t + 1
-        proj_u, proj_v = pi.projections[(u, v)]
-        for s in range(sigma):
-            costs[item_index(pi, u, s)][dim_u] = proj_u[s]
-            costs[item_index(pi, u, s)][dim_v] = m - proj_u[s]
-            costs[item_index(pi, v, s)][dim_u] = m - proj_v[s]
-            costs[item_index(pi, v, s)][dim_v] = proj_v[s]
+        # vertex v's rows, built column by column from its own constraints
+        columns = [zero] * d
+        columns[v] = (m,) * sigma
+        for e in pi.graph.incident[v]:
+            dim = n + 2 * index[e]
+            proj_u, proj_v = pi.projections[e]
+            if v == e[0]:
+                columns[dim], columns[dim + 1] = proj_u, [m - p for p in proj_u]
+            else:
+                columns[dim], columns[dim + 1] = [m - p for p in proj_v], proj_v
+        costs += zip(*columns)
     return VkInstance(
-        profits=(1,) * items,
-        costs=tuple(tuple(c) for c in costs),
+        profits=(1,) * (n * sigma),
+        costs=tuple(costs),
         budget=(m,) * d,
     )
 
@@ -449,6 +439,16 @@ class EmbedReductionArtifacts:
     @property
     def chunk_count(self) -> int:
         return len(self.partition)
+
+    @cached_property
+    def placement(self) -> dict[Constraint, tuple[int, int]]:
+        """constraint -> (its chunk l, its digit power base_q ** position)."""
+        q = self.base_q
+        return {
+            j: (l, q ** (pos + 1))
+            for l, chunk in enumerate(self.partition)
+            for pos, j in enumerate(chunk)
+        }
 
 
 def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifacts:
@@ -498,6 +498,12 @@ def rcsp_to_vk_embed(
     multiple of the sentinel, which caps how many covered items a feasible
     solution may select and forces every digit to its target once that cap
     is met.  Requires a 3-regular constraint graph.
+
+    Each vertex's rows are built from its own four constraints (the vertex
+    and its three edges), placed by art.placement: every other constraint
+    weighs zero on the vertex's items (constraint_weight), so only the at
+    most four chunks holding them get nonzero entries.  The rows come out
+    column by column, one packed column per touched chunk.
     """
     if not pi.graph.is_regular(3):
         raise ValueError("constraint graph must be 3-regular")
@@ -505,34 +511,35 @@ def rcsp_to_vk_embed(
     n = pi.graph.vertex_count
     sigma = pi.sigma_size
     m = pi.upsilon_size
-    q, big = art.base_q, art.sentinel
-    r = art.chunk_count
-    d = 2 * r
-    digit_powers = [
-        [q ** (pos + 1) for pos in range(len(chunk))] for chunk in art.partition
-    ]
+    big = art.sentinel
+    d = 2 * art.chunk_count
+    place = art.placement
+    zero = (0,) * sigma
 
     profits = []
     costs = []
     for v in range(n):
-        vertex_profit = sum(art.coverage[l][v] for l in range(r))
-        for s in range(sigma):
-            row = [0] * d
-            for l, chunk in enumerate(art.partition):
-                if art.coverage[l][v] == 0:
-                    continue
-                packed = sum(
-                    constraint_weight(pi, j, v, s) * digit_powers[l][pos]
-                    for pos, j in enumerate(chunk)
-                )
-                row[2 * l] = packed
-                row[2 * l + 1] = big * art.coverage[l][v] - packed
-            profits.append(vertex_profit)
-            costs.append(tuple(row))
+        packed: dict[int, list[int]] = {}  # chunk -> packed digits, symbol by symbol
+        for j in (v, *pi.graph.incident[v]):
+            if j == v:
+                weights = [m] * sigma
+            else:
+                proj_a, proj_b = pi.projections[j]
+                weights = proj_a if v == j[0] else [m - p for p in proj_b]
+            l, power = place[j]
+            column = packed.get(l, zero)
+            packed[l] = [x + w * power for x, w in zip(column, weights)]
+        columns = [zero] * d
+        for l, column in packed.items():
+            cap = big * art.coverage[l][v]
+            columns[2 * l] = column
+            columns[2 * l + 1] = [cap - x for x in column]
+        profits += [sum(art.coverage[l][v] for l in packed)] * sigma
+        costs += zip(*columns)
 
     budget = []
     for l, chunk in enumerate(art.partition):
-        packed_budget = sum(m * power for power in digit_powers[l])
+        packed_budget = sum(m * place[j][1] for j in chunk)
         budget.append(packed_budget)
         budget.append(big * art.chunk_totals[l] - packed_budget)
 
@@ -596,14 +603,9 @@ def extract_partial_assignment(
         for l in range(art.chunk_count)
         if sum(art.coverage[l][v] for v, _ in selected) == art.chunk_totals[l]
     }
-    chunk_of: dict[Constraint, int] = {}
-    for l, chunk in enumerate(art.partition):
-        for j in chunk:
-            chunk_of[j] = l
     values = [None] * pi.graph.vertex_count
     for v in range(pi.graph.vertex_count):
-        constraints: list[Constraint] = [v] + list(pi.graph.adjacent_edges(v))
-        if all(chunk_of[j] in saturated for j in constraints):
+        if all(art.placement[j][0] in saturated for j in (v, *pi.graph.incident[v])):
             symbols = [s for (w, s) in selected if w == v]
             if len(symbols) != 1:
                 raise ValueError(

@@ -245,6 +245,47 @@ def test_non_integer_number_is_usage_error(tmp_path, capsys, kind, edit, route):
     assert not out.exists()
 
 
+def test_sat_variable_count_far_above_its_literals_reduces(tmp_path):
+    # occurrences are counted per variable that occurs, not in a list sized
+    # by the declared count: 10**27 overflowed it, 10**8 allocated it
+    small, huge = tmp_path / "small.json", tmp_path / "huge.json"
+    main(["gen", "sat", "--seed", "3", "--out", str(small)] + GEN_FLAGS["sat"])
+    doc = json.loads(read(small))
+    doc["variables"] = 10**27
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    outputs = []
+    for src in (small, huge):
+        out = tmp_path / f"{src.stem}.out.json"
+        assert main(["reduce", "sat2rcsp-embed", "--k", "8", "--in", str(src),
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_sat_negative_variable_count_is_usage_error(tmp_path, capsys):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"kind": "sat", "variables": -1, "clauses": [],
+                               "occurrence_bound": 3}), encoding="utf-8")
+    assert main(["reduce", "sat2rcsp-embed", "--k", "8", "--in", str(src),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: variable_count must be nonnegative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document, route", [
+    ({"kind": "rcsp", "vertices": 10**27, "edges": [], "sigma_size": 1, "upsilon_size": 1,
+      "projections": []}, ["rcsp2vk-embed", "--F", "1"]),
+    ({"kind": "csp2", "vertices": 10**27, "edges": [], "sigma_size": 1, "constraints": []},
+     ["csp2rcsp"]),
+], ids=["rcsp-embed", "csp2"])
+def test_huge_vertex_count_fails_the_cubic_check(tmp_path, capsys, document, route):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["reduce"] + route + ["--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: constraint graph must be 3-regular\n"
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["solve", "brute", "--in", str(tmp_path / "nope.json")]) == 2
 

@@ -165,6 +165,18 @@ class TestAgainstFractionReference:
         assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
         discretize._tables.pop(gamma)
 
+    def test_long_table_equals_direct_floors(self):
+        # the floors come from a carried remainder, not from dividing p^t by q^t
+        gamma = gamma_for_dimension(14)
+        p, q = gamma.numerator, gamma.denominator
+        table = discretize._FloorTable(gamma)
+        floors = table.reach(p**5000 // q**5000)
+        assert len(floors) > 4096
+        top = len(floors) - 1
+        for t in [*range(50), *range(50, top, 97), top]:
+            assert floors[t] == p**t // q**t, t
+        assert table.top == (p**top, q**top)
+
     def test_table_count_is_bounded(self, monkeypatch):
         monkeypatch.setattr(discretize, "TABLE_COUNT_CAP", 3)
         gammas = [Fraction(k + 1, k) for k in range(991, 996)]

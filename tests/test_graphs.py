@@ -30,6 +30,30 @@ def test_graph_from_edges_normalizes():
     assert g.neighbors(2) == (0, 1)
 
 
+def test_incident_table_serves_degree_and_neighbors():
+    rng = random.Random(4)
+    for n in (1, 5, 9):
+        g = random_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        for v in g.vertices():
+            at = tuple(e for e in sorted(g.edges) if v in e)
+            assert g.adjacent_edges(v) == g.incident[v] == at
+            assert g.degree(v) == len(at)
+            assert g.neighbors(v) == tuple(sorted(u + w - v for (u, w) in at))
+        assert g.max_degree() == max(len(at) for at in g.incident)
+    assert Graph(0).max_degree() == 0 and Graph(0).is_regular(3)
+    huge = Graph(10**27)
+    assert not huge.is_regular(3) and "incident" not in vars(huge)
+
+
+def test_equality_ignores_built_tables():
+    built = circulant_cubic_graph(6)
+    assert built.is_regular(3) and built.edge_list  # builds both tables
+    fresh = Graph(6, frozenset(built.edges))
+    assert "incident" in vars(built) and "incident" not in vars(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert {built: 1}[fresh] == 1
+
+
 def test_regularity_and_edge_count_relation():
     for n in (4, 6, 8, 10):
         g = circulant_cubic_graph(n)

@@ -1,13 +1,26 @@
+import math
 import random
+import warnings
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from knapreduce.csp import SatInstance, is_consistent, par_bruteforce
+from knapreduce.csp import (
+    RcspInstance,
+    SatInstance,
+    clause_variables,
+    count_satisfied,
+    is_consistent,
+    par_bruteforce,
+)
+from knapreduce.disperser import build_disperser
 from knapreduce.embedding import simple_connected_embedding, validate_embedding
-from knapreduce.generators import gen_sat_satisfiable
-from knapreduce.graphs import Graph, graph_from_edges
+from knapreduce.generators import gen_sat, gen_sat_satisfiable
+from knapreduce.graphs import Graph, complete_graph, graph_from_edges
 from knapreduce.reductions import (
+    DEFAULT_ALPHABET_CAP,
+    _satisfying_codes,
     build_clause_conflict_graph,
     rcsp_assignment_from_sat,
     sat_to_rcsp,
@@ -18,6 +31,73 @@ from knapreduce.reductions import (
 
 def sat(n, clauses, bound=8):
     return SatInstance(n, tuple(tuple(c) for c in clauses), bound)
+
+
+def unpack(code, variables):
+    t = len(variables)
+    return {v: (code >> (t - 1 - i)) & 1 for i, v in enumerate(variables)}
+
+
+def pack(assignment, variables):
+    code = 0
+    for v in variables:
+        code = (code << 1) | assignment[v]
+    return code
+
+
+def reference_satisfying_codes(phi, clause_indices):
+    """Every candidate code unpacked into an assignment dict and tested
+    literal by literal."""
+    variables = tuple(sorted(set().union(
+        *(clause_variables(phi.clauses[c]) for c in clause_indices)
+    )))
+    good = []
+    for code in range(1 << len(variables)):
+        assignment = unpack(code, variables)
+        if all(
+            any(assignment[abs(lit)] == (lit > 0) for lit in phi.clauses[c])
+            for c in clause_indices
+        ):
+            good.append(code)
+    return variables, tuple(good)
+
+
+def reference_sat_to_rcsp(phi, host, clause_sets):
+    """Projections by unpack -> restrict -> repack, code by code."""
+    per_vertex = [
+        reference_satisfying_codes(phi, tuple(sorted(set(chosen))))
+        for chosen in clause_sets
+    ]
+    sigma_size = max([1] + [len(codes) for _, codes in per_vertex])
+    shared = {
+        (x, y): tuple(sorted(set(per_vertex[x][0]) & set(per_vertex[y][0])))
+        for (x, y) in host.edge_list
+    }
+    packed_range = 1 << max((len(c) for c in shared.values()), default=0)
+    projections = {}
+    for (x, y), common in shared.items():
+        side = []
+        for vertex in (x, y):
+            variables, codes = per_vertex[vertex]
+            side.append(tuple(
+                pack(unpack(codes[s], variables), common) if s < len(codes)
+                else packed_range + vertex
+                for s in range(sigma_size)
+            ))
+        projections[(x, y)] = tuple(side)
+    return RcspInstance(host, sigma_size, packed_range + host.vertex_count, projections)
+
+
+def seeded_formulas(base, count):
+    for i in range(count):
+        rng = random.Random(base + i)
+        n, bound = rng.randint(3, 8), rng.randint(3, 4)
+        m = rng.randint(0, min(7, n * bound // 3))
+        if i % 2:
+            phi, _ = gen_sat_satisfiable(n, m, bound, rng)
+        else:
+            phi = gen_sat(n, m, bound, rng)
+        yield phi, rng
 
 
 class TestConflictGraph:
@@ -167,3 +247,48 @@ class TestRoutes:
         a = sat_to_rcsp_disperser_route(phi, 5, 2, "1/4", seed=3)
         b = sat_to_rcsp_disperser_route(phi, 5, 2, "1/4", seed=3)
         assert a.projections == b.projections
+
+
+class TestAgainstReferenceBuilds:
+    def test_satisfying_codes_match_reference_and_clause_count(self):
+        for phi, rng in seeded_formulas(8100, 30):
+            m = phi.clause_count
+            subsets = [(), tuple(range(m))]
+            subsets += [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(3)
+                        if m]
+            for chosen in subsets:
+                variables, codes = _satisfying_codes(phi, chosen, DEFAULT_ALPHABET_CAP)
+                assert (variables, codes) == reference_satisfying_codes(phi, chosen)
+                sub = SatInstance(phi.variable_count, tuple(phi.clauses[c] for c in chosen),
+                                  phi.occurrence_bound)
+                for values in product((0, 1), repeat=phi.variable_count):
+                    code = pack({v: values[v - 1] for v in variables}, variables)
+                    satisfied = count_satisfied(sub, values) == len(chosen)
+                    assert (code in codes) == satisfied, (chosen, values)
+
+    def test_embedding_route_matches_reference(self):
+        for phi, _ in seeded_formulas(8200, 12):
+            host, emb = simple_connected_embedding(build_clause_conflict_graph(phi), 8)
+            clause_sets = [
+                frozenset(c for c in range(phi.clause_count) if x in emb.images[c])
+                for x in range(host.vertex_count)
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unsatisfiable clause sets warn
+                assert sat_to_rcsp_embedding_route(phi, 8) == reference_sat_to_rcsp(
+                    phi, host, clause_sets
+                )
+
+    def test_disperser_route_matches_reference(self):
+        for i, (phi, rng) in enumerate(seeded_formulas(8300, 12)):
+            m = phi.clause_count
+            if m == 0:
+                continue
+            k, cover, eps = rng.randint(3, 6), 2, Fraction(1, 4)
+            set_size = min(m, math.ceil(Fraction(3 * m) / (eps * cover)))
+            family = build_disperser(m, k, set_size, cover, eps, 40 + i)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unsatisfiable clause sets warn
+                assert sat_to_rcsp_disperser_route(
+                    phi, k, cover, eps, 40 + i
+                ) == reference_sat_to_rcsp(phi, complete_graph(k), family.sets)

@@ -9,10 +9,11 @@ from knapreduce.csp import (
     is_consistent,
     par_bruteforce,
 )
-from knapreduce.generators import gen_rcsp, gen_rcsp_planted
+from knapreduce.generators import gen_rcsp, gen_rcsp_planted, gen_sat_satisfiable
 from knapreduce.graphs import graph_from_edges
 from knapreduce.knapsack import (
     Solution,
+    VkInstance,
     check_feasible,
     max_budget,
     profit,
@@ -26,9 +27,91 @@ from knapreduce.reductions import (
     item_of,
     rcsp_to_vk_embed,
     rcsp_to_vk_simple,
+    sat_to_rcsp_embedding_route,
     verify_base_q_digits,
     vk_solution_from_assignment,
 )
+
+
+def reference_rcsp_to_vk_simple(pi):
+    """The plain target filled entry by entry through item_index."""
+    n = pi.graph.vertex_count
+    edges = pi.graph.edge_list
+    m = pi.upsilon_size
+    sigma = pi.sigma_size
+    d = n + 2 * len(edges)
+    costs = [[0] * d for _ in range(n * sigma)]
+    for v in range(n):
+        for s in range(sigma):
+            costs[item_index(pi, v, s)][v] = m
+    for t, (u, v) in enumerate(edges):
+        proj_u, proj_v = pi.projections[(u, v)]
+        for s in range(sigma):
+            costs[item_index(pi, u, s)][n + 2 * t] = proj_u[s]
+            costs[item_index(pi, u, s)][n + 2 * t + 1] = m - proj_u[s]
+            costs[item_index(pi, v, s)][n + 2 * t] = m - proj_v[s]
+            costs[item_index(pi, v, s)][n + 2 * t + 1] = proj_v[s]
+    return VkInstance((1,) * (n * sigma), tuple(map(tuple, costs)), (m,) * d)
+
+
+def reference_rcsp_to_vk_embed(pi, chunk_size):
+    """The packed target with every item's weight taken from
+    constraint_weight on every constraint of every chunk covering it."""
+    art = embed_artifacts(pi, chunk_size)
+    q, big, r = art.base_q, art.sentinel, art.chunk_count
+    powers = [[q ** (pos + 1) for pos in range(len(chunk))] for chunk in art.partition]
+    profits, costs = [], []
+    for v in range(pi.graph.vertex_count):
+        for s in range(pi.sigma_size):
+            row = [0] * (2 * r)
+            for l, chunk in enumerate(art.partition):
+                if art.coverage[l][v] == 0:
+                    continue
+                packed = sum(
+                    constraint_weight(pi, j, v, s) * powers[l][pos]
+                    for pos, j in enumerate(chunk)
+                )
+                row[2 * l] = packed
+                row[2 * l + 1] = big * art.coverage[l][v] - packed
+            profits.append(sum(art.coverage[l][v] for l in range(r)))
+            costs.append(tuple(row))
+    budget = []
+    for l in range(r):
+        packed_budget = sum(pi.upsilon_size * power for power in powers[l])
+        budget += [packed_budget, big * art.chunk_totals[l] - packed_budget]
+    return VkInstance(tuple(profits), tuple(costs), tuple(budget)), art
+
+
+def cubic_hosts():
+    """Seeded cubic rectangular CSPs: random ones and SAT-route ones."""
+    for seed in range(6):
+        rng = random.Random(7300 + seed)
+        yield gen_rcsp(rng.choice((4, 6, 8)), rng.randint(1, 4), rng.randint(1, 5), rng,
+                       regular3=True)
+    for seed, (variables, clauses) in enumerate(((6, 4), (7, 5), (8, 7))):
+        rng = random.Random(7400 + seed)
+        phi, _ = gen_sat_satisfiable(variables, clauses, 3, rng)
+        yield sat_to_rcsp_embedding_route(phi, 8)
+
+
+class TestAgainstReferenceBuilds:
+    def test_packed_target_and_artifacts_at_every_chunk_size(self):
+        for pi in cubic_hosts():
+            constraints = pi.graph.vertex_count + len(pi.graph.edges)
+            for chunk_size in range(1, constraints + 1):
+                assert rcsp_to_vk_embed(pi, chunk_size) == reference_rcsp_to_vk_embed(
+                    pi, chunk_size
+                ), chunk_size
+
+    def test_plain_target(self):
+        hosts = list(cubic_hosts())
+        for seed in range(8):
+            rng = random.Random(7500 + seed)
+            n = rng.randint(1, 6)
+            hosts.append(gen_rcsp(n, rng.randint(0, 3), rng.randint(1, 4), rng,
+                                  edge_count=rng.randint(0, n * (n - 1) // 2)))
+        for pi in hosts:
+            assert rcsp_to_vk_simple(pi) == reference_rcsp_to_vk_simple(pi)
 
 
 def swap_instance():
