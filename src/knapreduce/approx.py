@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .discretize import gamma_for_dimension, prune_by_discretization
 from .knapsack import (
-    DEFAULT_BOUNDED_CAP,
     Solution,
     VkInstance,
     profit,
@@ -55,9 +54,7 @@ def _best_solution(inst: VkInstance, *solutions: Solution) -> Solution:
     return min(solutions, key=lambda sol: (-profit(inst, sol), sol.sorted_items()))
 
 
-def approx_2unbounded(
-    inst: VkInstance, bounded_cap: int = DEFAULT_BOUNDED_CAP
-) -> Solution:
+def approx_2unbounded(inst: VkInstance) -> Solution:
     """Discretize, prune duplicate cost keys, enumerate subsets of size <= d.
 
     Every item must fail the half-budget test in some coordinate.  Items
@@ -83,7 +80,7 @@ def approx_2unbounded(
         gamma,
     )
     sub, order = subinstance(inst, survivors)
-    _, sol = solve_bruteforce_bounded_size(sub, d, bounded_cap)
+    _, sol = solve_bruteforce_bounded_size(sub, d)
     return Solution(frozenset(order[i] for i in sol.chosen))
 
 

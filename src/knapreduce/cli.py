@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .approx import approx_2unbounded, approx_lp_rounding, approx_sqrt_d
 from .csp import Csp2Instance, RcspInstance, SatInstance
-from .errors import CapExceededError, ConstructionError
+from .errors import DEFAULT_NODE_CAP, CapExceededError, ConstructionError
 from .generators import (
     gen_csp2,
     gen_rcsp,
@@ -31,7 +31,6 @@ from .generators import (
     gen_vk_mixed,
 )
 from .knapsack import (
-    DEFAULT_BRUTE_CAP,
     DEFAULT_STATE_CAP,
     VkInstance,
     check_feasible,
@@ -126,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", default=None)
     solve.add_argument("--oracle", action="store_true", help="report ratio to brute force")
-    solve.add_argument("--cap-enum", type=int, default=DEFAULT_BRUTE_CAP)
+    solve.add_argument("--cap-nodes", type=int, default=DEFAULT_NODE_CAP)
     solve.add_argument("--cap-states", type=int, default=DEFAULT_STATE_CAP)
 
     ver = sub.add_parser("verify", help="run a property-verification suite")
@@ -238,7 +237,7 @@ def _cmd_solve(args) -> int:
         raise ValueError("solve expects a vk instance")
     started = time.perf_counter()
     if args.method == "brute":
-        value, solution = solve_bruteforce(inst, args.cap_enum)
+        value, solution = solve_bruteforce(inst, args.cap_nodes)
     elif args.method == "dp":
         value, solution = solve_dp(inst, args.cap_states)
     elif args.method == "approx":
@@ -259,7 +258,7 @@ def _cmd_solve(args) -> int:
     }
     if args.oracle:
         try:
-            opt, _ = solve_bruteforce(inst, args.cap_enum)
+            opt, _ = solve_bruteforce(inst, args.cap_nodes)
         except CapExceededError:
             record["oracle_value"] = None
             record["ratio"] = None
@@ -271,20 +270,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-_DEFAULT_COUNTS = {
-    "simple-roundtrip": 200,
-    "embed-roundtrip": 40,
-    "csp-chain": 100,
-    "discretize": 200,
-    "obs-basic": 50,
-    "vkw": 25,
-}
-
-
 def _cmd_verify(args) -> int:
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    count = args.count if args.count is not None else _DEFAULT_COUNTS[args.suite]
+    count = args.count if args.count is not None else SUITES[args.suite][1]
     report = run_suite(args.suite, count, args.seed)
     if args.format == "json":
         rendered = json.dumps(report_json_payload(report), sort_keys=True, indent=1) + "\n"

@@ -6,8 +6,9 @@ projections into a shared range, and its per-vertex-alphabet
 generalization.  Both rectangular forms expose per-vertex alphabets and
 symbol-indexed projections, so one consistency check (is_consistent) and
 one partial-assignment oracle (par_bruteforce) serve both.  All oracles
-are exhaustive (with pruning) and refuse instances above their configured
-caps instead of truncating the search.
+are exhaustive (with pruning) and refuse with CapExceededError instead of
+truncating the search: the 3-SAT one above a variable count, the two
+pruned searches once they visit more nodes than their budget.
 
 Symbols and vertices are dense 0-based integers throughout; the rectangular
 range {1..m} of the literature is stored 0-based here and shifted only at
@@ -17,15 +18,13 @@ None.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceededError
+from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
 from .graphs import Edge, Graph
 
 DEFAULT_SAT_ENUM_CAP = 24
-DEFAULT_ASSIGNMENT_ENUM_CAP = 10_000_000
 
 Symbol = Optional[int]
 
@@ -134,15 +133,13 @@ def csp_value(gamma: Csp2Instance, assignment) -> int:
     )
 
 
-def csp_opt_bruteforce(
-    gamma: Csp2Instance, enum_cap: int = DEFAULT_ASSIGNMENT_ENUM_CAP
-) -> int:
-    """Maximum number of satisfiable edges over all total assignments."""
+def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -> int:
+    """Maximum number of satisfiable edges over all total assignments.
+
+    Refuses with CapExceededError once the search expands more than
+    max_nodes partial assignments.
+    """
     n = gamma.graph.vertex_count
-    if gamma.sigma_size ** n > enum_cap:
-        raise CapExceededError(
-            f"{gamma.sigma_size}^{n} assignments exceeds enumeration cap {enum_cap}"
-        )
     edges = gamma.graph.edge_list
     total = len(edges)
     # Edges whose later endpoint is v, for incremental scoring during DFS.
@@ -152,14 +149,18 @@ def csp_opt_bruteforce(
     remaining_after = [sum(len(closing[w]) for w in range(v + 1, n)) for v in range(n)]
     best = 0
     assignment: list[int] = [0] * n
+    nodes = 0
 
     def descend(v: int, score: int):
-        nonlocal best
+        nonlocal best, nodes
         if v == n:
             best = max(best, score)
             return
         if score + len(closing[v]) + remaining_after[v] <= best:
             return
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceededError(f"search exceeded node budget {max_nodes}")
         for s in range(gamma.sigma_size):
             assignment[v] = s
             gained = sum(
@@ -167,11 +168,11 @@ def csp_opt_bruteforce(
                 for (u, w) in closing[v]
                 if (assignment[u], s) in gamma.constraints[(u, w)]
             )
-            descend(v + 1, score + gained)
+            yield descend(v + 1, score + gained)
             if best == total:
                 return
 
-    descend(0, 0)
+    run_depth_first(descend(0, 0))
     return best
 
 
@@ -271,9 +272,7 @@ def is_consistent(pi: RcspInstance | GcspInstance, phi: PartialAssignment) -> bo
 
 
 def par_bruteforce(
-    pi: RcspInstance | GcspInstance,
-    enum_cap: int = DEFAULT_ASSIGNMENT_ENUM_CAP,
-    max_nodes: Optional[int] = None,
+    pi: RcspInstance | GcspInstance, max_nodes: int = DEFAULT_NODE_CAP
 ) -> tuple[int, PartialAssignment]:
     """Maximum size of a consistent partial assignment, with a witness.
 
@@ -281,16 +280,11 @@ def par_bruteforce(
     index order, trying each alphabet's symbols ascending before leaving the
     vertex unassigned.  A branch dies as soon as an edge between two
     assigned vertices is violated or the remaining vertices cannot beat the
-    incumbent.  Refuses when the prod(|alphabet| + 1) candidate partial
-    assignments exceed enum_cap, or the search exceeds max_nodes nodes.
+    incumbent.  Refuses with CapExceededError once the search expands
+    more than max_nodes partial assignments.
     """
     n = pi.graph.vertex_count
     symbol_lists = [sorted(alphabet) for alphabet in pi.alphabets]
-    states = math.prod(len(symbols) + 1 for symbols in symbol_lists)
-    if states > enum_cap:
-        raise CapExceededError(
-            f"{states} partial assignments exceeds enumeration cap {enum_cap}"
-        )
     # closing[v] holds (u, proj_u, proj_v) for each edge (u, v) with u < v.
     closing: list[list[tuple]] = [[] for _ in range(n)]
     for e in pi.graph.edge_list:
@@ -310,7 +304,7 @@ def par_bruteforce(
         if assigned + (n - v) <= best_size:
             return
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
+        if nodes > max_nodes:
             raise CapExceededError(f"search exceeded node budget {max_nodes}")
         for s in symbol_lists[v]:
             for u, pu, pv in closing[v]:
@@ -319,11 +313,11 @@ def par_bruteforce(
                     break
             else:
                 current[v] = s
-                descend(v + 1, assigned + 1)
+                yield descend(v + 1, assigned + 1)
                 current[v] = None
                 if best_size == n:
                     return
-        descend(v + 1, assigned)
+        yield descend(v + 1, assigned)
 
-    descend(0, 0)
+    run_depth_first(descend(0, 0))
     return best_size, PartialAssignment(best)

@@ -1,9 +1,9 @@
 """Vector (d-dimensional) knapsack instances and two exact oracles.
 
 Profits, costs and budgets are nonnegative Python integers and may be
-arbitrarily large.  One pruned subset search serves both brute forces:
-the exact one, capped by item count, and the bounded-size one that the
-approximation's over-half branch uses, capped by its number of subsets.
+arbitrarily large.  One pruned subset search serves both brute forces,
+the exact one and the bounded-size one that the approximation's over-half
+branch uses; both are capped by the number of sets the search visits.
 The dynamic program is capped by the number of distinct reachable cost
 vectors, so budget magnitude limits no oracle; digit-packed targets of
 the dimension-embedding reduction are solved by the search and the DP.
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import comb
 from operator import add, gt, le, sub
 
-from .errors import CapExceededError
+from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
 
-DEFAULT_BRUTE_CAP = 22
+# node budget of the bounded-size search; it visits only sets of at most s
+# items, so it never refuses an instance with at most this many such sets
 DEFAULT_BOUNDED_CAP = 2_000_000
 # tracemalloc measured up to ~2.2 KB per DP state at 50 cost coordinates (a
 # state holds one int per coordinate), so this keeps such a table near 225 MB
@@ -114,59 +114,58 @@ def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
     return prof > best_prof or (prof == best_prof and items < best_items)
 
 
-def _best_subset(inst: VkInstance, max_size: int) -> tuple[int, Solution]:
+def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, Solution]:
     """Best feasible subset of at most max_size items, by depth-first search.
 
-    Each call extends the current set by one larger index, so sets are
-    visited in lexicographic order and the recursion is as deep as the
-    largest set, never as deep as the item count.  A branch carries its
-    residual budget, so an item that does not fit is skipped in one test
-    (costs are nonnegative, so no superset can fit either), and the index
-    loop stops once the remaining profit cannot reach the incumbent.
+    Each set is extended by one larger index at a time, so sets are visited
+    in lexicographic order and the search stack is as deep as the largest
+    set.  Since a later set never wins a tie, only a strictly larger profit
+    replaces the incumbent.  A branch carries its residual budget, so an
+    item that does not fit is skipped in one test (costs are nonnegative,
+    so no superset can fit either), and the index loop stops once the
+    remaining profit cannot beat the incumbent.  Each visited set is one
+    node; refuses with CapExceededError once the search visits more than
+    max_nodes of them.
     """
     profits, costs, n = inst.profits, inst.costs, inst.item_count
     suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
     best_prof, best_items = 0, ()
+    nodes = 0
 
     # room is a list: tuple(map(...)) guesses a size and resizes, so each
     # dropped d-tuple would join CPython's per-size tuple free list, which
     # keeps up to 2,000 of them for the life of the process
     def extend(start: int, room, prof: int, items: tuple, slots: int):
-        nonlocal best_prof, best_items
-        if _better(prof, items, best_prof, best_items):
+        nonlocal best_prof, best_items, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        if prof > best_prof:
             best_prof, best_items = prof, items
         if not slots:
             return
         for i in range(start, n):
-            if prof + suffix_profit[i] < best_prof:
+            if prof + suffix_profit[i] <= best_prof:
                 return
             ci = costs[i]
             if all(map(le, ci, room)):
-                extend(i + 1, list(map(sub, room, ci)), prof + profits[i], items + (i,), slots - 1)
+                yield extend(i + 1, list(map(sub, room, ci)), prof + profits[i], items + (i,), slots - 1)
 
-    extend(0, inst.budget, 0, (), max_size)
+    run_depth_first(extend(0, inst.budget, 0, (), max_size))
     return best_prof, Solution(frozenset(best_items))
 
 
-def solve_bruteforce(inst: VkInstance, enum_cap: int = DEFAULT_BRUTE_CAP) -> tuple[int, Solution]:
-    """Exact optimum by pruned subset search; refuses more than enum_cap items."""
-    n = inst.item_count
-    if n > enum_cap:
-        raise CapExceededError(f"{n} items exceeds brute-force cap {enum_cap}")
-    return _best_subset(inst, n)
+def solve_bruteforce(inst: VkInstance, max_nodes: int = DEFAULT_NODE_CAP) -> tuple[int, Solution]:
+    """Exact optimum by pruned subset search; refuses past max_nodes nodes."""
+    return _best_subset(inst, inst.item_count, max_nodes)
 
 
 def solve_bruteforce_bounded_size(
-    inst: VkInstance, s_max: int, enum_cap: int = DEFAULT_BOUNDED_CAP
+    inst: VkInstance, s_max: int, max_nodes: int = DEFAULT_BOUNDED_CAP
 ) -> tuple[int, Solution]:
     """Best feasible solution among subsets of at most s_max items; refuses
-    when there are more than enum_cap such subsets, however many items."""
-    n = inst.item_count
-    s_max = max(0, min(s_max, n))
-    total = sum(comb(n, k) for k in range(s_max + 1))
-    if total > enum_cap:
-        raise CapExceededError(f"{total} bounded-size subsets exceeds cap {enum_cap}")
-    return _best_subset(inst, s_max)
+    past max_nodes nodes, however many items."""
+    return _best_subset(inst, max(0, s_max), max_nodes)
 
 
 def solve_dp(inst: VkInstance, state_cap: int = DEFAULT_STATE_CAP) -> tuple[int, Solution]:

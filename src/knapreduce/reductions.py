@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -164,9 +165,10 @@ def rcsp_assignment_from_sat(
         variables, codes = _satisfying_codes(phi, chosen, alphabet_cap)
         t = len(variables)
         code = sum(1 << (t - 1 - i) for i, v in enumerate(variables) if assignment[v - 1])
-        if code not in codes:
+        symbol = bisect_left(codes, code)
+        if symbol == len(codes) or codes[symbol] != code:
             raise ValueError(f"assignment does not satisfy the clause set of vertex {x}")
-        values.append(codes.index(code))
+        values.append(symbol)
     return PartialAssignment(tuple(values))
 
 

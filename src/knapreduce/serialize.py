@@ -16,7 +16,7 @@ import hashlib
 import json
 import re
 
-from .csp import Csp2Instance, GcspInstance, RcspInstance, SatInstance
+from .csp import Csp2Instance, RcspInstance, SatInstance
 from .graphs import Graph
 from .knapsack import VkInstance
 from .reductions import EmbedReductionArtifacts
@@ -68,21 +68,6 @@ def instance_payload(obj) -> dict:
                 for e in obj.graph.edge_list
             ],
         }
-    if isinstance(obj, GcspInstance):
-        alphabets = [sorted(a) for a in obj.alphabets]
-        return {
-            "kind": "gcsp",
-            **_graph_payload(obj.graph),
-            "upsilon_size": obj.upsilon_size,
-            "alphabets": alphabets,
-            "projections": [
-                {
-                    "u": [obj.projections[e][0][s] for s in alphabets[e[0]]],
-                    "v": [obj.projections[e][1][s] for s in alphabets[e[1]]],
-                }
-                for e in obj.graph.edge_list
-            ],
-        }
     if isinstance(obj, VkInstance):
         return {
             "kind": "vk",
@@ -104,7 +89,7 @@ def parse_instance(text: str):
     if not isinstance(payload, dict):
         raise ValueError(f"instance document must be a JSON object, not {type(payload).__name__}")
     kind = payload.get("kind")
-    if kind in ("sat", "csp2", "rcsp", "gcsp"):
+    if kind in ("sat", "csp2", "rcsp"):
         for field, value in payload.items():
             _require_integers(kind, field, value)
     try:
@@ -141,18 +126,6 @@ def _instance_from_payload(kind, payload: dict):
         return RcspInstance(
             graph, payload["sigma_size"], payload["upsilon_size"], projections
         )
-    if kind == "gcsp":
-        graph = _graph_from_payload(payload)
-        alphabets = tuple(frozenset(a) for a in payload["alphabets"])
-        projections = {}
-        for e, entry in zip(graph.edge_list, payload["projections"]):
-            order_u = sorted(alphabets[e[0]])
-            order_v = sorted(alphabets[e[1]])
-            projections[e] = (
-                dict(zip(order_u, entry["u"])),
-                dict(zip(order_v, entry["v"])),
-            )
-        return GcspInstance(graph, alphabets, payload["upsilon_size"], projections)
     if kind == "vk":
         return VkInstance(
             tuple(_vk_integer(p, "profits", False) for p in payload["profits"]),
@@ -163,7 +136,7 @@ def _instance_from_payload(kind, payload: dict):
 
 
 def _require_integers(kind: str, field: str, value):
-    """Every number in a sat, csp2, rcsp or gcsp document is a JSON integer;
+    """Every number in a sat, csp2 or rcsp document is a JSON integer;
     a float or a bool would fail deep in a reduction or be written back as
     another number."""
     if isinstance(value, (bool, float)):

@@ -31,16 +31,6 @@ from .reductions import (
 )
 from .serialize import instance_digest
 
-SUITES = (
-    "simple-roundtrip",
-    "embed-roundtrip",
-    "csp-chain",
-    "discretize",
-    "obs-basic",
-    "vkw",
-)
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     suite: str
@@ -319,9 +309,12 @@ def check_discretization_bounds(dimension: int, budget_max: int) -> list[CheckRe
     ]
 
 
-def run_discretize(budget_max: int, dimensions=(1, 2, 3, 4, 5)) -> VerificationReport:
+def run_discretize(count: int, seed: int) -> VerificationReport:
+    """Sweeps every budget up to count, capped at 200, in dimensions 1..5;
+    the sweep is exhaustive, so the seed is unused."""
+    budget_max = min(200, max(1, count))
     records = []
-    for dimension in dimensions:
+    for dimension in range(1, 6):
         records.extend(check_discretization_bounds(dimension, budget_max))
     return VerificationReport("discretize", records)
 
@@ -468,20 +461,21 @@ def run_vkw(count: int, seed: int) -> VerificationReport:
 # dispatch and rendering
 # ---------------------------------------------------------------------------
 
+# suite name -> (runner taking (count, seed), default count)
+SUITES = {
+    "simple-roundtrip": (run_simple_roundtrip, 200),
+    "embed-roundtrip": (run_embed_roundtrip, 40),
+    "csp-chain": (run_csp_chain, 100),
+    "discretize": (run_discretize, 200),
+    "obs-basic": (run_obs_basic, 50),
+    "vkw": (run_vkw, 25),
+}
+
+
 def run_suite(suite: str, count: int, seed: int) -> VerificationReport:
-    if suite == "simple-roundtrip":
-        return run_simple_roundtrip(count, seed)
-    if suite == "embed-roundtrip":
-        return run_embed_roundtrip(count, seed)
-    if suite == "csp-chain":
-        return run_csp_chain(count, seed)
-    if suite == "discretize":
-        return run_discretize(budget_max=min(200, max(1, count)))
-    if suite == "obs-basic":
-        return run_obs_basic(count, seed)
-    if suite == "vkw":
-        return run_vkw(count, seed)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite][0](count, seed)
 
 
 def report_text(report: VerificationReport) -> str:

@@ -332,7 +332,7 @@ def test_criterion_10_sat_reduction_completeness():
 
         embedded = sat_to_rcsp_embedding_route(phi, 7)
         assert embedded.graph.vertex_count <= 6
-        par, _ = par_bruteforce(embedded, enum_cap=10**16, max_nodes=4_000_000)
+        par, _ = par_bruteforce(embedded, max_nodes=4_000_000)
         assert par == embedded.graph.vertex_count, i
         checked += 1
 
@@ -341,7 +341,7 @@ def test_criterion_10_sat_reduction_completeness():
             phi, k, 2, Fraction(1, 4), seed=BASE_SEED + i
         )
         assert dispersed.graph.vertex_count == k
-        par, _ = par_bruteforce(dispersed, enum_cap=10**16, max_nodes=4_000_000)
+        par, _ = par_bruteforce(dispersed, max_nodes=4_000_000)
         assert par == k, i
         checked += 1
     assert checked >= 200

@@ -120,10 +120,16 @@ def test_solve_approx_oracle_ratio(tmp_path, capsys):
     assert 0 < ratio <= 1
 
 
-def test_solve_cap_exit_code(tmp_path):
+def test_solve_cap_exit_code(tmp_path, capsys):
+    # every subset of zero-cost items fits: the search visits the seven sets
+    # (), (0,), ..., (0, ..., 5) before the profit bound cuts the rest
     src = tmp_path / "vk.json"
-    main(["gen", "vk", "--n", "6", "--seed", "10", "--out", str(src)])
-    assert main(["solve", "brute", "--in", str(src), "--cap-enum", "3"]) == 3
+    src.write_text(json.dumps({"kind": "vk", "profits": [1] * 6, "costs": [[0]] * 6,
+                               "budget": [0]}), encoding="utf-8")
+    assert main(["solve", "brute", "--in", str(src), "--cap-nodes", "6"]) == 3
+    assert capsys.readouterr().err == "error: search exceeded node budget 6\n"
+    assert main(["solve", "brute", "--in", str(src), "--cap-nodes", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "6"
 
 
 @pytest.mark.parametrize("document", ['{"kind":"vk"}', "[1,2]", '{"kind":"rcsp","vertices":2}'])
@@ -359,8 +365,7 @@ def test_full_pipeline_sat_to_solved_knapsack(tmp_path, capsys):
                  "--out", str(pi)]) == 0
     assert main(["reduce", "rcsp2vk-simple", "--in", str(pi), "--out", str(vk)]) == 0
     rcsp = parse_instance(read(pi))
-    assert main(["solve", "brute", "--in", str(vk),
-                 "--cap-enum", str(rcsp.graph.vertex_count * rcsp.sigma_size)]) == 0
+    assert main(["solve", "brute", "--in", str(vk)]) == 0
     record = json.loads(capsys.readouterr().out)
     # the planted formula is satisfiable, so the chain reaches a full assignment
     assert int(record["value"]) == rcsp.graph.vertex_count

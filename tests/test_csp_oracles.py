@@ -127,6 +127,21 @@ class TestCsp2:
             )
             assert csp_opt_bruteforce(gamma) == expected
 
+    def test_node_budget(self):
+        # a triangle asking two symbols to differ on every edge: no
+        # assignment satisfies all three, so the search never stops early
+        triangle = graph_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        differ = frozenset({(0, 1), (1, 0)})
+        gamma = Csp2Instance(triangle, 2, {e: differ for e in triangle.edge_list})
+        assert csp_opt_bruteforce(gamma, max_nodes=6) == 2
+        with pytest.raises(CapExceededError, match="node budget 5"):
+            csp_opt_bruteforce(gamma, max_nodes=5)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        path = graph_from_edges(2000, [(v, v + 1) for v in range(1999)])
+        gamma = Csp2Instance(path, 1, {e: frozenset({(0, 0)}) for e in path.edge_list})
+        assert csp_opt_bruteforce(gamma) == 1999
+
 
 def swap_instance():
     """Two vertices, one edge; identity projection on one side, swap on the
@@ -268,10 +283,9 @@ class TestRcsp:
         assert is_consistent(pi, phi)
         assert phi.size() == pi.graph.vertex_count
 
-    def test_par_refuses_above_cap(self):
-        pi = RcspInstance(Graph(8), 3, 1, {})
-        with pytest.raises(CapExceededError):
-            par_bruteforce(pi, enum_cap=100)
+    def test_par_deeper_than_the_recursion_limit(self):
+        pi = RcspInstance(Graph(2000), 1, 1, {})
+        assert par_bruteforce(pi) == (2000, PartialAssignment((0,) * 2000))
 
     def test_par_node_budget(self):
         pi = RcspInstance(Graph(6), 2, 1, {})

@@ -1,13 +1,20 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from knapreduce.cli import main
 from knapreduce.errors import CapExceededError
-from knapreduce.generators import gen_rcsp_planted, gen_vk, gen_vk_2unbounded, gen_vk_mixed
+from knapreduce.csp import par_bruteforce
+from knapreduce.generators import (
+    gen_rcsp,
+    gen_rcsp_planted,
+    gen_vk,
+    gen_vk_2unbounded,
+    gen_vk_mixed,
+)
 from knapreduce.knapsack import (
-    DEFAULT_BRUTE_CAP,
     Solution,
     VkInstance,
     check_feasible,
@@ -113,9 +120,33 @@ class TestBruteForce:
         assert sol.chosen == {0, 2}
 
     def test_cap(self):
+        # every subset of zero-cost items fits: the search visits the six
+        # sets (), (0,), ..., (0, 1, 2, 3, 4) before the profit bound cuts
         inst = inst_1d([0] * 5, [1] * 5, 1)
-        with pytest.raises(CapExceededError):
-            solve_bruteforce(inst, enum_cap=4)
+        assert solve_bruteforce(inst, max_nodes=6) == (5, Solution(frozenset(range(5))))
+        with pytest.raises(CapExceededError, match="node budget 5"):
+            solve_bruteforce(inst, max_nodes=5)
+
+    def test_36_item_packed_targets_at_default_budget(self):
+        # 12 cubic vertices, sigma = 3, F = 1: about 25k nodes each.  The
+        # optimum is |V| + 2|E| iff a full consistent assignment exists.
+        planted, _ = gen_rcsp_planted(12, 3, 3, random.Random(0), regular3=True)
+        unplanted = gen_rcsp(12, 3, 3, random.Random(1), regular3=True)
+        for pi, full_exists in ((planted, True), (unplanted, False)):
+            target, _ = rcsp_to_vk_embed(pi, 1)
+            assert target.item_count == 36
+            value, sol = solve_bruteforce(target)
+            assert check_feasible(target, sol) and profit(target, sol) == value
+            full = pi.graph.vertex_count + 2 * len(pi.graph.edge_list)
+            assert (par_bruteforce(pi)[0] == pi.graph.vertex_count) == full_exists
+            assert (value == full) == full_exists
+        # the unplanted target's value and witness, from the second oracle
+        assert solve_dp(target) == (value, sol)
+
+    def test_set_deeper_than_the_recursion_limit(self):
+        # every subset of zero-cost items fits: one 2001-node path to the optimum
+        inst = inst_1d([0] * 2000, [1] * 2000, 0)
+        assert solve_bruteforce(inst, max_nodes=2001) == (2000, Solution(frozenset(range(2000))))
 
     def test_tie_break_is_lexicographic(self):
         # two identical full-budget items: both optima, keep the lower index
@@ -145,9 +176,13 @@ class TestBoundedSize:
         assert value == 5 and sol.chosen == {2}
 
     def test_cap(self):
-        inst = inst_1d([0] * 20, [1] * 20, 1)
-        with pytest.raises(CapExceededError):
-            solve_bruteforce_bounded_size(inst, 10, enum_cap=1000)
+        # zero-cost items of rising profit: every set fits and the incumbent
+        # keeps improving, so the search visits 210 of the 211 sets of at
+        # most 2 items; only the profit bound skips the last singleton
+        inst = inst_1d([0] * 20, range(1, 21), 1)
+        assert solve_bruteforce_bounded_size(inst, 2, max_nodes=210) == (39, Solution({18, 19}))
+        with pytest.raises(CapExceededError, match="node budget 209"):
+            solve_bruteforce_bounded_size(inst, 2, max_nodes=209)
 
     def test_matches_combinations_reference(self):
         generators = (gen_vk, gen_vk_2unbounded, gen_vk_mixed)
@@ -168,12 +203,14 @@ class TestBoundedSize:
             assert solve_bruteforce(inst) == combinations_reference(inst, inst.item_count), i
 
     def test_not_item_capped(self):
+        # the budget bounds visited sets, not items: 40 items pass a budget
+        # of every set of at most 2 items, which the full search exceeds
         rng = random.Random(2200)
         inst = gen_vk_mixed(40, 3, 30, 9, rng)
-        assert inst.item_count > DEFAULT_BRUTE_CAP
+        budget = sum(comb(40, k) for k in range(3))
         with pytest.raises(CapExceededError):
-            solve_bruteforce(inst)
-        assert solve_bruteforce_bounded_size(inst, 2) == combinations_reference(inst, 2)
+            solve_bruteforce(inst, max_nodes=budget)
+        assert solve_bruteforce_bounded_size(inst, 2, max_nodes=budget) == combinations_reference(inst, 2)
 
     def test_recursion_depth_follows_subset_size(self):
         rng = random.Random(2300)

@@ -140,8 +140,19 @@ class TestCoreReduction:
             witness = rcsp_assignment_from_sat(phi, host, clause_sets, hidden)
             assert is_consistent(pi, witness)
             assert witness.size() == host.vertex_count
-            size, _ = par_bruteforce(pi, enum_cap=10**12, max_nodes=500_000)
+            size, _ = par_bruteforce(pi, max_nodes=500_000)
             assert size == host.vertex_count
+
+    def test_projection_rejects_a_falsifying_assignment(self):
+        # vertex 0 keeps codes 1..7 of (1 2 3), vertex 1 codes 0..6 of
+        # (-1 -2 -3): all-false misses below the first, all-true past the last
+        phi = sat(3, [(1, 2, 3), (-1, -2, -3)])
+        clause_sets = [frozenset({0}), frozenset({1})]
+        assert rcsp_assignment_from_sat(phi, Graph(2), clause_sets, [True, False, True]).values == (4, 5)
+        with pytest.raises(ValueError, match="vertex 0"):
+            rcsp_assignment_from_sat(phi, Graph(2), clause_sets, [False] * 3)
+        with pytest.raises(ValueError, match="vertex 1"):
+            rcsp_assignment_from_sat(phi, Graph(2), clause_sets, [True] * 3)
 
     def test_unsatisfiable_pattern_instance_cross_checked(self):
         # all 8 sign patterns on 3 variables: no assignment satisfies them all
@@ -201,7 +212,7 @@ class TestRoutes:
             phi, _ = gen_sat_satisfiable(rng.randint(4, 9), rng.randint(2, 5), 4, rng)
             pi = sat_to_rcsp_embedding_route(phi, 7)
             assert pi.graph.vertex_count <= 7
-            size, _ = par_bruteforce(pi, enum_cap=10**13, max_nodes=2_000_000)
+            size, _ = par_bruteforce(pi, max_nodes=2_000_000)
             assert size == pi.graph.vertex_count
 
     def test_embedding_route_pieces_validate(self):
@@ -219,7 +230,7 @@ class TestRoutes:
             k = rng.randint(4, 6)
             pi = sat_to_rcsp_disperser_route(phi, k, 2, "1/4", seed=500 + i)
             assert pi.graph.vertex_count == k
-            size, _ = par_bruteforce(pi, enum_cap=10**13, max_nodes=2_000_000)
+            size, _ = par_bruteforce(pi, max_nodes=2_000_000)
             assert size == k
 
     def test_disperser_route_observed_shortfall_on_unsatisfiable(self):
@@ -229,7 +240,7 @@ class TestRoutes:
         ])
         with pytest.warns(UserWarning):
             pi = sat_to_rcsp_disperser_route(phi, 4, 2, "1/4", seed=9)
-        size, _ = par_bruteforce(pi, enum_cap=10**12, max_nodes=500_000)
+        size, _ = par_bruteforce(pi, max_nodes=500_000)
         assert size < pi.graph.vertex_count
 
     def test_zero_clause_formula_through_both_routes(self):

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from knapreduce.cli import main
 from knapreduce.generators import (
     gen_csp2,
-    gen_gcsp,
     gen_rcsp,
     gen_sat,
     gen_vk,
@@ -58,25 +58,6 @@ def test_rcsp_roundtrip_and_external_range_is_one_based():
     assert max(internal) <= inst.upsilon_size - 1
 
 
-def test_gcsp_roundtrip():
-    inst = gen_gcsp(4, 3, 3, 2, random.Random(4))
-    assert roundtrip(inst) == inst
-
-
-@pytest.mark.parametrize("field", ["alphabets", "projections", "upsilon_size"])
-@pytest.mark.parametrize("bad", [1.0, True])
-def test_gcsp_non_integer_number_rejected(field, bad):
-    payload = json.loads(serialize_instance(gen_gcsp(4, 3, 3, 2, random.Random(4))))
-    if field == "alphabets":
-        payload[field][0][0] = bad
-    elif field == "projections":
-        payload[field][0]["v"][0] = bad
-    else:
-        payload[field] = bad
-    with pytest.raises(ValueError, match=f"malformed gcsp instance: {field} entry"):
-        parse_instance(json.dumps(payload))
-
-
 def test_vk_roundtrip_with_big_integers():
     pi = gen_rcsp(4, 2, 2, random.Random(5), regular3=True)
     target, _ = rcsp_to_vk_embed(pi, 4)
@@ -106,7 +87,6 @@ def test_parse_then_serialize_is_byte_identity():
         gen_sat(6, 4, 4, rng),
         gen_csp2(4, 2, rng, regular3=True),
         gen_rcsp(4, 2, 3, rng, regular3=True),
-        gen_gcsp(4, 3, 3, 2, rng),
         gen_vk(4, 2, 9, 9, rng),
     ):
         text = serialize_instance(obj)
@@ -116,6 +96,14 @@ def test_parse_then_serialize_is_byte_identity():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         parse_instance('{"kind": "mystery"}')
+
+
+def test_gcsp_kind_rejected():
+    # per-vertex-alphabet instances live only in memory, inside the CSP chain
+    document = {"kind": "gcsp", "vertices": 2, "edges": [], "upsilon_size": 1,
+                "alphabets": [[0], [0]], "projections": []}
+    with pytest.raises(ValueError, match="unknown instance kind 'gcsp'"):
+        parse_instance(json.dumps(document))
 
 
 def test_artifacts_payload_shape():
@@ -132,3 +120,64 @@ def test_artifacts_payload_shape():
             rebuilt.append(entry[0])
     assert rebuilt.count("v") == 4
     assert rebuilt.count("e") == 6
+
+
+FUZZ_GEN_ARGS = (
+    ["sat", "--n", "6", "--m", "4", "--seed", "1"],
+    ["csp2", "--vertices", "4", "--sigma", "2", "--seed", "2"],
+    ["rcsp", "--regular3", "--vertices", "4", "--sigma", "2", "--upsilon", "3", "--seed", "3"],
+    ["vk", "--n", "4", "--dims", "2", "--seed", "4"],
+)
+ODD_VALUES = (None, True, 1.5, "x", "12", [], {}, -1, 0)
+
+
+def json_slots(node, out):
+    """Every (container, key) of a JSON tree, parents before children."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in list(keys):
+        out.append((node, key))
+        json_slots(node[key], out)
+    return out
+
+
+def mutate(text, rng):
+    """One random edit: truncate, append, drop a key or entry, swap a value's
+    type, or insert +-10^30."""
+    op = rng.randrange(5)
+    if op == 0:
+        return text[: rng.randrange(len(text))]
+    if op == 1:
+        return text + rng.choice(("}", "]", ",", " 1", "\n", '{"kind": "sat"}'))
+    payload = json.loads(text)
+    container, key = rng.choice(json_slots(payload, []))
+    if op == 2:
+        del container[key]
+    elif op == 3:
+        container[key] = rng.choice(ODD_VALUES)
+    elif isinstance(container, list):
+        container.insert(key, rng.choice((10**30, -10**30)))
+    else:
+        container[key] = rng.choice((10**30, -10**30))
+    return json.dumps(payload)
+
+
+def test_mutated_gen_documents_parse_or_raise_value_error(tmp_path):
+    texts = []
+    for args in FUZZ_GEN_ARGS:
+        out = tmp_path / f"{args[0]}.json"
+        assert main(["gen", *args, "--out", str(out)]) == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    rng = random.Random(2024)
+    parsed = 0
+    for _ in range(8000):
+        document = mutate(rng.choice(texts), rng)
+        try:
+            inst = parse_instance(document)
+        except ValueError:
+            continue
+        except Exception as exc:  # the invariant under test: nothing else escapes
+            pytest.fail(f"{type(exc).__name__}: {exc} on {document!r}")
+        text = serialize_instance(inst)
+        assert serialize_instance(parse_instance(text)) == text, document
+        parsed += 1
+    assert parsed > 100
