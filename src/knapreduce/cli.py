@@ -152,6 +152,16 @@ def _cmd_gen(args) -> int:
     for flag in alphabet_flags:
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if args.kind == "vk":
+        # the non-plain classes draw each budget from 2..max_cost
+        least_cost = 1 if args.vk_class == "plain" else 2
+        if args.max_cost < least_cost:
+            raise ValueError(
+                f"--max-cost must be at least {least_cost} for --vk-class {args.vk_class}, "
+                f"got {args.max_cost}"
+            )
+        if args.max_profit < 0:
+            raise ValueError(f"--max-profit must be nonnegative, got {args.max_profit}")
     rng = random.Random(args.seed)
     if args.kind == "sat":
         if args.planted:

@@ -1,14 +1,11 @@
 """Constraint-problem instance models and exact brute-force oracles.
 
-Four instance forms live here: bounded-occurrence 3-SAT, plain binary CSP
-over a constraint graph, the rectangular variant whose edges compare two
-projections into a shared range, and its per-vertex-alphabet
-generalization.  Both rectangular forms expose per-vertex alphabets and
-symbol-indexed projections, so one consistency check (is_consistent) and
-one partial-assignment oracle (par_bruteforce) serve both.  All oracles
-are exhaustive (with pruning) and refuse with CapExceededError instead of
-truncating the search: the 3-SAT one above a variable count, the two
-pruned searches once they visit more nodes than their budget.
+Three instance forms live here: bounded-occurrence 3-SAT, plain binary CSP
+over a constraint graph, and the rectangular variant whose edges compare
+two projections into a shared range.  All oracles are exhaustive (with
+pruning) and refuse with CapExceededError instead of truncating the
+search: the 3-SAT one above a variable count, the two pruned searches once
+they visit more nodes than their budget.
 
 Symbols and vertices are dense 0-based integers throughout; the rectangular
 range {1..m} of the literature is stored 0-based here and shifted only at
@@ -204,42 +201,6 @@ class RcspInstance:
                     raise ValueError(f"projection on {e} maps outside the range")
 
 
-    @property
-    def alphabets(self) -> tuple[range, ...]:
-        """Every vertex shares the alphabet range(sigma_size)."""
-        return (range(self.sigma_size),) * self.graph.vertex_count
-
-
-@dataclass(frozen=True)
-class GcspInstance:
-    """Rectangular CSP with one alphabet per vertex.
-
-    alphabets[x] is the nonempty symbol set of vertex x (subsets of a shared
-    integer symbol space); projections maps each edge to a pair of dicts,
-    each defined exactly on its endpoint's alphabet.  None serves as the
-    unassigned marker and is outside every alphabet by construction.
-    """
-
-    graph: Graph
-    alphabets: tuple[frozenset[int], ...]
-    upsilon_size: int
-    projections: dict[Edge, tuple[dict[int, int], dict[int, int]]]
-
-    def __post_init__(self):
-        if len(self.alphabets) != self.graph.vertex_count:
-            raise ValueError("one alphabet per vertex required")
-        if any(not alpha for alpha in self.alphabets):
-            raise ValueError("vertex alphabets must be nonempty")
-        if set(self.projections) != set(self.graph.edges):
-            raise ValueError("projections must be keyed exactly by the edge set")
-        for (u, v), (pu, pv) in self.projections.items():
-            if set(pu) != set(self.alphabets[u]) or set(pv) != set(self.alphabets[v]):
-                raise ValueError(f"projections on ({u}, {v}) not total on the alphabets")
-            for proj in (pu, pv):
-                if any(not 0 <= t < self.upsilon_size for t in proj.values()):
-                    raise ValueError(f"projection on ({u}, {v}) maps outside the range")
-
-
 @dataclass(frozen=True)
 class PartialAssignment:
     """Vertex labeling that may leave vertices unassigned (None)."""
@@ -250,17 +211,13 @@ class PartialAssignment:
         return sum(1 for s in self.values if s is not None)
 
 
-def is_consistent(pi: RcspInstance | GcspInstance, phi: PartialAssignment) -> bool:
-    """True iff every assigned symbol lies in its vertex's alphabet and every
-    edge with both endpoints assigned has agreeing projections.
-
-    One check for both rectangular forms: the uniform form is the special
-    case whose vertices all have the alphabet range(sigma_size).
-    """
+def is_consistent(pi: RcspInstance, phi: PartialAssignment) -> bool:
+    """True iff every assigned symbol lies in range(sigma_size) and every
+    edge with both endpoints assigned has agreeing projections."""
     if len(phi.values) != pi.graph.vertex_count:
         raise ValueError("partial assignment must cover the vertex set")
-    for s, alphabet in zip(phi.values, pi.alphabets):
-        if s is not None and s not in alphabet:
+    for s in phi.values:
+        if s is not None and not 0 <= s < pi.sigma_size:
             return False
     for (u, v), (pu, pv) in pi.projections.items():
         a, b = phi.values[u], phi.values[v]
@@ -272,19 +229,17 @@ def is_consistent(pi: RcspInstance | GcspInstance, phi: PartialAssignment) -> bo
 
 
 def par_bruteforce(
-    pi: RcspInstance | GcspInstance, max_nodes: int = DEFAULT_NODE_CAP
+    pi: RcspInstance, max_nodes: int = DEFAULT_NODE_CAP
 ) -> tuple[int, PartialAssignment]:
     """Maximum size of a consistent partial assignment, with a witness.
 
-    One oracle for both rectangular forms.  The search assigns vertices in
-    index order, trying each alphabet's symbols ascending before leaving the
-    vertex unassigned.  A branch dies as soon as an edge between two
-    assigned vertices is violated or the remaining vertices cannot beat the
-    incumbent.  Refuses with CapExceededError once the search expands
-    more than max_nodes partial assignments.
+    The search assigns vertices in index order, trying the symbols
+    ascending before leaving the vertex unassigned.  A branch dies as soon
+    as an edge between two assigned vertices is violated or the remaining
+    vertices cannot beat the incumbent.  Refuses with CapExceededError once
+    the search expands more than max_nodes partial assignments.
     """
     n = pi.graph.vertex_count
-    symbol_lists = [sorted(alphabet) for alphabet in pi.alphabets]
     # closing[v] holds (u, proj_u, proj_v) for each edge (u, v) with u < v.
     closing: list[list[tuple]] = [[] for _ in range(n)]
     for e in pi.graph.edge_list:
@@ -306,7 +261,7 @@ def par_bruteforce(
         nodes += 1
         if nodes > max_nodes:
             raise CapExceededError(f"search exceeded node budget {max_nodes}")
-        for s in symbol_lists[v]:
+        for s in range(pi.sigma_size):
             for u, pu, pv in closing[v]:
                 a = current[u]
                 if a is not None and pu[a] != pv[s]:

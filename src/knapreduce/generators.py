@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .csp import Csp2Instance, GcspInstance, PartialAssignment, RcspInstance, SatInstance
+from .csp import Csp2Instance, PartialAssignment, RcspInstance, SatInstance
 from .graphs import Graph, random_graph, random_regular3_graph
 from .knapsack import VkInstance
 
@@ -143,30 +143,6 @@ def gen_csp2(
             pairs.add((rng.randrange(sigma_size), rng.randrange(sigma_size)))
         constraints[(u, v)] = frozenset(pairs)
     return Csp2Instance(graph, sigma_size, constraints)
-
-
-def gen_gcsp(
-    vertex_count: int,
-    edge_count: int,
-    max_alphabet: int,
-    upsilon_size: int,
-    rng: random.Random,
-) -> GcspInstance:
-    """Random per-vertex-alphabet instance over a shared symbol pool."""
-    graph = random_graph(vertex_count, edge_count, rng)
-    pool = range(2 * max_alphabet)
-    alphabets = tuple(
-        frozenset(rng.sample(pool, rng.randint(1, max_alphabet)))
-        for _ in range(vertex_count)
-    )
-    projections = {
-        (u, v): (
-            {s: rng.randrange(upsilon_size) for s in alphabets[u]},
-            {s: rng.randrange(upsilon_size) for s in alphabets[v]},
-        )
-        for (u, v) in graph.edge_list
-    }
-    return GcspInstance(graph, alphabets, upsilon_size, projections)
 
 
 def gen_vk(

@@ -22,7 +22,6 @@ from typing import Optional, Union
 
 from .csp import (
     Csp2Instance,
-    GcspInstance,
     PartialAssignment,
     RcspInstance,
     SatInstance,
@@ -31,10 +30,16 @@ from .csp import (
 )
 from .disperser import build_disperser
 from .embedding import simple_connected_embedding
+from .errors import CapExceededError
 from .graphs import Edge, Graph, complete_graph, graph_from_edges, line_graph
 from .knapsack import Solution, VkInstance, check_feasible
 
 DEFAULT_ALPHABET_CAP = 1 << 16
+
+# Largest dimension, and largest cost-table size (items times dimensions),
+# of a plain target that rcsp_to_vk_simple builds; each cost entry takes
+# at least a pointer, so the cap keeps the table near 100 MB.
+SIMPLE_TARGET_CAP = 10_000_000
 
 # A packed-dimension constraint is either a vertex index or an oriented edge.
 Constraint = Union[int, Edge]
@@ -211,145 +216,91 @@ def sat_to_rcsp_disperser_route(
 
 
 # ---------------------------------------------------------------------------
-# binary CSP -> per-vertex rectangular CSP -> rectangular CSP
+# binary CSP -> rectangular CSP
 # ---------------------------------------------------------------------------
 
-def _pair_code(a: int, b: int, sigma_size: int) -> int:
-    return a * sigma_size + b
-
-
-def _pair_decode(code: int, sigma_size: int) -> tuple[int, int]:
-    return divmod(code, sigma_size)
-
-
-def csp2_to_gcsp(gamma: Csp2Instance) -> GcspInstance:
-    """Line-graph construction: each edge of the constraint graph becomes a
-    vertex whose alphabet is that edge's allowed pairs; adjacent edges must
-    agree on their shared endpoint's symbol."""
+def _shared_alphabet(gamma: Csp2Instance) -> tuple[int, ...]:
+    """Sorted codes a * sigma_size + b of the pairs allowed on any edge."""
     if not gamma.graph.is_regular(3):
         raise ValueError("constraint graph must be 3-regular")
-    base_edges = gamma.graph.edge_list
-    lgraph = line_graph(gamma.graph)
     sigma = gamma.sigma_size
-    alphabets = tuple(
-        frozenset(_pair_code(a, b, sigma) for (a, b) in gamma.constraints[e])
-        for e in base_edges
-    )
+    codes = {a * sigma + b for allowed in gamma.constraints.values() for a, b in allowed}
+    return tuple(sorted(codes))
+
+
+def csp2_to_rcsp(gamma: Csp2Instance) -> RcspInstance:
+    """Rectangular CSP on the line graph of the cubic constraint graph.
+
+    The paper takes two steps.  First, each edge e of the constraint graph
+    becomes a line vertex whose alphabet is e's allowed pairs, and two
+    adjacent edges must agree on their shared endpoint's symbol.  Second,
+    the per-vertex alphabets collapse into one shared alphabet (their
+    union, as codes a * sigma + b in ascending order), and a line vertex's
+    out-of-alphabet symbols project to a sentinel of its own stacked above
+    the symbol range, which no neighbor can match.  Both steps happen at
+    once here: line vertex z projects a code whose pair z allows onto that
+    pair's entry at the shared endpoint, and any other code onto
+    sigma + z.  The line graph of a cubic graph is 4-regular.
+    """
+    order = _shared_alphabet(gamma)
+    sigma = gamma.sigma_size
+    base_edges = gamma.graph.edge_list
+    pairs = [divmod(code, sigma) for code in order]
+    # rows[z][i]: line vertex z's projection onto entry i of its base edge
+    rows = [
+        tuple(
+            tuple(p[i] if p in gamma.constraints[e] else sigma + z for p in pairs)
+            for i in (0, 1)
+        )
+        for z, e in enumerate(base_edges)
+    ]
+    lgraph = line_graph(gamma.graph)
     projections = {}
     for (x, y) in lgraph.edge_list:
         ex, ey = base_edges[x], base_edges[y]
-        common = set(ex) & set(ey)
-        shared_vertex = next(iter(common))
-        i = ex.index(shared_vertex)
-        j = ey.index(shared_vertex)
-        proj_x = {code: _pair_decode(code, sigma)[i] for code in alphabets[x]}
-        proj_y = {code: _pair_decode(code, sigma)[j] for code in alphabets[y]}
-        projections[(x, y)] = (proj_x, proj_y)
-    return GcspInstance(
+        (shared,) = set(ex) & set(ey)
+        projections[(x, y)] = (rows[x][ex.index(shared)], rows[y][ey.index(shared)])
+    return RcspInstance(
         graph=lgraph,
-        alphabets=alphabets,
-        upsilon_size=sigma,
+        sigma_size=len(order),
+        upsilon_size=sigma + len(base_edges),
         projections=projections,
     )
 
 
-def gcsp_assignment_from_csp2(gamma: Csp2Instance, assignment) -> PartialAssignment:
-    """Total edge labeling induced by a total assignment satisfying every edge."""
-    sigma = gamma.sigma_size
+def rcsp_assignment_from_csp2(gamma: Csp2Instance, assignment) -> PartialAssignment:
+    """Total line-vertex labeling induced by a total assignment satisfying
+    every edge: each edge is labeled with the code of its endpoint pair."""
+    index = {code: i for i, code in enumerate(_shared_alphabet(gamma))}
     values = []
     for (u, v) in gamma.graph.edge_list:
         pair = (assignment[u], assignment[v])
         if pair not in gamma.constraints[(u, v)]:
             raise ValueError(f"assignment violates edge ({u}, {v})")
-        values.append(_pair_code(*pair, sigma))
+        values.append(index[pair[0] * gamma.sigma_size + pair[1]])
     return PartialAssignment(tuple(values))
-
-
-def csp2_assignment_from_gcsp(gamma: Csp2Instance, phi: PartialAssignment) -> tuple[int, ...]:
-    """Read a vertex assignment back off a consistent edge labeling.
-
-    Each vertex copies its symbol from the smallest adjacent labeled edge;
-    vertices with no labeled edge default to symbol 0.
-    """
-    sigma = gamma.sigma_size
-    base_edges = gamma.graph.edge_list
-    out = []
-    for v in range(gamma.graph.vertex_count):
-        symbol = 0
-        for x, e in enumerate(base_edges):
-            if v in e and phi.values[x] is not None:
-                symbol = _pair_decode(phi.values[x], sigma)[e.index(v)]
-                break
-        out.append(symbol)
-    return tuple(out)
-
-
-def _gcsp_symbol_order(delta: GcspInstance) -> tuple[int, ...]:
-    return tuple(sorted(frozenset().union(*delta.alphabets)))
-
-
-def gcsp_to_rcsp(delta: GcspInstance) -> RcspInstance:
-    """Collapse per-vertex alphabets into one: out-of-alphabet symbols
-    project to a per-vertex sentinel stacked above the shared range."""
-    if delta.graph.max_degree() > 4:
-        raise ValueError("constraint graph must have maximum degree 4")
-    order = _gcsp_symbol_order(delta)
-    upsilon_size = delta.upsilon_size + delta.graph.vertex_count
-    projections = {}
-    for (u, v), (pu, pv) in delta.projections.items():
-        proj_u = tuple(
-            pu[s] if s in delta.alphabets[u] else delta.upsilon_size + u for s in order
-        )
-        proj_v = tuple(
-            pv[s] if s in delta.alphabets[v] else delta.upsilon_size + v for s in order
-        )
-        projections[(u, v)] = (proj_u, proj_v)
-    return RcspInstance(
-        graph=delta.graph,
-        sigma_size=len(order),
-        upsilon_size=upsilon_size,
-        projections=projections,
-    )
-
-
-def rcsp_assignment_from_gcsp(delta: GcspInstance, phi: PartialAssignment) -> PartialAssignment:
-    """Reindex a per-vertex-alphabet assignment into the collapsed alphabet."""
-    order = _gcsp_symbol_order(delta)
-    index = {s: i for i, s in enumerate(order)}
-    return PartialAssignment(
-        tuple(None if s is None else index[s] for s in phi.values)
-    )
-
-
-def gcsp_assignment_from_rcsp(delta: GcspInstance, phi: PartialAssignment) -> PartialAssignment:
-    """Map a collapsed-alphabet assignment back; symbols outside a vertex's
-    own alphabet (possible only on vertices with no assigned neighbor) are
-    replaced by that vertex's smallest symbol."""
-    order = _gcsp_symbol_order(delta)
-    values = []
-    for x, s in enumerate(phi.values):
-        if s is None:
-            values.append(None)
-            continue
-        symbol = order[s]
-        values.append(symbol if symbol in delta.alphabets[x] else min(delta.alphabets[x]))
-    return PartialAssignment(tuple(values))
-
-
-def csp2_to_rcsp(gamma: Csp2Instance) -> RcspInstance:
-    """Composition through the per-vertex form."""
-    return gcsp_to_rcsp(csp2_to_gcsp(gamma))
-
-
-def rcsp_assignment_from_csp2(gamma: Csp2Instance, assignment) -> PartialAssignment:
-    return rcsp_assignment_from_gcsp(
-        csp2_to_gcsp(gamma), gcsp_assignment_from_csp2(gamma, assignment)
-    )
 
 
 def csp2_assignment_from_rcsp(gamma: Csp2Instance, phi: PartialAssignment) -> tuple[int, ...]:
-    delta = csp2_to_gcsp(gamma)
-    return csp2_assignment_from_gcsp(gamma, gcsp_assignment_from_rcsp(delta, phi))
+    """Read a vertex assignment back off a line-vertex labeling.
+
+    A symbol whose pair its edge does not allow (possible only on a line
+    vertex with no labeled neighbor) stands for that edge's smallest
+    allowed pair.  Each vertex copies its symbol from its first labeled
+    incident edge; vertices with no labeled edge default to symbol 0.
+    """
+    order = _shared_alphabet(gamma)
+    base_edges = gamma.graph.edge_list
+    labels = {}
+    for z, s in enumerate(phi.values):
+        if s is not None:
+            allowed = gamma.constraints[base_edges[z]]
+            pair = divmod(order[s], gamma.sigma_size)
+            labels[base_edges[z]] = pair if pair in allowed else min(allowed)
+    return tuple(
+        next((labels[e][e.index(v)] for e in gamma.graph.incident[v] if e in labels), 0)
+        for v in range(gamma.graph.vertex_count)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +324,15 @@ def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
     assignments and vice versa.
     """
     n = pi.graph.vertex_count
-    edges = pi.graph.edge_list
-    m = pi.upsilon_size
     sigma = pi.sigma_size
-    d = n + 2 * len(edges)
-    index = {e: t for t, e in enumerate(edges)}
+    d = n + 2 * len(pi.graph.edges)
+    if max(d, n * sigma * d) > SIMPLE_TARGET_CAP:
+        raise CapExceededError(
+            f"plain target of {n * sigma} items in {d} dimensions exceeds the cap "
+            f"{SIMPLE_TARGET_CAP} on its dimension and cost-table size"
+        )
+    m = pi.upsilon_size
+    index = {e: t for t, e in enumerate(pi.graph.edge_list)}
     zero = (0,) * sigma
     costs = []
     for v in range(n):

@@ -167,6 +167,29 @@ def test_gen_empty_alphabet_is_usage_error(tmp_path, capsys, kind, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--max-cost", "0", "--vk-class", vk_class], "--max-cost")
+    for vk_class in ("plain", "mixed", "2bounded", "2unbounded")
+] + [
+    (["--max-cost", "1", "--vk-class", vk_class], "--max-cost")
+    for vk_class in ("mixed", "2bounded", "2unbounded")
+] + [(["--max-profit", "-1"], "--max-profit")])
+def test_gen_vk_empty_draw_range_is_usage_error(tmp_path, capsys, flags, named):
+    out = tmp_path / "vk.json"
+    assert main(["gen", "vk", "--seed", "1", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_vk_smallest_draw_ranges(tmp_path):
+    out = tmp_path / "vk.json"
+    assert main(["gen", "vk", "--seed", "1", "--out", str(out), "--max-cost", "1",
+                 "--max-profit", "0"]) == 0
+    assert main(["gen", "vk", "--seed", "1", "--out", str(out), "--max-cost", "2",
+                 "--vk-class", "2unbounded"]) == 0
+
+
 VK_ENTRIES = {"profits": [3], "costs": [["1"]], "budget": ["2"]}
 
 
@@ -290,6 +313,18 @@ def test_huge_vertex_count_fails_the_cubic_check(tmp_path, capsys, document, rou
     src.write_text(json.dumps(document), encoding="utf-8")
     assert main(["reduce"] + route + ["--in", str(src), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: constraint graph must be 3-regular\n"
+
+
+@pytest.mark.parametrize("sigma", [1, 0])
+def test_huge_plain_target_is_refused_at_the_cap(tmp_path, capsys, sigma):
+    document = {"kind": "rcsp", "vertices": 10**27, "edges": [], "sigma_size": sigma,
+                "upsilon_size": 1, "projections": []}
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["reduce", "rcsp2vk-simple", "--in", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: plain target of ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_file_is_usage_error(tmp_path):

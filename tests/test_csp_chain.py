@@ -5,25 +5,18 @@ import pytest
 
 from knapreduce.csp import (
     Csp2Instance,
-    GcspInstance,
     PartialAssignment,
     csp_opt_bruteforce,
     csp_value,
     is_consistent,
     par_bruteforce,
 )
-from knapreduce.generators import gen_csp2, gen_gcsp
-from knapreduce.graphs import Graph, complete_graph, graph_from_edges
+from knapreduce.generators import gen_csp2
+from knapreduce.graphs import complete_graph, graph_from_edges
 from knapreduce.reductions import (
-    csp2_assignment_from_gcsp,
     csp2_assignment_from_rcsp,
-    csp2_to_gcsp,
     csp2_to_rcsp,
-    gcsp_assignment_from_csp2,
-    gcsp_assignment_from_rcsp,
-    gcsp_to_rcsp,
     rcsp_assignment_from_csp2,
-    rcsp_assignment_from_gcsp,
 )
 
 
@@ -36,24 +29,41 @@ def full_k4_csp(sigma=2):
 
 class TestLineGraphForm:
     def test_k4_shape(self):
-        delta = csp2_to_gcsp(full_k4_csp())
-        assert delta.graph.vertex_count == 6
-        assert len(delta.graph.edges) == 12
-        assert delta.graph.max_degree() == 4
+        pi = csp2_to_rcsp(full_k4_csp())
+        assert pi.graph.vertex_count == 6
+        assert len(pi.graph.edges) == 12
+        assert pi.graph.is_regular(4)
 
     def test_requires_cubic_graph(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)])
         gamma = Csp2Instance(g, 2, {e: frozenset({(0, 0)}) for e in g.edge_list})
         with pytest.raises(ValueError):
-            csp2_to_gcsp(gamma)
+            csp2_to_rcsp(gamma)
 
     def test_alphabets_are_the_allowed_pairs(self):
-        rng = random.Random(3)
-        gamma = gen_csp2(4, 2, rng, regular3=True)
-        delta = csp2_to_gcsp(gamma)
-        for x, e in enumerate(gamma.graph.edge_list):
-            decoded = {divmod(code, gamma.sigma_size) for code in delta.alphabets[x]}
-            assert decoded == set(gamma.constraints[e])
+        # decode every projection apart from the reduction: shared symbol s
+        # is the pair divmod(order[s], sigma), and it misses the sentinel of
+        # line vertex z exactly when z's base edge allows that pair
+        for seed in range(3, 8):
+            gamma = gen_csp2(4 + 2 * (seed % 2), 2 + seed % 2, random.Random(seed),
+                             regular3=True)
+            sigma = gamma.sigma_size
+            base_edges = gamma.graph.edge_list
+            order = sorted({a * sigma + b for allowed in gamma.constraints.values()
+                            for a, b in allowed})
+            pi = csp2_to_rcsp(gamma)
+            assert pi.sigma_size == len(order)
+            assert pi.upsilon_size == sigma + len(base_edges)
+            for (x, y), sides in pi.projections.items():
+                (shared,) = set(base_edges[x]) & set(base_edges[y])
+                for z, proj in zip((x, y), sides):
+                    e = base_edges[z]
+                    for s, image in enumerate(proj):
+                        pair = divmod(order[s], sigma)
+                        if pair in gamma.constraints[e]:
+                            assert image == pair[e.index(shared)]
+                        else:
+                            assert image == sigma + z
 
     def test_satisfying_assignment_lifts_to_total_labeling(self):
         rng = random.Random(5)
@@ -66,9 +76,9 @@ class TestLineGraphForm:
                 for assignment in product(range(gamma.sigma_size), repeat=4)
                 if csp_value(gamma, assignment) == len(gamma.graph.edges)
             )
-            delta = csp2_to_gcsp(gamma)
-            phi = gcsp_assignment_from_csp2(gamma, lam)
-            assert is_consistent(delta, phi)
+            pi = csp2_to_rcsp(gamma)
+            phi = rcsp_assignment_from_csp2(gamma, lam)
+            assert is_consistent(pi, phi)
             assert phi.size() == len(gamma.graph.edges)
 
     def test_labeling_reads_back(self):
@@ -79,56 +89,50 @@ class TestLineGraphForm:
             for assignment in product(range(3), repeat=4)
             if csp_value(gamma, assignment) == 6
         )
-        phi = gcsp_assignment_from_csp2(gamma, lam)
-        assert csp2_assignment_from_gcsp(gamma, phi) == lam
+        phi = rcsp_assignment_from_csp2(gamma, lam)
+        assert csp2_assignment_from_rcsp(gamma, phi) == lam
+        # each vertex copies its first labeled incident edge, else 0: here
+        # edges (0, 1) and (0, 2) carry the pairs (0, 0) and (1, 1)
+        phi = PartialAssignment((0, 3, None, None, None, None))
+        assert csp2_assignment_from_rcsp(full_k4_csp(), phi) == (0, 0, 1, 0)
 
 
 class TestCollapseToSharedAlphabet:
-    def test_single_vertex(self):
-        delta = GcspInstance(Graph(1), (frozenset({4}),), 2, {})
-        pi = gcsp_to_rcsp(delta)
-        assert par_bruteforce(pi)[0] == par_bruteforce(delta)[0] == 1
-
-    def test_degree_cap(self):
-        star = graph_from_edges(6, [(0, v) for v in range(1, 6)])
-        delta = GcspInstance(
-            star,
-            tuple(frozenset({0}) for _ in range(6)),
-            1,
-            {e: ({0: 0}, {0: 0}) for e in star.edge_list},
-        )
-        with pytest.raises(ValueError):
-            gcsp_to_rcsp(delta)
-
-    def test_values_agree_on_random_instances(self):
-        for i in range(20):
-            rng = random.Random(2100 + i)
-            delta = gen_gcsp(4, rng.randint(1, 4), 3, 2, rng)
-            pi = gcsp_to_rcsp(delta)
-            gq, gwit = par_bruteforce(delta)
-            rq, rwit = par_bruteforce(pi)
-            assert gq == rq
-            # backward extraction keeps size and consistency
-            back = gcsp_assignment_from_rcsp(delta, rwit)
-            assert is_consistent(delta, back)
-            assert back.size() == rq
-            # forward reindexing keeps size and consistency
-            forth = rcsp_assignment_from_gcsp(delta, gwit)
-            assert is_consistent(pi, forth)
-            assert forth.size() == gq
+    def test_single_shared_symbol(self):
+        # every edge allows only (1, 1): the lone code 3 becomes symbol 0
+        g = complete_graph(4)
+        gamma = Csp2Instance(g, 2, {e: frozenset({(1, 1)}) for e in g.edge_list})
+        pi = csp2_to_rcsp(gamma)
+        assert pi.sigma_size == 1
+        assert all(sides == ((1,), (1,)) for sides in pi.projections.values())
+        size, witness = par_bruteforce(pi)
+        assert size == 6
+        assert csp2_assignment_from_rcsp(gamma, witness) == (1, 1, 1, 1)
 
     def test_out_of_alphabet_symbols_cannot_satisfy_edges(self):
-        g = graph_from_edges(2, [(0, 1)])
-        delta = GcspInstance(
-            g,
-            (frozenset({0}), frozenset({1})),
-            1,
-            {(0, 1): ({0: 0}, {1: 0})},
-        )
-        pi = gcsp_to_rcsp(delta)
-        # shared alphabet is {0, 1}; symbol 1 is outside vertex 0's own set
-        assert not is_consistent(pi, PartialAssignment((1, 1)))
-        assert is_consistent(pi, PartialAssignment((0, 1)))
+        # edge (0, 1) allows (0, 1) and (1, 0), the others only (1, 1): the
+        # shared alphabet is the codes {1, 2, 3}, and symbol 2, the pair
+        # (1, 1), lies outside line vertex 0's own pairs, so it projects to
+        # a sentinel that no neighboring line vertex matches
+        g = complete_graph(4)
+        gamma = Csp2Instance(g, 2, {
+            e: frozenset({(0, 1), (1, 0)} if e == (0, 1) else {(1, 1)}) for e in g.edge_list
+        })
+        pi = csp2_to_rcsp(gamma)
+        assert pi.sigma_size == 3
+        # line vertices 1-4 are the edges meeting (0, 1)
+        for z in range(1, 5):
+            for other in range(3):
+                values = [2, None, None, None, None, None]
+                values[z] = other
+                assert not is_consistent(pi, PartialAssignment(tuple(values)))
+        # in-pair symbols agree exactly when the pairs share the endpoint symbol
+        assert is_consistent(pi, PartialAssignment((1, 2, None, None, None, None)))
+        assert not is_consistent(pi, PartialAssignment((1, None, None, 2, None, None)))
+        assert par_bruteforce(pi)[0] == 5
+        # read back: the out-of-pair symbol stands for the smallest allowed pair
+        phi = PartialAssignment((2, None, None, None, None, None))
+        assert csp2_assignment_from_rcsp(gamma, phi) == (0, 1, 0, 0)
 
 
 class TestFullChain:

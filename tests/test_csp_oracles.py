@@ -5,7 +5,6 @@ import pytest
 
 from knapreduce.csp import (
     Csp2Instance,
-    GcspInstance,
     PartialAssignment,
     RcspInstance,
     SatInstance,
@@ -172,31 +171,6 @@ class TestRcsp:
         assert not is_consistent(identity, PartialAssignment((2, 1)))
         assert not is_consistent(identity, PartialAssignment((2, None)))
 
-    def test_par_matches_uniform_per_vertex_form(self):
-        # the uniform form is the per-vertex form with every alphabet range(sigma)
-        rng = random.Random(31)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            sigma, upsilon = rng.randint(1, 3), rng.randint(1, 3)
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            g = graph_from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-            projections = {
-                e: (
-                    tuple(rng.randrange(upsilon) for _ in range(sigma)),
-                    tuple(rng.randrange(upsilon) for _ in range(sigma)),
-                )
-                for e in g.edge_list
-            }
-            pi = RcspInstance(g, sigma, upsilon, projections)
-            delta = GcspInstance(
-                g,
-                (frozenset(range(sigma)),) * n,
-                upsilon,
-                {e: (dict(enumerate(pu)), dict(enumerate(pv)))
-                 for e, (pu, pv) in projections.items()},
-            )
-            assert par_bruteforce(pi) == par_bruteforce(delta)
-
     def test_par_edgeless(self):
         pi = RcspInstance(Graph(3), 2, 1, {})
         size, witness = par_bruteforce(pi)
@@ -292,39 +266,3 @@ class TestRcsp:
         with pytest.raises(CapExceededError):
             par_bruteforce(pi, max_nodes=2)
 
-
-def tiny_gcsp(images_disjoint: bool) -> GcspInstance:
-    g = graph_from_edges(2, [(0, 1)])
-    alphabets = (frozenset({0}), frozenset({1}))
-    if images_disjoint:
-        projections = {(0, 1): ({0: 0}, {1: 1})}
-    else:
-        projections = {(0, 1): ({0: 0}, {1: 0})}
-    return GcspInstance(g, alphabets, 2, projections)
-
-
-class TestGcsp:
-    def test_all_bottom(self):
-        delta = tiny_gcsp(True)
-        assert is_consistent(delta, PartialAssignment((None, None)))
-        size, _ = par_bruteforce(delta)
-        assert size == 1
-
-    def test_single_vertex(self):
-        delta = GcspInstance(Graph(1), (frozenset({5}),), 1, {})
-        size, witness = par_bruteforce(delta)
-        assert size == 1
-        assert witness.values == (5,)
-
-    def test_agreeing_projections_allow_both(self):
-        delta = tiny_gcsp(False)
-        size, _ = par_bruteforce(delta)
-        assert size == 2
-
-    def test_symbol_outside_alphabet_is_inconsistent(self):
-        delta = tiny_gcsp(True)
-        assert not is_consistent(delta, PartialAssignment((1, None)))
-
-    def test_empty_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            GcspInstance(Graph(1), (frozenset(),), 1, {})

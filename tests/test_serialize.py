@@ -99,7 +99,8 @@ def test_unknown_kind_rejected():
 
 
 def test_gcsp_kind_rejected():
-    # per-vertex-alphabet instances live only in memory, inside the CSP chain
+    # no document kind describes per-vertex alphabets: csp2_to_rcsp builds
+    # the shared alphabet directly
     document = {"kind": "gcsp", "vertices": 2, "edges": [], "upsilon_size": 1,
                 "alphabets": [[0], [0]], "projections": []}
     with pytest.raises(ValueError, match="unknown instance kind 'gcsp'"):

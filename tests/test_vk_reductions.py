@@ -9,8 +9,9 @@ from knapreduce.csp import (
     is_consistent,
     par_bruteforce,
 )
+from knapreduce.errors import CapExceededError
 from knapreduce.generators import gen_rcsp, gen_rcsp_planted, gen_sat_satisfiable
-from knapreduce.graphs import graph_from_edges
+from knapreduce.graphs import Graph, graph_from_edges
 from knapreduce.knapsack import (
     Solution,
     VkInstance,
@@ -20,6 +21,7 @@ from knapreduce.knapsack import (
     solve_bruteforce,
 )
 from knapreduce.reductions import (
+    SIMPLE_TARGET_CAP,
     constraint_weight,
     embed_artifacts,
     extract_partial_assignment,
@@ -187,6 +189,14 @@ class TestSimpleTarget:
         both_copies = Solution(frozenset({0, 1}))
         with pytest.raises(ValueError):
             extract_partial_assignment(pi, "simple", both_copies)
+
+    def test_refuses_past_the_target_cap(self):
+        # checked before any row is built: the dimension alone, or the
+        # cost table of a dimension under the cap
+        cap = SIMPLE_TARGET_CAP
+        for pi in (RcspInstance(Graph(cap + 1), 0, 1, {}), RcspInstance(Graph(cap // 2), 3, 1, {})):
+            with pytest.raises(CapExceededError):
+                rcsp_to_vk_simple(pi)
 
 
 class TestEmbedArtifacts:
