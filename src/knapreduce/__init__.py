@@ -14,11 +14,9 @@ from .csp import (
     sat_opt_bruteforce,
 )
 from .approx import (
-    BoundednessSplit,
     approx_2unbounded,
     approx_lp_rounding,
     approx_sqrt_d,
-    lp_solve_relaxation,
     split_by_boundedness,
 )
 from .discretize import (
@@ -41,7 +39,6 @@ from .knapsack import (
     Solution,
     VkInstance,
     check_feasible,
-    max_budget,
     profit,
     solve_bruteforce,
     solve_bruteforce_bounded_size,
@@ -63,7 +60,6 @@ from .reductions import (
 from .serialize import parse_instance, serialize_instance
 
 __all__ = [
-    "BoundednessSplit",
     "CapExceededError",
     "ConnectedEmbedding",
     "ConstructionError",
@@ -94,8 +90,6 @@ __all__ = [
     "graph_from_edges",
     "is_consistent",
     "line_graph",
-    "lp_solve_relaxation",
-    "max_budget",
     "par_bruteforce",
     "parse_instance",
     "profit",

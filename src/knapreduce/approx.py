@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .discretize import gamma_for_dimension, prune_by_discretization
@@ -24,29 +23,23 @@ from .knapsack import (
     solve_bruteforce_bounded_size,
     subinstance,
 )
-from .simplex import DEFAULT_VARIABLE_CAP, knapsack_relaxation
+from .simplex import knapsack_relaxation
 
-DEFAULT_ROUNDING_TRIALS = 32
-
-
-@dataclass(frozen=True)
-class BoundednessSplit:
-    """Partition of the items by the half-budget test, decided exactly."""
-
-    bounded_items: tuple[int, ...]
-    unbounded_items: tuple[int, ...]
+# Independent rounding draws of approx_lp_rounding; the best repaired one wins.
+ROUNDING_TRIALS = 32
 
 
 def _is_bounded(inst: VkInstance, i: int) -> bool:
     return all(2 * inst.costs[i][j] <= inst.budget[j] for j in range(inst.dimension))
 
 
-def split_by_boundedness(inst: VkInstance) -> BoundednessSplit:
+def split_by_boundedness(inst: VkInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(bounded, unbounded): the items by the half-budget test, decided exactly."""
     bounded = []
     unbounded = []
     for i in range(inst.item_count):
         (bounded if _is_bounded(inst, i) else unbounded).append(i)
-    return BoundednessSplit(tuple(bounded), tuple(unbounded))
+    return tuple(bounded), tuple(unbounded)
 
 
 def _best_solution(inst: VkInstance, *solutions: Solution) -> Solution:
@@ -84,15 +77,6 @@ def approx_2unbounded(inst: VkInstance) -> Solution:
     return Solution(frozenset(order[i] for i in sol.chosen))
 
 
-def lp_solve_relaxation(
-    inst: VkInstance, variable_cap: int = DEFAULT_VARIABLE_CAP
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact fractional optimum; never below the integral optimum."""
-    if inst.item_count == 0:
-        return Fraction(0), ()
-    return knapsack_relaxation(inst.profits, inst.costs, inst.budget, variable_cap)
-
-
 def _repair(inst: VkInstance, chosen: set[int]) -> set[int]:
     """Drop the worst profit-per-violation item until the set is feasible."""
     while True:
@@ -109,12 +93,7 @@ def _repair(inst: VkInstance, chosen: set[int]) -> set[int]:
         chosen.discard(worst[1])
 
 
-def approx_lp_rounding(
-    inst: VkInstance,
-    seed: int,
-    trials: int = DEFAULT_ROUNDING_TRIALS,
-    variable_cap: int = DEFAULT_VARIABLE_CAP,
-) -> Solution:
+def approx_lp_rounding(inst: VkInstance, seed: int) -> Solution:
     """Round the scaled fractional optimum; repair; keep the best of many trials.
 
     Every item must pass the half-budget test.  Each trial includes item i
@@ -131,12 +110,12 @@ def approx_lp_rounding(
     d = inst.dimension
     if d == 0:
         return Solution(frozenset(range(inst.item_count)))
-    _, weights = lp_solve_relaxation(inst, variable_cap)
+    _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
     theta = min(1.0, 1.0 / (4.0 * math.sqrt(d)))
     probabilities = [min(1.0, theta * float(w)) for w in weights]
 
     _, best = solve_bruteforce_bounded_size(inst, 1)
-    for trial in range(trials):
+    for trial in range(ROUNDING_TRIALS):
         rng = random.Random(seed * 1_000_003 + trial)
         drawn = {i for i, p in enumerate(probabilities) if rng.random() < p}
         repaired = _repair(inst, drawn)
@@ -147,14 +126,14 @@ def approx_lp_rounding(
 
 def approx_sqrt_d(inst: VkInstance, seed: int) -> Solution:
     """Run both branches on their item classes and keep the better solution."""
-    split = split_by_boundedness(inst)
+    bounded, unbounded = split_by_boundedness(inst)
     candidates = [Solution()]
-    if split.bounded_items:
-        sub, order = subinstance(inst, split.bounded_items)
+    if bounded:
+        sub, order = subinstance(inst, bounded)
         sol = approx_lp_rounding(sub, seed)
         candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
-    if split.unbounded_items:
-        sub, order = subinstance(inst, split.unbounded_items)
+    if unbounded:
+        sub, order = subinstance(inst, unbounded)
         sol = approx_2unbounded(sub)
         candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
     return _best_solution(inst, *candidates)

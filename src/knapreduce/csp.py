@@ -21,7 +21,8 @@ from typing import Optional
 from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
 from .graphs import Edge, Graph
 
-DEFAULT_SAT_ENUM_CAP = 24
+# Most variables whose 2^n assignments sat_opt_bruteforce enumerates.
+SAT_ENUM_CAP = 24
 
 Symbol = Optional[int]
 
@@ -82,11 +83,11 @@ def count_satisfied(phi: SatInstance, assignment) -> int:
     return sat
 
 
-def sat_opt_bruteforce(phi: SatInstance, enum_cap: int = DEFAULT_SAT_ENUM_CAP) -> int:
+def sat_opt_bruteforce(phi: SatInstance) -> int:
     """Maximum number of simultaneously satisfiable clauses, by full enumeration."""
     n = phi.variable_count
-    if n > enum_cap:
-        raise CapExceededError(f"{n} variables exceeds enumeration cap {enum_cap}")
+    if n > SAT_ENUM_CAP:
+        raise CapExceededError(f"{n} variables exceeds enumeration cap {SAT_ENUM_CAP}")
     best = 0
     m = phi.clause_count
     for mask in range(1 << n):

@@ -17,8 +17,10 @@ from math import comb
 
 from .errors import CapExceededError, ConstructionError
 
-DEFAULT_RETRY_CAP = 64
-DEFAULT_VERIFY_CAP = 200_000
+# Fresh families drawn before build_disperser gives up.
+RETRY_CAP = 64
+# Most unions of cover_count sets that one exhaustive verification checks.
+VERIFY_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,6 @@ def build_disperser(
     cover_count: int,
     epsilon,
     seed: int,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-    verify_cap: int = DEFAULT_VERIFY_CAP,
 ) -> Disperser:
     """Draw and exhaustively verify a covering family, deterministically per seed."""
     eps = Fraction(epsilon)
@@ -60,17 +60,17 @@ def build_disperser(
         raise ValueError(f"set size {set_size} exceeds universe size {universe_size}")
     if not 0 <= cover_count <= set_count:
         raise ValueError("cover count must be between 0 and the number of sets")
-    if comb(set_count, cover_count) > verify_cap:
+    if comb(set_count, cover_count) > VERIFY_CAP:
         raise CapExceededError(
-            f"{comb(set_count, cover_count)} unions exceed verification cap {verify_cap}"
+            f"{comb(set_count, cover_count)} unions exceed verification cap {VERIFY_CAP}"
         )
     rng = random.Random(seed)
     universe = range(universe_size)
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         sets = tuple(frozenset(rng.sample(universe, set_size)) for _ in range(set_count))
         if covering_holds(universe_size, sets, cover_count, eps):
             return Disperser(universe_size, sets, set_size, cover_count, eps)
     raise ConstructionError(
-        f"no covering family found in {retry_cap} attempts; parameters are likely "
+        f"no covering family found in {RETRY_CAP} attempts; parameters are likely "
         f"infeasible at this scale"
     )

@@ -14,6 +14,9 @@ from .csp import Csp2Instance, PartialAssignment, RcspInstance, SatInstance
 from .graphs import Graph, random_graph, random_regular3_graph
 from .knapsack import VkInstance
 
+# Fresh starts of the greedy clause sampler before gen_sat gives up.
+SAT_RESTART_CAP = 64
+
 
 def gen_sat(
     n: int, m: int, occurrence_bound: int, rng: random.Random
@@ -33,14 +36,14 @@ def gen_sat_satisfiable(
     return inst, hidden
 
 
-def _gen_sat_impl(n, m, occurrence_bound, rng, planted, max_tries: int = 64):
+def _gen_sat_impl(n, m, occurrence_bound, rng, planted):
     if 3 * m > n * occurrence_bound:
         raise ValueError("clause budget exceeds total variable occurrences")
     if n < 3 and m > 0:
         raise ValueError("need at least 3 variables for a clause")
     # Greedy sampling can strand occurrence capacity on tight parameters;
     # restart from scratch (same stream, so still deterministic) when it does.
-    for _ in range(max_tries):
+    for _ in range(SAT_RESTART_CAP):
         remaining = {v: occurrence_bound for v in range(1, n + 1)}
         clauses = []
         for _ in range(m):
@@ -161,40 +164,40 @@ def gen_vk(
     return VkInstance(profits, costs, budget)
 
 
-def gen_vk_2bounded(n, dimension, max_budget, max_profit, rng) -> VkInstance:
-    """Every cost at most half its budget coordinate."""
+def _gen_vk_classed(n, dimension, max_budget, max_profit, rng, draw_row) -> VkInstance:
+    """Budgets in [2, max_budget], then one cost row per item from
+    draw_row(budget, rng), then the profits."""
     budget = tuple(rng.randint(2, max_budget) for _ in range(dimension))
-    costs = tuple(
-        tuple(rng.randint(0, budget[j] // 2) for j in range(dimension)) for _ in range(n)
-    )
+    costs = tuple(draw_row(budget, rng) for _ in range(n))
     profits = tuple(rng.randint(0, max_profit) for _ in range(n))
     return VkInstance(profits, costs, budget)
 
 
+def _half_row(budget, rng) -> tuple[int, ...]:
+    return tuple(rng.randint(0, b // 2) for b in budget)
+
+
+def _heavy_row(budget, rng) -> tuple[int, ...]:
+    row = [rng.randint(0, b) for b in budget]
+    heavy = rng.randrange(len(budget))
+    row[heavy] = rng.randint(budget[heavy] // 2 + 1, budget[heavy])
+    return tuple(row)
+
+
+def _mixed_row(budget, rng) -> tuple[int, ...]:
+    return _half_row(budget, rng) if rng.random() < 0.5 else _heavy_row(budget, rng)
+
+
+def gen_vk_2bounded(n, dimension, max_budget, max_profit, rng) -> VkInstance:
+    """Every cost at most half its budget coordinate."""
+    return _gen_vk_classed(n, dimension, max_budget, max_profit, rng, _half_row)
+
+
 def gen_vk_2unbounded(n, dimension, max_budget, max_profit, rng) -> VkInstance:
     """Every item exceeds half the budget in at least one coordinate."""
-    budget = tuple(rng.randint(2, max_budget) for _ in range(dimension))
-    costs = []
-    for _ in range(n):
-        row = [rng.randint(0, budget[j]) for j in range(dimension)]
-        heavy = rng.randrange(dimension)
-        row[heavy] = rng.randint(budget[heavy] // 2 + 1, budget[heavy])
-        costs.append(tuple(row))
-    profits = tuple(rng.randint(0, max_profit) for _ in range(n))
-    return VkInstance(profits, tuple(costs), budget)
+    return _gen_vk_classed(n, dimension, max_budget, max_profit, rng, _heavy_row)
 
 
 def gen_vk_mixed(n, dimension, max_budget, max_profit, rng) -> VkInstance:
     """Coin-flip blend of half-fitting and over-half items."""
-    budget = tuple(rng.randint(2, max_budget) for _ in range(dimension))
-    costs = []
-    for _ in range(n):
-        if rng.random() < 0.5:
-            row = [rng.randint(0, budget[j] // 2) for j in range(dimension)]
-        else:
-            row = [rng.randint(0, budget[j]) for j in range(dimension)]
-            heavy = rng.randrange(dimension)
-            row[heavy] = rng.randint(budget[heavy] // 2 + 1, budget[heavy])
-        costs.append(tuple(row))
-    profits = tuple(rng.randint(0, max_profit) for _ in range(n))
-    return VkInstance(profits, tuple(costs), budget)
+    return _gen_vk_classed(n, dimension, max_budget, max_profit, rng, _mixed_row)

@@ -15,6 +15,9 @@ from .errors import ConstructionError
 
 Edge = tuple[int, int]
 
+# Pairings drawn before random_regular3_graph gives up.
+PAIRING_TRY_CAP = 1000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -48,15 +51,6 @@ class Graph:
             table[e[1]].append(e)
         return tuple(map(tuple, table))
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
-    def degree(self, v: int) -> int:
-        return len(self.incident[v])
-
-    def adjacent_edges(self, v: int) -> tuple[Edge, ...]:
-        return self.incident[v]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         # edges (u, v) with u < v sort before edges (v, w), so this ascends
         return tuple(u + w - v for (u, w) in self.incident[v])
@@ -67,9 +61,6 @@ class Graph:
         if 2 * len(self.edges) != r * self.vertex_count:
             return False
         return all(len(at) == r for at in self.incident)
-
-    def max_degree(self) -> int:
-        return max(map(len, self.incident), default=0)
 
 
 def graph_from_edges(vertex_count: int, pairs) -> Graph:
@@ -108,12 +99,12 @@ def line_graph(g: Graph) -> Graph:
     return graph_from_edges(len(index), pairs)
 
 
-def random_regular3_graph(n: int, rng: random.Random, max_tries: int = 1000) -> Graph:
+def random_regular3_graph(n: int, rng: random.Random) -> Graph:
     """Seeded 3-regular simple graph via the pairing model with rejection."""
     if n < 4 or n % 2:
         raise ConstructionError(f"no 3-regular graph on {n} vertices (need even n >= 4)")
     stubs = [v for v in range(n) for _ in range(3)]
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRY_CAP):
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
         if any(a == b for a, b in pairs):
@@ -122,7 +113,7 @@ def random_regular3_graph(n: int, rng: random.Random, max_tries: int = 1000) -> 
         if len(norm) < len(pairs):
             continue
         return Graph(n, frozenset(norm))
-    raise ConstructionError(f"pairing model failed to produce a simple graph in {max_tries} tries")
+    raise ConstructionError(f"pairing model failed to produce a simple graph in {PAIRING_TRY_CAP} tries")
 
 
 def random_graph(n: int, edge_count: int, rng: random.Random) -> Graph:

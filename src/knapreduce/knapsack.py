@@ -103,13 +103,6 @@ def profit(inst: VkInstance, sol: Solution) -> int:
     return sum(inst.profits[i] for i in sol.chosen)
 
 
-def max_budget(inst: VkInstance) -> int:
-    """Largest budget coordinate, the W of the instance."""
-    if inst.dimension == 0:
-        raise ValueError("max budget undefined for a 0-dimensional instance")
-    return max(inst.budget)
-
-
 def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
     return prof > best_prof or (prof == best_prof and items < best_items)
 

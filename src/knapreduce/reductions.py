@@ -34,7 +34,9 @@ from .errors import CapExceededError
 from .graphs import Edge, Graph, complete_graph, graph_from_edges, line_graph
 from .knapsack import Solution, VkInstance, check_feasible
 
-DEFAULT_ALPHABET_CAP = 1 << 16
+# Largest number of candidate assignments, 2^(variables), that
+# _satisfying_codes enumerates for one host vertex's clause set.
+ALPHABET_CAP = 1 << 16
 
 # Largest dimension, and largest cost-table size (items times dimensions),
 # of a plain target that rcsp_to_vk_simple builds; each cost entry takes
@@ -61,7 +63,7 @@ def build_clause_conflict_graph(phi: SatInstance) -> Graph:
 
 
 def _satisfying_codes(
-    phi: SatInstance, clause_indices, alphabet_cap: int
+    phi: SatInstance, clause_indices
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(ascending variables, codes of assignments satisfying all the clauses).
 
@@ -78,9 +80,9 @@ def _satisfying_codes(
         used |= clause_variables(phi.clauses[c])
     variables = tuple(sorted(used))
     t = len(variables)
-    if 1 << t > alphabet_cap:
-        raise ValueError(
-            f"2^{t} candidate assignments exceed the alphabet cap {alphabet_cap}"
+    if 1 << t > ALPHABET_CAP:
+        raise CapExceededError(
+            f"2^{t} candidate assignments exceed the alphabet cap {ALPHABET_CAP}"
         )
     bit = {v: 1 << (t - 1 - i) for i, v in enumerate(variables)}
     good = range(1 << t)
@@ -92,12 +94,7 @@ def _satisfying_codes(
     return variables, tuple(good)
 
 
-def sat_to_rcsp(
-    phi: SatInstance,
-    host: Graph,
-    clause_sets,
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP,
-) -> RcspInstance:
+def sat_to_rcsp(phi: SatInstance, host: Graph, clause_sets) -> RcspInstance:
     """Rectangular CSP whose vertices carry the satisfying assignments of
     their clause set and whose edges force agreement on shared variables.
 
@@ -115,7 +112,7 @@ def sat_to_rcsp(
         for c in chosen:
             if not 0 <= c < phi.clause_count:
                 raise ValueError(f"clause index {c} out of range")
-        variables, codes = _satisfying_codes(phi, chosen, alphabet_cap)
+        variables, codes = _satisfying_codes(phi, chosen)
         if not codes:
             warnings.warn(
                 f"host vertex {x} hosts an unsatisfiable clause set; it has no "
@@ -156,8 +153,7 @@ def sat_to_rcsp(
 
 
 def rcsp_assignment_from_sat(
-    phi: SatInstance, host: Graph, clause_sets, assignment,
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP,
+    phi: SatInstance, host: Graph, clause_sets, assignment
 ) -> PartialAssignment:
     """Project a satisfying assignment of the formula onto every host vertex.
 
@@ -167,7 +163,7 @@ def rcsp_assignment_from_sat(
     values = []
     for x in range(host.vertex_count):
         chosen = tuple(sorted(set(clause_sets[x])))
-        variables, codes = _satisfying_codes(phi, chosen, alphabet_cap)
+        variables, codes = _satisfying_codes(phi, chosen)
         t = len(variables)
         code = sum(1 << (t - 1 - i) for i, v in enumerate(variables) if assignment[v - 1])
         symbol = bisect_left(codes, code)
@@ -177,9 +173,7 @@ def rcsp_assignment_from_sat(
     return PartialAssignment(tuple(values))
 
 
-def sat_to_rcsp_embedding_route(
-    phi: SatInstance, k: int, alphabet_cap: int = DEFAULT_ALPHABET_CAP
-) -> RcspInstance:
+def sat_to_rcsp_embedding_route(phi: SatInstance, k: int) -> RcspInstance:
     """Clause-conflict graph, embedded into a small cubic host; each host
     vertex receives the clauses whose image covers it."""
     conflict = build_clause_conflict_graph(phi)
@@ -188,16 +182,11 @@ def sat_to_rcsp_embedding_route(
         frozenset(c for c in range(phi.clause_count) if x in emb.images[c])
         for x in range(host.vertex_count)
     ]
-    return sat_to_rcsp(phi, host, clause_sets, alphabet_cap)
+    return sat_to_rcsp(phi, host, clause_sets)
 
 
 def sat_to_rcsp_disperser_route(
-    phi: SatInstance,
-    k: int,
-    cover_count: int,
-    epsilon,
-    seed: int,
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP,
+    phi: SatInstance, k: int, cover_count: int, epsilon, seed: int
 ) -> RcspInstance:
     """Complete host graph on k vertices; clause sets drawn from a verified
     covering family over the clause universe."""
@@ -212,7 +201,7 @@ def sat_to_rcsp_disperser_route(
             set_size = min(m, math.ceil(Fraction(3 * m) / (eps * cover_count)))
         family = build_disperser(m, k, set_size, cover_count, eps, seed)
         clause_sets = list(family.sets)
-    return sat_to_rcsp(phi, complete_graph(k), clause_sets, alphabet_cap)
+    return sat_to_rcsp(phi, complete_graph(k), clause_sets)
 
 
 # ---------------------------------------------------------------------------

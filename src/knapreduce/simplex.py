@@ -20,7 +20,9 @@ from math import lcm
 
 from .errors import CapExceededError
 
-DEFAULT_VARIABLE_CAP = 400
+# Most structural variables (items) of a knapsack relaxation; its dense
+# tableau has (d + n) rows of 2n + d + 1 integers.
+VARIABLE_CAP = 400
 
 
 class SimplexError(Exception):
@@ -91,7 +93,7 @@ def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ..
     for i, var in enumerate(basis):
         if var < n:
             point[var] = Fraction(tableau[i][total], denominator)
-    value = sum(Fraction(c) * x for c, x in zip(objective, point))
+    value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
     return value, tuple(point)
 
 
@@ -103,13 +105,12 @@ def _eliminate(row, pivot_values, entering, pivot, denominator) -> list[int]:
     return [(pivot * x - factor * y) // denominator for x, y in zip(row, pivot_values)]
 
 
-def knapsack_relaxation(
-    profits, costs, budget, variable_cap: int = DEFAULT_VARIABLE_CAP
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Fractional relaxation: max p.x, cost constraints, 0 <= x <= 1."""
+def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Fractional relaxation: max p.x, cost constraints, 0 <= x <= 1; exact,
+    so never below the integral optimum."""
     n = len(profits)
-    if n > variable_cap:
-        raise CapExceededError(f"{n} variables exceeds the LP cap {variable_cap}")
+    if n > VARIABLE_CAP:
+        raise CapExceededError(f"{n} variables exceeds the LP cap {VARIABLE_CAP}")
     d = len(budget)
     rows = [[costs[i][j] for i in range(n)] for j in range(d)]
     rows += [[int(i == k) for i in range(n)] for k in range(n)]

@@ -26,24 +26,21 @@ from knapreduce.knapsack import (
 class TestSplit:
     def test_zero_costs_are_bounded(self):
         inst = VkInstance((1, 1), ((0, 0), (0, 0)), (4, 4))
-        split = split_by_boundedness(inst)
-        assert split.bounded_items == (0, 1)
-        assert split.unbounded_items == ()
+        assert split_by_boundedness(inst) == ((0, 1), ())
 
     def test_full_budget_cost_is_unbounded(self):
         inst = VkInstance((1,), ((4,),), (4,))
-        split = split_by_boundedness(inst)
-        assert split.unbounded_items == (0,)
+        assert split_by_boundedness(inst) == ((), (0,))
 
     def test_exact_half_is_bounded(self):
         inst = VkInstance((1,), ((2,),), (4,))
-        assert split_by_boundedness(inst).bounded_items == (0,)
+        assert split_by_boundedness(inst) == ((0,), ())
 
     def test_partition(self):
         rng = random.Random(1)
         inst = gen_vk_mixed(12, 3, 20, 9, rng)
-        split = split_by_boundedness(inst)
-        assert sorted(split.bounded_items + split.unbounded_items) == list(range(12))
+        bounded, unbounded = split_by_boundedness(inst)
+        assert sorted(bounded + unbounded) == list(range(12))
 
 
 class TestUnboundedBranch:

@@ -87,6 +87,19 @@ def test_reduce_sat_routes(tmp_path):
     assert parse_instance(read(disp_out)).graph.vertex_count == 4
 
 
+def test_sat_clause_set_past_the_alphabet_cap_is_refused(tmp_path, capsys):
+    # a host vertex of the 8-vertex embedding collects clauses over 20
+    # variables, and 2^20 candidate assignments exceed the 2^16 cap
+    src, out = tmp_path / "phi.json", tmp_path / "pi.json"
+    assert main(["gen", "sat", "--n", "60", "--m", "40", "--bound", "3", "--seed", "1",
+                 "--out", str(src)]) == 0
+    assert main(["reduce", "sat2rcsp-embed", "--in", str(src), "--k", "8",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: 2^20 candidate assignments exceed the alphabet cap 65536\n")
+    assert not out.exists()
+
+
 def test_solve_brute_empty(tmp_path, capsys):
     src = tmp_path / "vk.json"
     main(["gen", "vk", "--n", "0", "--seed", "7", "--out", str(src)])

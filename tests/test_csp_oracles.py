@@ -65,7 +65,7 @@ class TestSat:
 
     def test_opt_refuses_above_cap(self):
         with pytest.raises(CapExceededError):
-            sat_opt_bruteforce(sat(30, []), enum_cap=24)
+            sat_opt_bruteforce(sat(30, []))
 
     def test_clause_validation(self):
         with pytest.raises(ValueError):

@@ -35,8 +35,9 @@ def test_infeasible_parameters_fail_loudly():
 
 
 def test_verification_cap():
-    with pytest.raises(CapExceededError):
-        build_disperser(30, 25, 5, 12, Fraction(1, 2), seed=0, verify_cap=100)
+    # C(25, 12) = 5,200,300 unions exceed VERIFY_CAP; refused before any draw
+    with pytest.raises(CapExceededError, match="5200300 unions"):
+        build_disperser(30, 25, 5, 12, Fraction(1, 2), seed=0)
 
 
 def test_parameter_validation():

@@ -66,7 +66,6 @@ def test_k4_embeds_validly(k):
     host, emb = simple_connected_embedding(g, k)
     assert host.vertex_count <= k
     assert host.is_regular(3)
-    assert all(host.degree(v) == 3 for v in host.vertices())
     ok, depth = validate_embedding(emb)
     assert ok
     assert depth >= 1

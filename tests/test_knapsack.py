@@ -18,7 +18,6 @@ from knapreduce.knapsack import (
     Solution,
     VkInstance,
     check_feasible,
-    max_budget,
     profit,
     solve_bruteforce,
     solve_bruteforce_bounded_size,
@@ -76,13 +75,6 @@ class TestBasics:
         assert profit(THREE_ITEMS, Solution(frozenset({0, 1}))) == 7
         unit = inst_1d([1, 1, 1], [1, 1, 1], 3)
         assert profit(unit, Solution(frozenset({0, 1, 2}))) == 3
-
-    def test_max_budget(self):
-        assert max_budget(inst_1d([], [], 5)) == 5
-        assert max_budget(VkInstance((), (), (2, 7, 3))) == 7
-        assert max_budget(VkInstance((), (), (0, 0))) == 0
-        with pytest.raises(ValueError):
-            max_budget(VkInstance((), (), ()))
 
     def test_validation(self):
         with pytest.raises(ValueError):

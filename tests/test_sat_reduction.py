@@ -16,10 +16,10 @@ from knapreduce.csp import (
 )
 from knapreduce.disperser import build_disperser
 from knapreduce.embedding import simple_connected_embedding, validate_embedding
+from knapreduce.errors import CapExceededError
 from knapreduce.generators import gen_sat, gen_sat_satisfiable
 from knapreduce.graphs import Graph, complete_graph, graph_from_edges
 from knapreduce.reductions import (
-    DEFAULT_ALPHABET_CAP,
     _satisfying_codes,
     build_clause_conflict_graph,
     rcsp_assignment_from_sat,
@@ -189,9 +189,13 @@ class TestCoreReduction:
         assert size == 1
 
     def test_alphabet_cap(self):
-        phi = sat(9, [(1, 2, 3), (4, 5, 6), (7, 8, 9)])
-        with pytest.raises(ValueError):
-            sat_to_rcsp(phi, Graph(1), [frozenset({0, 1, 2})], alphabet_cap=16)
+        # six disjoint clauses span 18 variables, and 2^18 candidates exceed
+        # the 2^16 cap; 300 variables show the check precedes enumeration
+        for clause_count in (6, 100):
+            n = 3 * clause_count
+            phi = sat(n, [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(clause_count)])
+            with pytest.raises(CapExceededError, match=rf"^2\^{n} candidate assignments"):
+                sat_to_rcsp(phi, Graph(1), [frozenset(range(clause_count))])
 
     def test_sentinels_never_agree_across_vertices(self):
         phi = sat(3, [(1, 2, 3)])
@@ -268,7 +272,7 @@ class TestAgainstReferenceBuilds:
             subsets += [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(3)
                         if m]
             for chosen in subsets:
-                variables, codes = _satisfying_codes(phi, chosen, DEFAULT_ALPHABET_CAP)
+                variables, codes = _satisfying_codes(phi, chosen)
                 assert (variables, codes) == reference_satisfying_codes(phi, chosen)
                 sub = SatInstance(phi.variable_count, tuple(phi.clauses[c] for c in chosen),
                                   phi.occurrence_bound)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from knapreduce.approx import lp_solve_relaxation
+from knapreduce import simplex
 from knapreduce.errors import CapExceededError
 from knapreduce.generators import gen_vk, gen_vk_2bounded
 from knapreduce.knapsack import VkInstance, solve_bruteforce
@@ -84,11 +84,11 @@ def reference_relaxation(profits, costs, budget):
 
 class TestRelaxation:
     def test_empty_instance(self):
-        value, x = lp_solve_relaxation(VkInstance((), (), (4,)))
-        assert value == 0 and x == ()
+        value, x = knapsack_relaxation((), (), (4,))
+        assert value == 0 and isinstance(value, Fraction) and x == ()
 
     def test_single_item_within_budget(self):
-        value, x = lp_solve_relaxation(VkInstance((4,), ((2,),), (5,)))
+        value, x = knapsack_relaxation((4,), ((2,),), (5,))
         assert value == 4
         assert x == (1,)
 
@@ -116,7 +116,7 @@ class TestRelaxation:
         for i in range(30):
             rng = random.Random(2500 + i)
             inst = gen_vk(rng.randint(1, 8), rng.randint(1, 3), 12, 9, rng)
-            value, x = lp_solve_relaxation(inst)
+            value, x = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
             opt, _ = solve_bruteforce(inst)
             assert value >= opt
             assert value <= sum(inst.profits)
@@ -137,10 +137,14 @@ class TestRelaxation:
             degenerate += degenerate_pivots
         assert degenerate >= 50
 
-    def test_variable_cap(self):
-        inst = VkInstance((1,) * 10, ((1,),) * 10, (5,))
-        with pytest.raises(CapExceededError):
-            lp_solve_relaxation(inst, variable_cap=5)
+    def test_variable_cap(self, monkeypatch):
+        n = simplex.VARIABLE_CAP + 1
+        with pytest.raises(CapExceededError, match=f"{n} variables"):
+            knapsack_relaxation((1,) * n, ((1,),) * n, (5,))
+        monkeypatch.setattr(simplex, "VARIABLE_CAP", 5)
+        assert knapsack_relaxation((1,) * 5, ((1,),) * 5, (5,))[0] == 5
+        with pytest.raises(CapExceededError, match="6 variables"):
+            knapsack_relaxation((1,) * 6, ((1,),) * 6, (5,))
 
 
 class TestSimplexCore:

@@ -16,7 +16,6 @@ from knapreduce.knapsack import (
     Solution,
     VkInstance,
     check_feasible,
-    max_budget,
     profit,
     solve_bruteforce,
 )
@@ -135,7 +134,7 @@ class TestSimpleTarget:
 
     def test_max_budget_is_the_range_size(self):
         pi = swap_instance()
-        assert max_budget(rcsp_to_vk_simple(pi)) == pi.upsilon_size
+        assert max(rcsp_to_vk_simple(pi).budget) == pi.upsilon_size
 
     def test_swap_instance_optimum_matches_par(self):
         pi = swap_instance()
@@ -356,7 +355,7 @@ class TestEmbedTarget:
         for chunk_size in (1, 2, 4, 10):
             target, art = rcsp_to_vk_embed(pi, chunk_size)
             # the largest number in the packed target is a chunk's count budget
-            assert max_budget(target) <= 2 * chunk_size * art.sentinel
+            assert max(target.budget) <= 2 * chunk_size * art.sentinel
 
     def test_extraction_roundtrip_from_planted_solution(self):
         pi, planted = planted_k4(42)
