@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .discretize import gamma_for_dimension, prune_by_discretization
 from .knapsack import (
@@ -78,19 +77,25 @@ def approx_2unbounded(inst: VkInstance) -> Solution:
 
 
 def _repair(inst: VkInstance, chosen: set[int]) -> set[int]:
-    """Drop the worst profit-per-violation item until the set is feasible."""
+    """Drop the worst profit-per-violation item until the set is feasible.
+
+    Items are ranked by profit / load over the violated coordinates,
+    compared by integer cross-multiplication; ties go to the smaller index.
+    """
     while True:
         totals = [sum(inst.costs[i][j] for i in chosen) for j in range(inst.dimension)]
         violated = [j for j in range(inst.dimension) if totals[j] > inst.budget[j]]
         if not violated:
             return chosen
-        scored = []
+        worst, worst_profit, worst_load = None, 0, 0
         for i in chosen:
             load = sum(inst.costs[i][j] for j in violated)
-            if load > 0:
-                scored.append((Fraction(inst.profits[i], load), i))
-        worst = min(scored)
-        chosen.discard(worst[1])
+            if load == 0:
+                continue
+            excess = inst.profits[i] * worst_load - worst_profit * load
+            if worst is None or excess < 0 or (excess == 0 and i < worst):
+                worst, worst_profit, worst_load = i, inst.profits[i], load
+        chosen.discard(worst)
 
 
 def approx_lp_rounding(inst: VkInstance, seed: int) -> Solution:

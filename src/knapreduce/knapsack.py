@@ -16,7 +16,7 @@ so golden outputs are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, gt, le, sub
 
 from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
@@ -31,8 +31,9 @@ DEFAULT_STATE_CAP = 100_000
 
 def _integers(row) -> bool:
     """Whether every entry is an int.  One builtin sum keeps this cheap on
-    the thousands of rows a reduction builds: adding a float, a Fraction or
-    any other non-int number to ints never gives back an int."""
+    the flattened cost table of thousands of rows that a reduction builds:
+    adding a float, a Fraction or any other non-int number to ints never
+    gives back an int."""
     try:
         return type(sum(row)) is int
     except TypeError:
@@ -56,6 +57,18 @@ class VkInstance:
                 raise ValueError(f"{name} must be integers")
             if min(row, default=0) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        # One pass over the flattened table accepts a valid one; any doubt
+        # goes to the per-row loop, which finds and words the first fault.
+        entries = chain.from_iterable
+        try:
+            if (
+                set(map(len, self.costs)) <= {d}
+                and _integers(entries(self.costs))
+                and min(entries(self.costs), default=0) >= 0
+            ):
+                return
+        except TypeError:
+            pass
         for i, c in enumerate(self.costs):
             if len(c) != d:
                 raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")

@@ -1,16 +1,30 @@
-"""Dense fraction-free simplex over the integers, Bland's rule throughout.
+"""Fraction-free bounded-variable simplex over the integers, Bland's rule.
 
-Solves max c.x subject to A.x <= b, x >= 0 with b >= 0, which is all the
-knapsack relaxation needs: the all-slack basis is feasible, so there is
-no phase one, and Bland's pivoting rule guarantees termination without
-any tolerance fiddling.
+Solves max c.x subject to A.x <= b, 0 <= x <= 1 with b >= 0, which is all
+the knapsack relaxation needs: the all-slack basis with every x at 0 is
+feasible, so there is no phase one, and Bland's pivoting rule guarantees
+termination without any tolerance fiddling.
+
+The box is handled implicitly (Dantzig's upper-bounding technique), so the
+tableau has one row per constraint of A.  A structural variable held at
+its upper bound is complemented, x' = 1 - x: its column is negated and
+subtracted from the right-hand side, so every nonbasic variable sits at
+0.  An entering variable that reaches its own bound first just flips that
+way, without a pivot; a basic variable that rises to 1 is complemented in
+its row and then leaves at 0.  Bland's rule numbers the variables as the
+tableau with explicit x <= 1 rows does: the x_j, then the slacks, then the
+box slacks 1 - x_j, which a complemented column stands for.  So the
+entering and leaving choices, and the optimum returned, are that
+tableau's.
 
 The tableau is kept in integers over one positive common denominator D
 (integer-preserving pivoting after Bareiss and Edmonds): a pivot on p
 replaces every other row entry x by (p*x - f*y) // D, an exact division,
 and then sets D = p.  Entries are subdeterminants of the scaled input,
 so they never outgrow it the way unreduced fractions would, and no gcd
-is taken in the pivot loop.  Only the returned point is rational.
+is taken in the pivot loop.  Complementing negates a column or, for a
+basic variable, its row, which keeps both properties.  Only the returned
+point is rational.
 """
 
 from __future__ import annotations
@@ -20,8 +34,8 @@ from math import lcm
 
 from .errors import CapExceededError
 
-# Most structural variables (items) of a knapsack relaxation; its dense
-# tableau has (d + n) rows of 2n + d + 1 integers.
+# Most structural variables (items) of a knapsack relaxation; its tableau
+# has d rows of n + d + 1 integers.
 VARIABLE_CAP = 400
 
 
@@ -31,19 +45,22 @@ class SimplexError(Exception):
 
 def _integer_row(values) -> list[int]:
     """The row scaled by the lcm of its denominators, a positive factor."""
+    if all(type(v) is int for v in values):
+        return list(values)
     exact = [Fraction(v) for v in values]
     scale = lcm(*(f.denominator for f in exact))
     return [f.numerator * (scale // f.denominator) for f in exact]
 
 
 def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Maximize objective . x over A x <= rhs, x >= 0 (all rhs nonnegative).
+    """Maximize objective . x over A x <= rhs, 0 <= x <= 1 (all rhs nonnegative).
 
     Returns (optimal value, primal point).  Entering variable: smallest
-    index with a positive reduced cost; leaving: smallest basic variable
-    among the minimum-ratio rows.  Rows and the objective may be rational;
-    each is scaled to integers by a positive factor, which changes no sign
-    and no ratio, so the pivot sequence is the one over the rationals.
+    index with a positive reduced cost; leaving: smallest index among the
+    variables that reach a bound first (see the module docstring for the
+    numbering).  Rows and the objective may be rational; each is scaled to
+    integers by a positive factor, which changes no sign and no ratio, so
+    the pivot sequence is the one over the rationals.
     """
     n = len(objective)
     m = len(rows)
@@ -58,29 +75,61 @@ def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ..
     for i, (row, b) in enumerate(zip(rows, rhs)):
         scaled = _integer_row([*row, b])
         tableau.append(scaled[:n] + [int(i == j) for j in range(m)] + scaled[n:])
-    cost = _integer_row(objective) + [0] * (m + 1)
+    cost = _integer_row(objective) + [0] * m
     basis = [n + i for i in range(m)]
     total = n + m
+    complemented = [False] * n
     denominator = 1
 
+    def index(j):
+        """Bland index of the variable column j stands for."""
+        return j + total if j < n and complemented[j] else j
+
+    def partner(j):
+        """Bland index of the structural's other bound variable (x_j or 1 - x_j)."""
+        return j if complemented[j] else j + total
+
     while True:
-        entering = next((j for j in range(total) if cost[j] > 0), None)
-        if entering is None:
+        improving = [j for j, c in enumerate(cost) if c > 0]
+        if not improving:
             break
-        # minimum ratio rhs/a over a > 0, compared by cross-multiplication
-        # (D cancels); ties keep the smaller basic variable
+        entering = min(improving, key=index)
+        # Largest step: the entering structural's own bound 1, else the
+        # first basic variable to fall to 0 (a > 0, ratio rhs/a) or rise to
+        # 1 (a < 0, ratio (D - rhs)/-a); ratios are compared by
+        # cross-multiplication, ties go to the smaller Bland index.
         pivot_row = None
+        if entering < n:
+            step, span, least = 1, 1, partner(entering)
+        else:
+            step = None
         for i, row in enumerate(tableau):
             a = row[entering]
-            if a <= 0:
+            var = basis[i]
+            if a > 0:
+                limit, rate, leaving = row[total], a, index(var)
+            elif a < 0 and var < n:
+                limit, rate, leaving = denominator - row[total], -a, partner(var)
+            else:
                 continue
-            if pivot_row is not None:
-                excess = row[total] * best[entering] - best[total] * a
-                if excess > 0 or (excess == 0 and basis[i] > basis[pivot_row]):
+            if step is not None:
+                excess = limit * span - step * rate
+                if excess > 0 or (excess == 0 and leaving > least):
                     continue
-            pivot_row, best = i, row
-        if pivot_row is None:
+            step, span, least, pivot_row, rises = limit, rate, leaving, i, a < 0
+        if step is None:
             raise SimplexError("unbounded direction in a bounded program")
+        if pivot_row is None:
+            # the entering variable reaches its own bound: a flip, no pivot
+            _complement_column(tableau, cost, entering)
+            complemented[entering] = not complemented[entering]
+            continue
+        if rises:
+            # the leaving variable reaches 1: complemented, it leaves at 0
+            var = basis[pivot_row]
+            tableau[pivot_row] = _complement_row(tableau[pivot_row], var, denominator)
+            complemented[var] = not complemented[var]
+        best = tableau[pivot_row]
         pivot = best[entering]
         for i in range(m):
             if i != pivot_row:
@@ -89,12 +138,34 @@ def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ..
         basis[pivot_row] = entering
         denominator = pivot
 
-    point = [Fraction(0)] * n
+    point = [Fraction(int(flag)) for flag in complemented]
     for i, var in enumerate(basis):
         if var < n:
-            point[var] = Fraction(tableau[i][total], denominator)
-    value = sum((Fraction(c) * x for c, x in zip(objective, point)), Fraction(0))
+            level = Fraction(tableau[i][total], denominator)
+            point[var] = 1 - level if complemented[var] else level
+    value = sum((Fraction(c) * x for c, x in zip(objective, point) if x), Fraction(0))
     return value, tuple(point)
+
+
+def _complement_column(tableau, cost, j) -> None:
+    """Swap nonbasic column j for its complement 1 - x_j, in place: the
+    column and its reduced cost are negated, and the column is subtracted
+    from the right-hand side."""
+    for row in tableau:
+        row[-1] -= row[j]
+        row[j] = -row[j]
+    cost[j] = -cost[j]
+
+
+def _complement_row(row, var, denominator) -> list[int]:
+    """The row of basic variable var with var swapped for 1 - var: negated,
+    with var's own entry kept at D and the right-hand side D - rhs.  Every
+    other row has 0 in var's column, so only this row changes, and an
+    entry that was negative becomes a positive pivot."""
+    row = [-x for x in row]
+    row[var] = denominator
+    row[-1] += denominator
+    return row
 
 
 def _eliminate(row, pivot_values, entering, pivot, denominator) -> list[int]:
@@ -111,8 +182,5 @@ def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fractio
     n = len(profits)
     if n > VARIABLE_CAP:
         raise CapExceededError(f"{n} variables exceeds the LP cap {VARIABLE_CAP}")
-    d = len(budget)
-    rows = [[costs[i][j] for i in range(n)] for j in range(d)]
-    rows += [[int(i == k) for i in range(n)] for k in range(n)]
-    rhs = list(budget) + [1] * n
-    return simplex_maximize(list(profits), rows, rhs)
+    rows = [[costs[i][j] for i in range(n)] for j in range(len(budget))]
+    return simplex_maximize(list(profits), rows, list(budget))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from knapreduce.approx import (
+    _repair,
     approx_2unbounded,
     approx_lp_rounding,
     approx_sqrt_d,
@@ -114,6 +115,35 @@ class TestLpRoundingBranch:
     def test_empty_instance(self):
         inst = VkInstance((), (), (4,))
         assert approx_lp_rounding(inst, seed=0) == Solution()
+
+
+def fraction_repair(inst, chosen):
+    """The repair as first written: rank by Fraction(profit, load) and
+    drop the minimum (ratio, index) pair until the set is feasible."""
+    while True:
+        totals = [sum(inst.costs[i][j] for i in chosen) for j in range(inst.dimension)]
+        violated = [j for j in range(inst.dimension) if totals[j] > inst.budget[j]]
+        if not violated:
+            return chosen
+        scored = []
+        for i in chosen:
+            load = sum(inst.costs[i][j] for j in violated)
+            if load > 0:
+                scored.append((Fraction(inst.profits[i], load), i))
+        chosen.discard(min(scored)[1])
+
+
+class TestRepair:
+    def test_matches_fraction_ranking(self):
+        # small profits and costs make equal ratios, and so index ties, common
+        for k in range(300):
+            rng = random.Random(6100 + k)
+            inst = gen_vk_2bounded(rng.randint(2, 12), rng.randint(1, 4), rng.choice((4, 8, 60)),
+                                   rng.choice((0, 2, 5, 100)), rng)
+            chosen = {i for i in range(inst.item_count) if rng.random() < 0.7}
+            expected = fraction_repair(inst, set(chosen))
+            assert _repair(inst, set(chosen)) == expected, k
+            assert check_feasible(inst, Solution(frozenset(expected)))
 
 
 class TestCombined:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -54,6 +55,31 @@ def combinations_reference(inst, s_max):
     return best_prof, Solution(frozenset(best_items))
 
 
+def per_row_cost_check(costs, d):
+    """The per-row cost check VkInstance ran before its flattened one pass;
+    raises for the first faulty item."""
+    for i, c in enumerate(costs):
+        if len(c) != d:
+            raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
+        try:
+            integral = type(sum(c)) is int
+        except TypeError:
+            integral = False
+        if not integral:
+            raise ValueError(f"cost vector of item {i} has a non-integer coordinate")
+        if min(c, default=0) < 0:
+            raise ValueError(f"cost vector of item {i} has a negative coordinate")
+
+
+def outcome(check, *args):
+    """None if check(*args) passes, else the type and text of what it raised."""
+    try:
+        check(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestBasics:
     def test_empty_set_is_feasible(self):
         assert check_feasible(THREE_ITEMS, Solution())
@@ -83,6 +109,31 @@ class TestBasics:
             VkInstance((-1,), ((1,),), (3,))
         with pytest.raises(ValueError):
             VkInstance((1,), ((-1,),), (3,))
+
+    def test_cost_validation_matches_per_row_reference(self):
+        faults = (True, False, 1.0, 0.5, Fraction(3), Fraction(1, 2), "1", None, -1, -10**30)
+        seen = set()
+        for trial in range(800):
+            rng = random.Random(7300 + trial)
+            n, d = rng.randint(0, 6), rng.randint(0, 4)
+            costs = [[rng.randint(0, 10 ** rng.randint(1, 30)) for _ in range(d)] for _ in range(n)]
+            for _ in range(rng.choice((0, 1, 1, 2)) if costs else 0):
+                row = rng.choice(costs)
+                if row and rng.random() < 0.7:
+                    row[rng.randrange(len(row))] = rng.choice(faults)
+                elif row and rng.random() < 0.5:
+                    row.pop()
+                else:
+                    row.append(1)
+            costs = [tuple(row) for row in costs]
+            if costs and rng.random() < 0.05:
+                costs[rng.randrange(n)] = rng.choice((7, None))  # a row with no length
+            costs = tuple(costs)
+            expected = outcome(per_row_cost_check, costs, d)
+            assert outcome(VkInstance, (1,) * n, costs, (5,) * d) == expected, (trial, costs)
+            text = expected[1] if expected else ""
+            seen.add(next((k for k in ("length", "integer", "negative", "len()") if k in text), text))
+        assert seen == {"", "length", "integer", "negative", "len()"}
 
     @pytest.mark.parametrize(
         "profits, costs, budget",

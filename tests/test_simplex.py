@@ -37,9 +37,10 @@ def relaxation_vertex_oracle(profits, costs, budget):
 
 
 def reference_simplex(objective, rows, rhs):
-    """Textbook Bland's-rule tableau over Fractions: each pivot divides the
-    pivot row by the pivot and eliminates the entering column elsewhere.
-    Returns ((value, point), degenerate pivot count)."""
+    """Textbook Bland's-rule tableau over Fractions with every row written
+    out (no implicit bounds): each pivot divides the pivot row by the pivot
+    and eliminates the entering column elsewhere (zeros are skipped, for
+    speed only).  Returns ((value, point), degenerate pivot count)."""
     n, m = len(objective), len(rows)
     tableau = [
         [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b)]
@@ -61,9 +62,9 @@ def reference_simplex(objective, rows, rhs):
         pivot = tableau[r][entering]
         tableau[r] = [x / pivot for x in tableau[r]]
         for i in range(m):
-            if i != r:
-                f = tableau[i][entering]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[r])]
+            f = tableau[i][entering]
+            if i != r and f:
+                tableau[i] = [x - f * y if y else x for x, y in zip(tableau[i], tableau[r])]
         f = cost[entering]
         cost = [x - f * y for x, y in zip(cost, tableau[r])]
         basis[r] = entering
@@ -75,11 +76,39 @@ def reference_simplex(objective, rows, rhs):
     return (value, tuple(point)), degenerate
 
 
+def reference_box(objective, rows, rhs):
+    """The reference on the same program with its n rows x_k <= 1 appended."""
+    n = len(objective)
+    box = [[int(i == k) for i in range(n)] for k in range(n)]
+    return reference_simplex(objective, [*rows, *box], [*rhs, *[1] * n])
+
+
 def reference_relaxation(profits, costs, budget):
     n = len(profits)
     rows = [[costs[i][j] for i in range(n)] for j in range(len(budget))]
-    rows += [[int(i == k) for i in range(n)] for k in range(n)]
-    return reference_simplex(list(profits), rows, list(budget) + [1] * n)
+    return reference_box(list(profits), rows, list(budget))
+
+
+def workload_shaped(count, seed):
+    """2-bounded instances of the shapes of the approx benchmark's LP ops."""
+    rng = random.Random(seed)
+    return [
+        gen_vk_2bounded(rng.randint(15, 25), rng.randint(3, 4), 1000, 100, rng)
+        for _ in range(count)
+    ]
+
+
+def counting(monkeypatch, name):
+    """Wrap simplex.<name> so that each call is counted; returns the count."""
+    calls = [0]
+    inner = getattr(simplex, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(simplex, name, wrapper)
+    return calls
 
 
 class TestRelaxation:
@@ -133,9 +162,30 @@ class TestRelaxation:
             max_profit = rng.choice((0, 1, 3, 9))
             inst = maker(rng.randint(1, 8), rng.randint(1, 3), max_budget, max_profit, rng)
             expected, degenerate_pivots = reference_relaxation(inst.profits, inst.costs, inst.budget)
-            assert knapsack_relaxation(inst.profits, inst.costs, inst.budget) == expected, i
+            value, x = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
+            # an optimal vertex of the box-bounded program ...
+            assert value == expected[0], i
+            assert all(0 <= xi <= 1 for xi in x), i
+            for j in range(inst.dimension):
+                assert sum(c[j] * xi for c, xi in zip(inst.costs, x)) <= inst.budget[j], i
+            assert sum(p * xi for p, xi in zip(inst.profits, x)) == expected[0], i
+            assert sum(xi.denominator > 1 for xi in x) <= inst.dimension, i
+            # ... and, Bland's indices being those of the explicit rows, the same one
+            assert x == expected[1], i
             degenerate += degenerate_pivots
         assert degenerate >= 50
+
+    def test_same_point_as_reference_on_workload_shapes(self):
+        for k, inst in enumerate(workload_shaped(200, 4700)):
+            expected, _ = reference_relaxation(inst.profits, inst.costs, inst.budget)
+            assert knapsack_relaxation(inst.profits, inst.costs, inst.budget) == expected, k
+
+    def test_bound_flips_and_upper_leaves_occur(self, monkeypatch):
+        flips = counting(monkeypatch, "_complement_column")
+        upper_leaves = counting(monkeypatch, "_complement_row")
+        for inst in workload_shaped(40, 4900):
+            knapsack_relaxation(inst.profits, inst.costs, inst.budget)
+        assert flips[0] >= 100 and upper_leaves[0] >= 100, (flips, upper_leaves)
 
     def test_variable_cap(self, monkeypatch):
         n = simplex.VARIABLE_CAP + 1
@@ -185,8 +235,9 @@ class TestSimplexCore:
         ]
         rhs = [Fraction(1, 2), 2, Fraction(7, 5)]
         value, x = simplex_maximize(objective, rows, rhs)
-        assert (value, x) == reference_simplex(objective, rows, rhs)[0]
-        assert value == Fraction(73, 60)
+        assert (value, x) == reference_box(objective, rows, rhs)[0]
+        assert value == Fraction(101, 90)
+        assert all(0 <= xi <= 1 for xi in x)
         for row, b in zip(rows, rhs):
             assert sum(a * xi for a, xi in zip(row, x)) <= b
 
@@ -197,6 +248,5 @@ class TestSimplexCore:
             objective = [Fraction(rng.randint(-2, 6), rng.randint(1, 5)) for _ in range(n)]
             rows = [[Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(n)]
                     for _ in range(m)]
-            rows += [[int(i == k) for i in range(n)] for k in range(n)]
-            rhs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)] + [1] * n
-            assert simplex_maximize(objective, rows, rhs) == reference_simplex(objective, rows, rhs)[0]
+            rhs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)]
+            assert simplex_maximize(objective, rows, rhs) == reference_box(objective, rows, rhs)[0]
