@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -61,6 +62,9 @@ REDUCE_ROUTES = (
     "rcsp2vk-embed",
 )
 SOLVE_METHODS = ("brute", "dp", "approx", "approx-unbounded", "approx-lp")
+# --epsilon: an integer, a decimal or p/q with q > 0.  Fraction also takes an
+# exponent, and "1e-2000000" alone builds a denominator of millions of bits.
+RATIONAL = re.compile(r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|[0-9]*\.?[0-9]+)")
 
 
 def _write_out(text: str, out: str | None):
@@ -218,6 +222,8 @@ def _cmd_reduce(args) -> int:
     elif args.route == "sat2rcsp-disperser":
         if not isinstance(inst, SatInstance):
             raise ValueError("route sat2rcsp-disperser expects a sat instance")
+        if not RATIONAL.fullmatch(args.epsilon):
+            raise ValueError(f"--epsilon must be an integer, decimal or p/q with q > 0, not {args.epsilon!r}")
         out = sat_to_rcsp_disperser_route(
             inst, args.k, args.r, Fraction(args.epsilon), args.seed
         )

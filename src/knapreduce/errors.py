@@ -5,7 +5,7 @@ Input/precondition problems raise ValueError; the classes below cover the
 two failure modes that deserve their own exit codes at the CLI boundary.
 """
 
-# Node budget of the pruned exhaustive searches.  Measured with CPython 3.11
+# Node budget of all four pruned exhaustive searches.  Measured with CPython 3.11
 # on one core of an Intel Xeon: the knapsack subset search visits ~390k
 # nodes/s on 22-item subset-sum-like instances and 65k-140k nodes/s on
 # 36-item digit-packed targets (F = 1..3), and par_bruteforce expands ~600k

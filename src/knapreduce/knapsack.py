@@ -21,9 +21,6 @@ from operator import add, gt, le, sub
 
 from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
 
-# node budget of the bounded-size search; it visits only sets of at most s
-# items, so it never refuses an instance with at most this many such sets
-DEFAULT_BOUNDED_CAP = 2_000_000
 # tracemalloc measured up to ~2.2 KB per DP state at 50 cost coordinates (a
 # state holds one int per coordinate), so this keeps such a table near 225 MB
 DEFAULT_STATE_CAP = 100_000
@@ -167,7 +164,7 @@ def solve_bruteforce(inst: VkInstance, max_nodes: int = DEFAULT_NODE_CAP) -> tup
 
 
 def solve_bruteforce_bounded_size(
-    inst: VkInstance, s_max: int, max_nodes: int = DEFAULT_BOUNDED_CAP
+    inst: VkInstance, s_max: int, max_nodes: int = DEFAULT_NODE_CAP
 ) -> tuple[int, Solution]:
     """Best feasible solution among subsets of at most s_max items; refuses
     past max_nodes nodes, however many items."""

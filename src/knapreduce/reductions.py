@@ -370,21 +370,28 @@ class EmbedReductionArtifacts:
 
     partition lists the constraints chunk by chunk; a constraint's packing
     position within its chunk (1-based) is its digit exponent.  coverage[l][v]
-    counts the constraints of chunk l involving vertex v; chunk_totals[l] is
-    the sum of that row.  base_q is the digit base and sentinel the high
-    multiplier separating the count digit from the packed digits.
+    counts the constraints of chunk l involving vertex v; chunk_totals[l],
+    derived, is the sum of that row.  base_q is the digit base and sentinel,
+    derived, the high multiplier separating the count digit from the packed
+    digits.
     """
 
     chunk_size: int
     partition: tuple[tuple[Constraint, ...], ...]
     coverage: tuple[tuple[int, ...], ...]
-    chunk_totals: tuple[int, ...]
     base_q: int
-    sentinel: int
 
     @property
     def chunk_count(self) -> int:
         return len(self.partition)
+
+    @cached_property
+    def chunk_totals(self) -> tuple[int, ...]:
+        return tuple(map(sum, self.coverage))
+
+    @cached_property
+    def sentinel(self) -> int:
+        return self.base_q ** (2 * self.chunk_size)
 
     @cached_property
     def placement(self) -> dict[Constraint, tuple[int, int]]:
@@ -423,14 +430,11 @@ def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifact
                 row[constraint[0]] += 1
                 row[constraint[1]] += 1
         coverage.append(tuple(row))
-    base_q = 3 * chunk_size ** 2 * pi.upsilon_size * n * pi.sigma_size
     return EmbedReductionArtifacts(
         chunk_size=chunk_size,
         partition=partition,
         coverage=tuple(coverage),
-        chunk_totals=tuple(sum(row) for row in coverage),
-        base_q=base_q,
-        sentinel=base_q ** (2 * chunk_size),
+        base_q=3 * chunk_size ** 2 * pi.upsilon_size * n * pi.sigma_size,
     )
 
 

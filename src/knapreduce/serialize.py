@@ -85,7 +85,10 @@ def serialize_instance(obj) -> str:
 
 def parse_instance(text: str):
     """Instance from its JSON text; any malformed document raises ValueError."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("instance document is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError(f"instance document must be a JSON object, not {type(payload).__name__}")
     kind = payload.get("kind")

@@ -87,6 +87,18 @@ def test_reduce_sat_routes(tmp_path):
     assert parse_instance(read(disp_out)).graph.vertex_count == 4
 
 
+@pytest.mark.parametrize("epsilon", ["1/0", "1e-2000000"])
+def test_reduce_bad_epsilon_is_usage_error(tmp_path, capsys, epsilon):
+    src = tmp_path / "phi.json"
+    main(["gen", "sat", "--n", "6", "--m", "3", "--bound", "4", "--seed", "6", "--out", str(src)])
+    out = tmp_path / "disp.json"
+    assert main(["reduce", "sat2rcsp-disperser", "--in", str(src), "--k", "4", "--r", "2",
+                 "--epsilon", epsilon, "--seed", "6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --epsilon ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sat_clause_set_past_the_alphabet_cap_is_refused(tmp_path, capsys):
     # a host vertex of the 8-vertex embedding collects clauses over 20
     # variables, and 2^20 candidate assignments exceed the 2^16 cap
@@ -145,7 +157,8 @@ def test_solve_cap_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "6"
 
 
-@pytest.mark.parametrize("document", ['{"kind":"vk"}', "[1,2]", '{"kind":"rcsp","vertices":2}'])
+@pytest.mark.parametrize("document", ['{"kind":"vk"}', "[1,2]", '{"kind":"rcsp","vertices":2}',
+                                      pytest.param("[" * 200000, id="nested-200000")])
 @pytest.mark.parametrize("command", [["solve", "brute"], ["reduce", "rcsp2vk-simple"]],
                          ids=["solve", "reduce"])
 def test_malformed_instance_is_usage_error(tmp_path, capsys, document, command):

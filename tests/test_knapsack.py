@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ from math import comb
 import pytest
 
 from knapreduce.cli import main
-from knapreduce.errors import CapExceededError
+from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError
 from knapreduce.csp import par_bruteforce
 from knapreduce.generators import (
     gen_rcsp,
@@ -226,6 +227,10 @@ class TestBoundedSize:
         assert solve_bruteforce_bounded_size(inst, 2, max_nodes=210) == (39, Solution({18, 19}))
         with pytest.raises(CapExceededError, match="node budget 209"):
             solve_bruteforce_bounded_size(inst, 2, max_nodes=209)
+
+    def test_default_budget_is_the_shared_node_cap(self):
+        for search in (solve_bruteforce, solve_bruteforce_bounded_size):
+            assert inspect.signature(search).parameters["max_nodes"].default == DEFAULT_NODE_CAP
 
     def test_matches_combinations_reference(self):
         generators = (gen_vk, gen_vk_2unbounded, gen_vk_mixed)

@@ -103,6 +103,12 @@ class TestAgainstReferenceBuilds:
                 assert rcsp_to_vk_embed(pi, chunk_size) == reference_rcsp_to_vk_embed(
                     pi, chunk_size
                 ), chunk_size
+                art = embed_artifacts(pi, chunk_size)
+                # a vertex constraint covers one vertex, an edge constraint two
+                for l, chunk in enumerate(art.partition):
+                    vertices = sum(isinstance(j, int) for j in chunk)
+                    assert art.chunk_totals[l] == vertices + 2 * (len(chunk) - vertices)
+                assert art.sentinel == art.base_q ** (2 * chunk_size)
 
     def test_plain_target(self):
         hosts = list(cubic_hosts())
