@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .errors import CapExceededError
 
@@ -187,27 +188,28 @@ class DiscretizedCost:
         return tuple(out)
 
 
+def _coordinate_key(table: _FloorTable, x, b: int) -> CoordKey:
+    """The branch key of cost x against budget coordinate b."""
+    x = operator.index(x)
+    if not 0 <= x <= b:
+        raise ValueError(f"cost {x} outside the budget range [0, {b}]")
+    if x == 0:
+        return (ZERO,)
+    t_up = bisect_left(table.reach(b), x)
+    t_down = None if x == b else table.round_down_exponent(b - x)
+    if table.sum_at_most(t_up, t_down, b):
+        return (UP, t_up)
+    return (COMP_DOWN, t_down)
+
+
 def digamma(cost_vector, budget, gamma: Fraction) -> DiscretizedCost:
     """Discretize one cost vector against its budget, coordinate by coordinate."""
     if len(cost_vector) != len(budget):
         raise ValueError("cost vector and budget must have equal length")
     table = _table(gamma)
-    budget = tuple(operator.index(b) for b in budget)
-    keys = []
-    for x, b in zip(cost_vector, budget):
-        x = operator.index(x)
-        if not 0 <= x <= b:
-            raise ValueError(f"cost {x} outside the budget range [0, {b}]")
-        if x == 0:
-            keys.append((ZERO,))
-            continue
-        t_up = bisect_left(table.reach(b), x)
-        t_down = None if x == b else table.round_down_exponent(b - x)
-        if table.sum_at_most(t_up, t_down, b):
-            keys.append((UP, t_up))
-        else:
-            keys.append((COMP_DOWN, t_down))
-    return DiscretizedCost(tuple(keys), budget, table.gamma)
+    budget = tuple(map(operator.index, budget))
+    keys = tuple(map(_coordinate_key, repeat(table), cost_vector, budget))
+    return DiscretizedCost(keys, budget, table.gamma)
 
 
 def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:
@@ -215,11 +217,27 @@ def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:
 
     items is a sequence of (index, profit, cost_vector) triples whose
     costs already fit the budget; profit ties keep the smaller index.
-    Returns the surviving indices in ascending order.
+    Returns the surviving indices in ascending order.  Packed costs
+    repeat across items, so each distinct (cost, budget) coordinate is
+    keyed once per call.
     """
+    if not items:
+        return []
+    table = _table(gamma)
+    budget = tuple(map(operator.index, budget))
+    seen: dict[tuple[int, int], CoordKey] = {}
     best: dict[tuple[CoordKey, ...], tuple[int, int]] = {}
     for index, item_profit, cost in items:
-        key = digamma(cost, budget, gamma).keys
+        if len(cost) != len(budget):
+            raise ValueError("cost vector and budget must have equal length")
+        key = []
+        for x, b in zip(cost, budget):
+            x = operator.index(x)
+            coord = seen.get((x, b))
+            if coord is None:
+                coord = seen[x, b] = _coordinate_key(table, x, b)
+            key.append(coord)
+        key = tuple(key)
         incumbent = best.get(key)
         if incumbent is None or (item_profit, -index) > (incumbent[0], -incumbent[1]):
             best[key] = (item_profit, index)

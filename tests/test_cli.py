@@ -432,7 +432,8 @@ def test_full_pipeline_sat_to_solved_knapsack(tmp_path, capsys):
     assert int(record["value"]) == rcsp.graph.vertex_count
 
 
-# The README CLI examples on their exact paths (solve approx is left out),
+# The README CLI examples on their exact paths (solve approx, whose LP branch
+# draws against a float threshold, is left out; approx-unbounded has no float),
 # each with the sha256 of every file it writes; "stdout" is the text report.
 README_GOLDEN = [
     (["gen", "rcsp", "--regular3", "--vertices", "4", "--sigma", "2", "--upsilon", "2",
@@ -452,6 +453,10 @@ README_GOLDEN = [
       "--artifacts", "audit.json"],
      {"vk-embed.json": "a4302db7441e257d5f461ba1c832a45e5e6da7717086bd1b42bf517c8d2ff00b",
       "audit.json": "a19f7111f8ddcc559ef727b939e522b48764efcd5df02288e48eeec657c93682"}),
+    (["reduce", "rcsp2vk-embed", "--in", "pi.json", "--F", "1", "--out", "vk-f1.json"],
+     {"vk-f1.json": "df0e48e5ce467dd1d8acb75aaa83a35120d10ecd4b2d9d628776adc28f6621e0"}),
+    (["solve", "approx-unbounded", "--in", "vk-f1.json"],
+     {"stdout": "b96d295aa2ebe1414a826fa94835462830e12c951fd82e1970a243b263b738e6"}),
     (["reduce", "csp2rcsp", "--in", "gamma.json", "--out", "pi-csp2.json"],
      {"pi-csp2.json": "4307675ef69b1ad71d4ea2244b9062765932551523de2b51a19e8f3d33c5a101"}),
     (["reduce", "sat2rcsp-embed", "--in", "phi.json", "--k", "8", "--out", "pi-embed.json"],
@@ -476,6 +481,8 @@ README_GOLDEN = [
       "--out", "chain.csv"],
      {"chain.csv": "22a69a4a12cf95442f2581d2acaacee63c31e6dcef8c8f3b9aef6f739602f57d",
       "stdout": "0305dcdb5735d6e1e39287f9a08a308652727610e7c6ec88201460cfed415cfe"}),
+    (["verify", "discretize", "--count", "12"],
+     {"stdout": "8bdc69f43258627ba4fc37e3e3bf0a68b444e9a6cf578b19e25cd84aeba88a84"}),
 ]
 
 

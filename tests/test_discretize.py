@@ -60,6 +60,16 @@ class FractionReference:
         return tuple(keys), tuple(values)
 
 
+def reference_prune(items, budget, gamma):
+    """One maximum-profit item per FractionReference key, ties to the smaller index."""
+    reference = FractionReference(gamma)
+    groups = {}
+    for index, item_profit, cost in items:
+        keys, _ = reference.digamma(cost, budget)
+        groups.setdefault(keys, []).append((item_profit, -index))
+    return sorted(-max(group)[1] for group in groups.values())
+
+
 def packed_target():
     """A 20-item digit-packed target: d = 14, budgets of 12 to 91 bits."""
     rng = random.Random(1)
@@ -263,3 +273,65 @@ class TestPrune:
             dx, dy = digamma(x, budget, gamma), digamma(y, budget, gamma)
             if dx.keys == dy.keys:
                 assert dx.values == dy.values
+
+    def test_matches_per_item_reference_on_packed_targets(self):
+        rng = random.Random(5)
+        merged = set()
+        for chunk_size in (1, 2, 3):
+            for _ in range(3):
+                pi, _ = gen_rcsp_planted(rng.choice((4, 6)), 2, rng.choice((2, 3)), rng, regular3=True)
+                inst, _ = rcsp_to_vk_embed(pi, chunk_size)
+                gamma = gamma_for_dimension(inst.dimension)
+                fitting = [
+                    i for i, cost in enumerate(inst.costs)
+                    if all(c <= b for c, b in zip(cost, inst.budget))
+                ]
+                assert fitting
+                for profits in (inst.profits, [rng.randint(1, 3) for _ in inst.profits]):
+                    items = [(i, profits[i], inst.costs[i]) for i in fitting]
+                    expected = reference_prune(items, inst.budget, gamma)
+                    assert prune_by_discretization(items, inst.budget, gamma) == expected
+                    if len(expected) < len(items):
+                        merged.add(chunk_size)
+        # every chunk size has some case where two items share a key
+        assert merged == {1, 2, 3}
+
+    def test_same_cost_under_two_budgets(self):
+        # cost 10 keys differently against budget 11 and budget 100, so the
+        # first item must not share the second item's key
+        gamma = gamma_for_dimension(2)
+        budget = (11, 100)
+        first, second = digamma((10, 10), budget, gamma).keys, digamma((10, 99), budget, gamma).keys
+        assert first[0] != first[1] and first[0] == second[0] == second[1]
+        items = [(0, 1, (10, 10)), (1, 1, (10, 99))]
+        assert prune_by_discretization(items, budget, gamma) == [0, 1]
+        assert reference_prune(items, budget, gamma) == [0, 1]
+
+    def test_float_cost_rejected_after_equal_integer(self):
+        gamma = gamma_for_dimension(1)
+        with pytest.raises(TypeError):
+            digamma((2.0,), (5,), gamma)
+        with pytest.raises(TypeError):
+            prune_by_discretization([(0, 1, (2,)), (1, 1, (2.0,))], (5,), gamma)
+
+    def test_cost_above_budget_rejected_like_digamma(self):
+        gamma = gamma_for_dimension(1)
+        message = r"^cost 3 outside the budget range \[0, 2\]$"
+        with pytest.raises(ValueError, match=message):
+            digamma((3,), (2,), gamma)
+        with pytest.raises(ValueError, match=message):
+            prune_by_discretization([(0, 1, (1,)), (1, 1, (3,))], (2,), gamma)
+
+    def test_wrong_length_rejected_for_every_item(self):
+        gamma = gamma_for_dimension(2)
+        message = "^cost vector and budget must have equal length$"
+        with pytest.raises(ValueError, match=message):
+            digamma((1,), (5, 5), gamma)
+        with pytest.raises(ValueError, match=message):
+            prune_by_discretization([(0, 1, (1, 2)), (1, 1, (1,))], (5, 5), gamma)
+
+    def test_empty_items_make_no_table(self):
+        gamma = Fraction(1000, 999)
+        discretize._tables.pop(gamma, None)
+        assert prune_by_discretization([], (5,), gamma) == []
+        assert gamma not in discretize._tables
