@@ -103,6 +103,15 @@ def parse_instance(text: str):
         raise ValueError(f"malformed {kind} instance: {exc}") from None
 
 
+def _per_edge(kind: str, field: str, graph: Graph, entries):
+    """Pair entries with the edges in edge_list order.  Any other count is
+    refused: zip would drop a surplus or leave edges without an entry."""
+    if len(entries) != len(graph.edge_list):
+        raise ValueError(f"malformed {kind} instance: {field} has {len(entries)} entries "
+                         f"for {len(graph.edge_list)} edges")
+    return zip(graph.edge_list, entries)
+
+
 def _instance_from_payload(kind, payload: dict):
     if kind == "sat":
         return SatInstance(
@@ -114,7 +123,7 @@ def _instance_from_payload(kind, payload: dict):
         graph = _graph_from_payload(payload)
         constraints = {
             e: frozenset(tuple(p) for p in pairs)
-            for e, pairs in zip(graph.edge_list, payload["constraints"])
+            for e, pairs in _per_edge(kind, "constraints", graph, payload["constraints"])
         }
         return Csp2Instance(graph, payload["sigma_size"], constraints)
     if kind == "rcsp":
@@ -124,12 +133,17 @@ def _instance_from_payload(kind, payload: dict):
                 tuple(t - 1 for t in entry["u"]),
                 tuple(t - 1 for t in entry["v"]),
             )
-            for e, entry in zip(graph.edge_list, payload["projections"])
+            for e, entry in _per_edge(kind, "projections", graph, payload["projections"])
         }
         return RcspInstance(
             graph, payload["sigma_size"], payload["upsilon_size"], projections
         )
     if kind == "vk":
+        # optional on input, since the budget fixes it; refused if it disagrees
+        dimension = payload.get("dimension", len(payload["budget"]))
+        if type(dimension) is not int or dimension != len(payload["budget"]):
+            raise ValueError(f"malformed vk instance: dimension {dimension!r} is not "
+                             f"the budget length {len(payload['budget'])}")
         return VkInstance(
             tuple(_vk_integer(p, "profits", False) for p in payload["profits"]),
             tuple(tuple(_vk_integer(x, "costs", True) for x in row) for row in payload["costs"]),

@@ -31,10 +31,6 @@ from .reductions import (
 )
 from .serialize import instance_digest
 
-# Random item subsets per instance on which obs-basic checks each packed
-# digit identity.
-OBS_BASIC_SUBSETS = 1000
-
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -67,6 +63,20 @@ def _rec(suite, check, digest, expected, observed, passed) -> CheckRecord:
 
 def _derive(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
+
+
+def _planted_cubic(n: int, rng: random.Random):
+    """The planted 3-regular instance the three packed suites draw."""
+    return gen_rcsp_planted(n, rng.randint(1, 2), rng.randint(1, 3), rng, regular3=True)
+
+
+def _feasible_subsets(target):
+    """Yield (mask, solution) for every feasible item subset, in mask order."""
+    n_items = target.item_count
+    for mask in range(1 << n_items):
+        solution = Solution(frozenset(i for i in range(n_items) if (mask >> i) & 1))
+        if check_feasible(target, solution):
+            yield mask, solution
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +183,10 @@ def check_embed_soundness_exhaustive(pi, chunk_size) -> list[CheckRecord]:
     deficit bound.  Exhaustive, so keep the instance tiny."""
     digest = instance_digest(pi)
     target, art = rcsp_to_vk_embed(pi, chunk_size)
-    n_items = target.item_count
     full = pi.graph.vertex_count + 2 * len(pi.graph.edges)
     checked = 0
     failures = []
-    for mask in range(1 << n_items):
-        solution = Solution(frozenset(i for i in range(n_items) if (mask >> i) & 1))
-        if not check_feasible(target, solution):
-            continue
+    for mask, solution in _feasible_subsets(target):
         checked += 1
         deficit = full - profit(target, solution)
         phi = extract_partial_assignment(
@@ -209,13 +215,7 @@ def run_embed_roundtrip(count: int, seed: int) -> VerificationReport:
     for i in range(count):
         rng = _derive(seed, i)
         n = rng.choice((4, 6))
-        pi, planted = gen_rcsp_planted(
-            n,
-            sigma_size=rng.randint(1, 2),
-            upsilon_size=rng.randint(1, 3),
-            rng=rng,
-            regular3=True,
-        )
+        pi, planted = _planted_cubic(n, rng)
         for chunk_size in (1, 2, n):
             records.extend(check_embed_completeness(pi, planted, chunk_size))
         if n == 4:
@@ -328,34 +328,28 @@ def run_discretize(count: int, seed: int) -> VerificationReport:
 # packed-cost algebraic identities
 # ---------------------------------------------------------------------------
 
-def check_digit_identities(pi, chunk_size, rng) -> list[CheckRecord]:
+def check_digit_identities(pi, chunk_size) -> list[CheckRecord]:
+    """The packed target's three cost identities, checked item by item.
+
+    For a set S of chosen items, chunk l's first dimension must equal the
+    stacked constraint weights sum(weight * q**(pos+1)), its second the
+    sentinel times the coverage minus that stack, and the profit the
+    coverage summed over the chunks.  Each side of each identity is a sum
+    over S of one term per item, so it holds on every subset exactly when
+    it holds on every single item.  The terms come from constraint_weight
+    and the coverage table alone, never from the target's costs.
+    """
     digest = instance_digest(pi)
     target, art = rcsp_to_vk_embed(pi, chunk_size)
     q = art.base_q
-    big = art.sentinel
-    n_items = target.item_count
     failures = [0, 0, 0]
-    for _ in range(OBS_BASIC_SUBSETS):
-        chosen = [i for i in range(n_items) if rng.getrandbits(1)]
-        pairs = [item_of(pi, i) for i in chosen]
+    for i, (costs, item_profit) in enumerate(zip(target.costs, target.profits)):
+        v, s = item_of(pi, i)
         for l, chunk in enumerate(art.partition):
-            weight_sum = sum(
-                constraint_weight(pi, j, v, s) * q ** (pos + 1)
-                for pos, j in enumerate(chunk)
-                for (v, s) in pairs
-            )
-            coverage = sum(art.coverage[l][v] for (v, _) in pairs)
-            first = sum(target.costs[i][2 * l] for i in chosen)
-            second = sum(target.costs[i][2 * l + 1] for i in chosen)
-            if first != weight_sum:
-                failures[0] += 1
-            if second != big * coverage - weight_sum:
-                failures[1] += 1
-        total_coverage = sum(
-            art.coverage[l][v] for l in range(art.chunk_count) for (v, _) in pairs
-        )
-        if sum(target.profits[i] for i in chosen) != total_coverage:
-            failures[2] += 1
+            stack = sum(constraint_weight(pi, j, v, s) * q ** (pos + 1) for pos, j in enumerate(chunk))
+            failures[0] += costs[2 * l] != stack
+            failures[1] += costs[2 * l + 1] != art.sentinel * art.coverage[l][v] - stack
+        failures[2] += item_profit != sum(row[v] for row in art.coverage)
     names = (
         "packed-first-dimension",
         "packed-second-dimension",
@@ -366,8 +360,8 @@ def check_digit_identities(pi, chunk_size, rng) -> list[CheckRecord]:
             "obs-basic",
             f"{name}-F{chunk_size}",
             digest,
-            "identity holds exactly on every sampled subset",
-            f"{OBS_BASIC_SUBSETS} subsets, {bad} violations",
+            "identity holds exactly on every item, so on every subset",
+            f"{target.item_count} items in {art.chunk_count} chunks, {bad} violations",
             bad == 0,
         )
         for name, bad in zip(names, failures)
@@ -378,16 +372,8 @@ def run_obs_basic(instances: int, seed: int) -> VerificationReport:
     records = []
     for i in range(instances):
         rng = _derive(seed, i)
-        n = rng.choice((4, 6))
-        pi, _ = gen_rcsp_planted(
-            n,
-            sigma_size=rng.randint(1, 2),
-            upsilon_size=rng.randint(1, 3),
-            rng=rng,
-            regular3=True,
-        )
-        chunk_size = rng.choice((1, 2, 3))
-        records.extend(check_digit_identities(pi, chunk_size, rng))
+        pi, _ = _planted_cubic(rng.choice((4, 6)), rng)
+        records.extend(check_digit_identities(pi, rng.choice((1, 2, 3))))
     return VerificationReport("obs-basic", records)
 
 
@@ -402,15 +388,11 @@ def check_saturation(pi, chunk_size) -> list[CheckRecord]:
     digest = instance_digest(pi)
     target, art = rcsp_to_vk_embed(pi, chunk_size)
     m = pi.upsilon_size
-    n_items = target.item_count
     cap_failures = 0
     forced_failures = 0
     feasible_count = 0
     saturated_count = 0
-    for mask in range(1 << n_items):
-        solution = Solution(frozenset(i for i in range(n_items) if (mask >> i) & 1))
-        if not check_feasible(target, solution):
-            continue
+    for _, solution in _feasible_subsets(target):
         feasible_count += 1
         pairs = [item_of(pi, i) for i in solution.chosen]
         for l, chunk in enumerate(art.partition):
@@ -451,13 +433,7 @@ def run_vkw(count: int, seed: int) -> VerificationReport:
     records = []
     for i in range(count):
         rng = _derive(seed, i)
-        pi, _ = gen_rcsp_planted(
-            4,
-            sigma_size=rng.randint(1, 2),
-            upsilon_size=rng.randint(1, 3),
-            rng=rng,
-            regular3=True,
-        )
+        pi, _ = _planted_cubic(4, rng)
         records.extend(check_saturation(pi, rng.choice((1, 2))))
     return VerificationReport("vkw", records)
 

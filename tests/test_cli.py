@@ -250,6 +250,7 @@ GEN_FLAGS = {
     "rcsp": ["--regular3", "--vertices", "4", "--sigma", "2", "--upsilon", "2"],
     "csp2": ["--regular3", "--vertices", "4", "--sigma", "2"],
     "sat": ["--n", "6", "--m", "3", "--bound", "4", "--planted"],
+    "vk": ["--n", "3", "--dims", "1"],
 }
 
 
@@ -297,6 +298,29 @@ def test_non_integer_number_is_usage_error(tmp_path, capsys, kind, edit, route):
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed {kind} instance: ") and err.count("\n") == 1
     assert "not an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, field, edit, command", [
+    ("rcsp", "projections", lambda doc: doc["projections"].append({"u": [9, 9], "v": [1]}),
+     ["reduce", "rcsp2vk-simple"]),
+    ("rcsp", "projections", lambda doc: doc["projections"].pop(), ["reduce", "rcsp2vk-simple"]),
+    ("csp2", "constraints", lambda doc: doc["constraints"].append([[7, 7]]),
+     ["reduce", "csp2rcsp"]),
+    ("vk", "dimension", lambda doc: doc.update(dimension=5), ["solve", "brute"]),
+    ("vk", "dimension", lambda doc: doc.update(dimension="x"), ["solve", "brute"]),
+    ("vk", "dimension", lambda doc: doc.update(dimension=True), ["solve", "brute"]),
+], ids=["rcsp-extra-projection", "rcsp-missing-projection", "csp2-extra-constraint",
+        "vk-dimension-5", "vk-dimension-text", "vk-dimension-bool"])
+def test_entry_count_mismatch_is_usage_error(tmp_path, capsys, kind, field, edit, command):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    main(["gen", kind, "--seed", "3", "--out", str(src)] + GEN_FLAGS[kind])
+    doc = json.loads(read(src))
+    edit(doc)
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(command + ["--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {kind} instance: {field} ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -483,6 +507,14 @@ README_GOLDEN = [
       "stdout": "0305dcdb5735d6e1e39287f9a08a308652727610e7c6ec88201460cfed415cfe"}),
     (["verify", "discretize", "--count", "12"],
      {"stdout": "8bdc69f43258627ba4fc37e3e3bf0a68b444e9a6cf578b19e25cd84aeba88a84"}),
+    (["verify", "embed-roundtrip", "--count", "4", "--seed", "7"],
+     {"stdout": "7107484b1fff91ea3105ffed0f060735cdfab8a4e79b6276ad38b9a618a7a7bc"}),
+    (["verify", "vkw", "--count", "5", "--seed", "7", "--format", "csv",
+      "--out", "report.csv"],
+     {"report.csv": "73a36a74e0976d4a48db19182030f06dc33f5081a7ce4b920c16a9416ae3be03",
+      "stdout": "efaf6e60785f35220ae381fd7b53e82dfa03edda4505798fc6ddce3324545571"}),
+    (["verify", "obs-basic", "--count", "3", "--seed", "7"],
+     {"stdout": "8f58e75831950e43e28c52a9f2f9db389337097c093acdfbc32b74d06cfb1ec0"}),
 ]
 
 

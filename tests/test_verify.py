@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from knapreduce import verify
 from knapreduce.generators import gen_rcsp_planted
 from knapreduce.knapsack import VkInstance
-from knapreduce.reductions import rcsp_to_vk_embed
+from knapreduce.reductions import constraint_weight, item_of, rcsp_to_vk_embed
 from knapreduce.verify import (
     SUITES,
     VerificationReport,
+    check_digit_identities,
     check_embed_completeness,
     report_csv,
     report_json_payload,
@@ -75,3 +77,67 @@ def test_report_renderers():
     assert payload["passed"] is True
     assert len(payload["records"]) == len(report.records)
     json.dumps(payload)  # serializable
+
+
+def sampled_digit_identities(pi, chunk_size, rng):
+    """Reference for check_digit_identities: the three packed identities
+    tested on random item subsets.  Returns one verdict per identity."""
+    target, art = verify.rcsp_to_vk_embed(pi, chunk_size)
+    q = art.base_q
+    failures = [0, 0, 0]
+    for _ in range(1000):
+        chosen = [i for i in range(target.item_count) if rng.getrandbits(1)]
+        pairs = [item_of(pi, i) for i in chosen]
+        for l, chunk in enumerate(art.partition):
+            weight_sum = sum(
+                constraint_weight(pi, j, v, s) * q ** (pos + 1)
+                for pos, j in enumerate(chunk)
+                for (v, s) in pairs
+            )
+            coverage = sum(art.coverage[l][v] for (v, _) in pairs)
+            if sum(target.costs[i][2 * l] for i in chosen) != weight_sum:
+                failures[0] += 1
+            if sum(target.costs[i][2 * l + 1] for i in chosen) != art.sentinel * coverage - weight_sum:
+                failures[1] += 1
+        total_coverage = sum(row[v] for row in art.coverage for (v, _) in pairs)
+        if sum(target.profits[i] for i in chosen) != total_coverage:
+            failures[2] += 1
+    return [bad == 0 for bad in failures]
+
+
+def _shift_item_zero(column, delta):
+    """rcsp_to_vk_embed with item 0's cost column (or, for None, its profit)
+    moved by delta.  Item 0 belongs to vertex 0, which chunk 0 covers, so
+    its second dimension in chunk 0 is positive and stays nonnegative."""
+
+    def corrupted(pi, chunk_size):
+        target, art = rcsp_to_vk_embed(pi, chunk_size)
+        profits = list(target.profits)
+        costs = [list(row) for row in target.costs]
+        if column is None:
+            profits[0] += delta
+        else:
+            costs[0][column] += delta
+        return VkInstance(tuple(profits), tuple(map(tuple, costs)), target.budget), art
+
+    return corrupted
+
+
+@pytest.mark.parametrize("corruption, verdicts", [
+    (None, [True, True, True]),
+    ((0, 1), [False, True, True]),
+    ((1, -1), [True, False, True]),
+    ((None, 1), [True, True, False]),
+], ids=["correct", "first-dimension+1", "second-dimension-1", "profit+1"])
+def test_per_item_identities_agree_with_sampled_subsets(monkeypatch, corruption, verdicts):
+    if corruption is not None:
+        monkeypatch.setattr(verify, "rcsp_to_vk_embed", _shift_item_zero(*corruption))
+    for seed in range(10):
+        rng = random.Random(seed)
+        pi, _ = gen_rcsp_planted(
+            rng.choice((4, 6)), rng.randint(1, 2), rng.randint(1, 3), rng, regular3=True
+        )
+        chunk_size = rng.choice((1, 2, 3))
+        records = check_digit_identities(pi, chunk_size)
+        observed = [r.passed for r in records]
+        assert observed == sampled_digit_identities(pi, chunk_size, rng) == verdicts, seed
