@@ -31,10 +31,16 @@ def _graph_payload(graph: Graph) -> dict:
     }
 
 
-def _graph_from_payload(payload: dict) -> Graph:
-    return Graph(
-        payload["vertices"], frozenset(tuple(e) for e in payload["edges"])
-    )
+def _graph_from_payload(kind: str, payload: dict) -> Graph:
+    """The document's graph.  Per-edge entries bind to edge_list, the
+    sorted edges, so a document whose edges are not strictly ascending is
+    refused rather than having its entries land on other edges."""
+    edges = [tuple(e) for e in payload["edges"]]
+    for before, after in zip(edges, edges[1:]):
+        if before >= after:
+            raise ValueError(f"malformed {kind} instance: edges are not strictly ascending: "
+                             f"{list(before)} comes before {list(after)}")
+    return Graph(payload["vertices"], frozenset(edges))
 
 
 def instance_payload(obj) -> dict:
@@ -104,8 +110,10 @@ def parse_instance(text: str):
 
 
 def _per_edge(kind: str, field: str, graph: Graph, entries):
-    """Pair entries with the edges in edge_list order.  Any other count is
-    refused: zip would drop a surplus or leave edges without an entry."""
+    """Pair entries with the edges in edge_list order, which is the
+    document's own order once _graph_from_payload has accepted it.  Any
+    other count is refused: zip would drop a surplus or leave edges
+    without an entry."""
     if len(entries) != len(graph.edge_list):
         raise ValueError(f"malformed {kind} instance: {field} has {len(entries)} entries "
                          f"for {len(graph.edge_list)} edges")
@@ -120,14 +128,14 @@ def _instance_from_payload(kind, payload: dict):
             payload["occurrence_bound"],
         )
     if kind == "csp2":
-        graph = _graph_from_payload(payload)
+        graph = _graph_from_payload(kind, payload)
         constraints = {
             e: frozenset(tuple(p) for p in pairs)
             for e, pairs in _per_edge(kind, "constraints", graph, payload["constraints"])
         }
         return Csp2Instance(graph, payload["sigma_size"], constraints)
     if kind == "rcsp":
-        graph = _graph_from_payload(payload)
+        graph = _graph_from_payload(kind, payload)
         projections = {
             e: (
                 tuple(t - 1 for t in entry["u"]),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from operator import le, sub
 
 from .csp import csp_opt_bruteforce, csp_value, is_consistent, par_bruteforce
 from .discretize import digamma, gamma_for_dimension, varpi_down, varpi_up
@@ -71,12 +71,27 @@ def _planted_cubic(n: int, rng: random.Random):
 
 
 def _feasible_subsets(target):
-    """Yield (mask, solution) for every feasible item subset, in mask order."""
-    n_items = target.item_count
-    for mask in range(1 << n_items):
-        solution = Solution(frozenset(i for i in range(n_items) if (mask >> i) & 1))
-        if check_feasible(target, solution):
-            yield mask, solution
+    """Yield (mask, solution) for every feasible item subset, in mask order.
+
+    A depth-first walk extends each feasible set by larger indices that
+    still fit its residual budget, so it visits only the feasible sets:
+    costs are nonnegative, so no superset of an infeasible set fits.  The
+    masks are sorted afterwards, which keeps the order of the full
+    range(1 << n) filter.  room is a list for the reason given in
+    knapsack._best_subset.
+    """
+    costs, n_items = target.costs, target.item_count
+    masks = []
+    stack = [(0, 0, list(target.budget))]
+    while stack:
+        mask, start, room = stack.pop()
+        masks.append(mask)
+        for i in range(start, n_items):
+            ci = costs[i]
+            if all(map(le, ci, room)):
+                stack.append((mask | 1 << i, i + 1, list(map(sub, room, ci))))
+    for mask in sorted(masks):
+        yield mask, Solution(frozenset(i for i in range(n_items) if (mask >> i) & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +291,33 @@ def run_csp_chain(count: int, seed: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def check_discretization_bounds(dimension: int, budget_max: int) -> list[CheckRecord]:
+    """Both bounds on every point (b, x) with 0 <= x <= b <= budget_max.
+
+    The sandwich test depends on x alone, so it runs once per x and a
+    failure counts once for each of the budget_max + 1 - x budgets whose
+    sweep contains x; the counts read as those of a per-point sweep.  The
+    min bounds depend on the budget, so digamma runs on every point; with
+    gamma = p/q, the bound b - (b - x)/gamma is (b*p - (b - x)*q)/p, so it is
+    compared in integers and no point forms a Fraction of its own.
+    """
     gamma = gamma_for_dimension(dimension)
+    p, q = gamma.numerator, gamma.denominator
+    scaled = [gamma * x for x in range(budget_max + 1)]
     sandwich_failures = 0
+    for x in range(budget_max + 1):
+        down, up = varpi_down(x, gamma), varpi_up(x, gamma)
+        bad = (not down <= x <= up) + (x >= 1 and not up < scaled[x])
+        sandwich_failures += bad * (budget_max + 1 - x)
     min_bound_failures = 0
     checked = 0
     for b in range(budget_max + 1):
         budget = (b,)
         for x in range(b + 1):
             checked += 1
-            down, up = varpi_down(x, gamma), varpi_up(x, gamma)
-            if not (down <= x <= up):
-                sandwich_failures += 1
-            if x >= 1 and not up < gamma * x:
-                sandwich_failures += 1
             value = digamma((x,), budget, gamma).values[0]
-            if value > gamma * x:
+            if value > scaled[x]:
                 min_bound_failures += 1
-            if value > b - Fraction(b - x, 1) / gamma:
+            if value.numerator * p > (b * p - (b - x) * q) * value.denominator:
                 min_bound_failures += 1
     return [
         _rec(

@@ -107,6 +107,44 @@ def test_gcsp_kind_rejected():
         parse_instance(json.dumps(document))
 
 
+# Per-edge entries bind to the sorted edges, so a document listing its
+# edges in any other order would have its entries land on other edges.
+UNSORTED_EDGE_DOCUMENTS = {
+    "rcsp": ({"kind": "rcsp", "vertices": 3, "edges": [[1, 2], [0, 1]], "sigma_size": 2,
+              "upsilon_size": 2, "projections": [{"u": [1, 2], "v": [1, 1]},
+                                                 {"u": [2, 2], "v": [1, 2]}]},
+             ["rcsp2vk-simple"]),
+    "csp2": ({"kind": "csp2", "vertices": 3, "edges": [[1, 2], [0, 1]], "sigma_size": 2,
+              "constraints": [[[0, 1]], [[1, 0], [1, 1]]]},
+             ["csp2rcsp"]),
+}
+
+
+@pytest.mark.parametrize("kind", UNSORTED_EDGE_DOCUMENTS)
+def test_unsorted_edges_refused(kind):
+    document, _ = UNSORTED_EDGE_DOCUMENTS[kind]
+    with pytest.raises(ValueError, match=r"not strictly ascending: \[1, 2\] comes before \[0, 1\]"):
+        parse_instance(json.dumps(document))
+    document = dict(document, edges=[[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match=r"\[0, 1\] comes before \[0, 1\]"):
+        parse_instance(json.dumps(document))
+    document = dict(document, edges=[[0, 1], [1, 2]])
+    inst = parse_instance(json.dumps(document))
+    assert inst.graph.edge_list == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("kind", UNSORTED_EDGE_DOCUMENTS)
+def test_unsorted_edges_are_a_usage_error(tmp_path, capsys, kind):
+    document, route = UNSORTED_EDGE_DOCUMENTS[kind]
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["reduce", *route, "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: malformed {kind} instance: edges are not strictly ascending: "
+                   "[1, 2] comes before [0, 1]\n")
+    assert not out.exists()
+
+
 def test_artifacts_payload_shape():
     pi = gen_rcsp(4, 2, 2, random.Random(7), regular3=True)
     art = embed_artifacts(pi, 3)

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from knapreduce import verify
 from knapreduce.generators import gen_rcsp_planted
-from knapreduce.knapsack import VkInstance
+from knapreduce.knapsack import Solution, VkInstance, check_feasible
 from knapreduce.reductions import constraint_weight, item_of, rcsp_to_vk_embed
 from knapreduce.verify import (
     SUITES,
@@ -141,3 +143,74 @@ def test_per_item_identities_agree_with_sampled_subsets(monkeypatch, corruption,
         records = check_digit_identities(pi, chunk_size)
         observed = [r.passed for r in records]
         assert observed == sampled_digit_identities(pi, chunk_size, rng) == verdicts, seed
+
+
+def _filtered_masks(target):
+    """Reference for _feasible_subsets: every mask that check_feasible accepts."""
+    n = target.item_count
+    return [
+        mask for mask in range(1 << n)
+        if check_feasible(target, Solution(frozenset(i for i in range(n) if (mask >> i) & 1)))
+    ]
+
+
+def _walker_targets():
+    for seed in range(6):
+        pi, _ = verify._planted_cubic(4, random.Random(seed))
+        for chunk_size in (1, 2):
+            target = rcsp_to_vk_embed(pi, chunk_size)[0]
+            yield pytest.param("packed", target, id=f"packed-s{seed}-F{chunk_size}")
+    yield pytest.param("no-items", VkInstance((), (), (3, 1)), id="no-items")
+    yield pytest.param("zero-budget", VkInstance(
+        (1, 2, 3, 4), ((0, 1), (0, 0), (2, 0), (0, 0)), (0, 0)), id="zero-budget")
+    yield pytest.param("zero-costs", VkInstance((1,) * 6, ((0, 0),) * 6, (5, 0)), id="zero-costs")
+
+
+@pytest.mark.parametrize("name, target", list(_walker_targets()))
+def test_feasible_walk_matches_the_full_filter(name, target):
+    walked = list(verify._feasible_subsets(target))
+    masks = [mask for mask, _ in walked]
+    assert masks == _filtered_masks(target)
+    for mask, solution in walked:
+        assert solution.chosen == {i for i in range(target.item_count) if (mask >> i) & 1}
+    if name == "zero-costs":
+        assert masks == list(range(1 << target.item_count))
+    if name == "zero-budget":
+        assert masks == [0b0000, 0b0010, 0b1000, 0b1010]
+
+
+DISCRETIZE_B = 12
+DISCRETIZE_POINTS = (DISCRETIZE_B + 1) * (DISCRETIZE_B + 2) // 2
+
+
+def _discretize_observed(check):
+    report = run_suite("discretize", DISCRETIZE_B, seed=0)
+    return {r.observed for r in report.records if r.check.startswith(check)}
+
+
+@pytest.mark.parametrize("wrong_x", [0, 5, DISCRETIZE_B])
+def test_sandwich_failure_counts_once_per_budget(monkeypatch, wrong_x):
+    """A round-up below x at one x fails on each budget whose sweep holds x."""
+    varpi_up = verify.varpi_up
+    monkeypatch.setattr(
+        verify, "varpi_up",
+        lambda x, gamma: Fraction(x - 1) if x == wrong_x else varpi_up(x, gamma),
+    )
+    weight = DISCRETIZE_B + 1 - wrong_x
+    assert _discretize_observed("sandwich") == {f"{DISCRETIZE_POINTS} points, {weight} violations"}
+    assert _discretize_observed("min-bounds") == {f"{DISCRETIZE_POINTS} points, 0 violations"}
+
+
+@pytest.mark.parametrize("b, x, value", [
+    (6, 0, Fraction(1, 1000)),  # above gamma*x = 0, below B - B/gamma
+    (6, 6, Fraction(6001, 1000)),  # above B - 0, below gamma*x
+], ids=["gamma-x", "complement"])
+def test_min_bound_failure_counts_once(monkeypatch, b, x, value):
+    digamma = verify.digamma
+    monkeypatch.setattr(
+        verify, "digamma",
+        lambda cost, budget, gamma: SimpleNamespace(values=(value,))
+        if (cost, budget) == ((x,), (b,)) else digamma(cost, budget, gamma),
+    )
+    assert _discretize_observed("min-bounds") == {f"{DISCRETIZE_POINTS} points, 1 violations"}
+    assert _discretize_observed("sandwich") == {f"{DISCRETIZE_POINTS} points, 0 violations"}
