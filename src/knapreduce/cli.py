@@ -213,6 +213,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.artifacts and args.route != "rcsp2vk-embed":
+        raise ValueError(f"--artifacts applies only to route rcsp2vk-embed, not {args.route}")
     inst = _read_instance(args.input)
     artifacts_text = None
     if args.route == "sat2rcsp-embed":
@@ -289,6 +291,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.out and args.format is None:
+        raise ValueError("--out needs --format json or csv; the text report goes to stdout")
     count = args.count if args.count is not None else SUITES[args.suite][1]
     report = run_suite(args.suite, count, args.seed)
     if args.format == "json":

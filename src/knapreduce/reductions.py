@@ -514,7 +514,7 @@ def vk_solution_from_assignment(pi: RcspInstance, phi: PartialAssignment) -> Sol
 
 
 def extract_partial_assignment(
-    pi: RcspInstance, variant, solution: Solution, precomputed=None
+    pi: RcspInstance, variant, solution: Solution, precomputed
 ) -> PartialAssignment:
     """Consistent partial assignment recovered from a feasible solution.
 
@@ -524,12 +524,12 @@ def extract_partial_assignment(
     chunks are assigned; the saturation argument guarantees the result is
     consistent and of size at least |V| - 2 * deficit * chunk_size.
 
-    precomputed may hold the (target, artifacts) pair of the packed target
-    to spare rebuilding it on repeated extractions.
+    precomputed is the target that solution was drawn from: the plain
+    target for "simple", the (target, artifacts) pair of the packed one
+    otherwise.
     """
     if variant == "simple":
-        target = rcsp_to_vk_simple(pi) if precomputed is None else precomputed
-        if not check_feasible(target, solution):
+        if not check_feasible(precomputed, solution):
             raise ValueError("solution is infeasible in the plain target")
         chosen_vertices: set[int] = set()
         values: list[Optional[int]] = [None] * pi.graph.vertex_count
@@ -541,10 +541,7 @@ def extract_partial_assignment(
             values[v] = s
         return PartialAssignment(tuple(values))
 
-    chunk_size = int(variant)
-    target, art = (
-        rcsp_to_vk_embed(pi, chunk_size) if precomputed is None else precomputed
-    )
+    target, art = precomputed
     if not check_feasible(target, solution):
         raise ValueError("solution is infeasible in the packed target")
     selected = [item_of(pi, index) for index in sorted(solution.chosen)]

@@ -1,10 +1,11 @@
 """Property-verification suites behind the CLI's verify command.
 
 Each suite draws seeded random instances, runs one family of checks
-against the exact oracles, and returns a report with one record per
-check.  Suites never sample expected values from the code under test:
-every expectation comes from an independent brute-force computation or
-an algebraic identity evaluated from first principles.
+against the exact oracles, and yields the fields of one record per
+check; run_suite builds the records into a report.  Suites never sample
+expected values from the code under test: every expectation comes from
+an independent brute-force computation or an algebraic identity
+evaluated from first principles.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class VerificationReport:
         return ok, len(self.records)
 
 
-def _rec(suite, check, digest, expected, observed, passed) -> CheckRecord:
-    return CheckRecord(suite, check, digest, expected, str(observed), bool(passed))
-
-
 def _derive(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
@@ -98,55 +95,7 @@ def _feasible_subsets(target):
 # plain reduction roundtrip
 # ---------------------------------------------------------------------------
 
-def check_simple_roundtrip(pi) -> list[CheckRecord]:
-    digest = instance_digest(pi)
-    par, witness = par_bruteforce(pi)
-    target = rcsp_to_vk_simple(pi)
-    opt, opt_solution = solve_bruteforce(target)
-    records = [
-        _rec(
-            "simple-roundtrip",
-            "values-equal",
-            digest,
-            "max partial assignment == knapsack optimum",
-            f"{par} vs {opt}",
-            par == opt,
-        )
-    ]
-    forward = Solution(
-        frozenset(
-            item_index(pi, v, s) for v, s in enumerate(witness.values) if s is not None
-        )
-    )
-    forward_profit = profit(target, forward)
-    records.append(
-        _rec(
-            "simple-roundtrip",
-            "forward-witness",
-            digest,
-            "witness items feasible with equal profit",
-            f"profit {forward_profit}",
-            is_consistent(pi, witness)
-            and check_feasible(target, forward)
-            and forward_profit == par,
-        )
-    )
-    extracted = extract_partial_assignment(pi, "simple", opt_solution)
-    records.append(
-        _rec(
-            "simple-roundtrip",
-            "backward-extraction",
-            digest,
-            "extracted assignment consistent with size == optimum",
-            f"size {extracted.size()}",
-            is_consistent(pi, extracted) and extracted.size() == opt,
-        )
-    )
-    return records
-
-
-def run_simple_roundtrip(count: int, seed: int) -> VerificationReport:
-    records = []
+def _simple_roundtrip(count: int, seed: int):
     for i in range(count):
         rng = _derive(seed, i)
         n = rng.randint(2, 5)
@@ -158,20 +107,50 @@ def run_simple_roundtrip(count: int, seed: int) -> VerificationReport:
             rng=rng,
             edge_count=rng.randint(1, min(max_edges, n + 1)),
         )
-        records.extend(check_simple_roundtrip(pi))
-    return VerificationReport("simple-roundtrip", records)
+        digest = instance_digest(pi)
+        par, witness = par_bruteforce(pi)
+        target = rcsp_to_vk_simple(pi)
+        opt, opt_solution = solve_bruteforce(target)
+        yield (
+            digest,
+            "values-equal",
+            "max partial assignment == knapsack optimum",
+            f"{par} vs {opt}",
+            par == opt,
+        )
+        forward = Solution(
+            frozenset(
+                item_index(pi, v, s) for v, s in enumerate(witness.values) if s is not None
+            )
+        )
+        forward_profit = profit(target, forward)
+        yield (
+            digest,
+            "forward-witness",
+            "witness items feasible with equal profit",
+            f"profit {forward_profit}",
+            is_consistent(pi, witness)
+            and check_feasible(target, forward)
+            and forward_profit == par,
+        )
+        extracted = extract_partial_assignment(pi, "simple", opt_solution, target)
+        yield (
+            digest,
+            "backward-extraction",
+            "extracted assignment consistent with size == optimum",
+            f"size {extracted.size()}",
+            is_consistent(pi, extracted) and extracted.size() == opt,
+        )
 
 
 # ---------------------------------------------------------------------------
 # packed reduction roundtrip
 # ---------------------------------------------------------------------------
 
-def check_embed_completeness(pi, planted, chunk_size, target=None) -> list[CheckRecord]:
-    """target may be passed explicitly (e.g. a deliberately corrupted copy)
-    so negative controls can confirm the harness flags violations."""
-    digest = instance_digest(pi)
-    if target is None:
-        target, _ = rcsp_to_vk_embed(pi, chunk_size)
+def check_embed_completeness(pi, planted, chunk_size, target):
+    """Record fields (check, expected, observed, passed): the planted
+    assignment's items are feasible in target with full profit.  A negative
+    control passes a deliberately corrupted target to see the check fail."""
     full = pi.graph.vertex_count + 2 * len(pi.graph.edges)
     solution = vk_solution_from_assignment(pi, planted)
     feasible = check_feasible(target, solution)
@@ -180,118 +159,94 @@ def check_embed_completeness(pi, planted, chunk_size, target=None) -> list[Check
         if feasible
         else "planted solution violates a budget"
     )
-    ok = feasible and profit(target, solution) == full
-    return [
-        _rec(
-            "embed-roundtrip",
-            f"completeness-F{chunk_size}",
-            digest,
-            f"planted assignment feasible with profit {full}",
-            observed,
-            ok,
-        )
-    ]
+    return (
+        f"completeness-F{chunk_size}",
+        f"planted assignment feasible with profit {full}",
+        observed,
+        feasible and profit(target, solution) == full,
+    )
 
 
-def check_embed_soundness_exhaustive(pi, chunk_size) -> list[CheckRecord]:
-    """Every feasible subset extracts to a consistent assignment within the
-    deficit bound.  Exhaustive, so keep the instance tiny."""
-    digest = instance_digest(pi)
-    target, art = rcsp_to_vk_embed(pi, chunk_size)
+def check_embed_soundness_exhaustive(pi, chunk_size, target, art):
+    """Record fields (check, expected, observed, passed): every feasible
+    subset of the packed (target, art) extracts to an assignment of pi that
+    is consistent and within the deficit bound.  Exhaustive, so keep the
+    instance tiny."""
     full = pi.graph.vertex_count + 2 * len(pi.graph.edges)
     checked = 0
     failures = []
     for mask, solution in _feasible_subsets(target):
         checked += 1
         deficit = full - profit(target, solution)
-        phi = extract_partial_assignment(
-            pi, chunk_size, solution, precomputed=(target, art)
-        )
+        phi = extract_partial_assignment(pi, chunk_size, solution, (target, art))
         bound = pi.graph.vertex_count - 2 * deficit * chunk_size
         if not is_consistent(pi, phi):
             failures.append(f"inconsistent extraction at mask {mask}")
         elif phi.size() < bound:
             failures.append(f"size {phi.size()} below bound {bound} at mask {mask}")
-    observed = failures[0] if failures else f"{checked} feasible subsets"
-    return [
-        _rec(
-            "embed-roundtrip",
-            f"soundness-exhaustive-F{chunk_size}",
-            digest,
-            "every feasible subset extracts consistently within the size bound",
-            observed,
-            not failures,
-        )
-    ]
+    return (
+        f"soundness-exhaustive-F{chunk_size}",
+        "every feasible subset extracts consistently within the size bound",
+        failures[0] if failures else f"{checked} feasible subsets",
+        not failures,
+    )
 
 
-def run_embed_roundtrip(count: int, seed: int) -> VerificationReport:
-    records = []
+def _embed_roundtrip(count: int, seed: int):
     for i in range(count):
         rng = _derive(seed, i)
         n = rng.choice((4, 6))
         pi, planted = _planted_cubic(n, rng)
-        for chunk_size in (1, 2, n):
-            records.extend(check_embed_completeness(pi, planted, chunk_size))
+        digest = instance_digest(pi)
+        packed = {chunk_size: rcsp_to_vk_embed(pi, chunk_size) for chunk_size in (1, 2, n)}
+        for chunk_size, (target, _) in packed.items():
+            yield (digest, *check_embed_completeness(pi, planted, chunk_size, target))
         if n == 4:
-            records.extend(check_embed_soundness_exhaustive(pi, rng.choice((1, 2))))
-    return VerificationReport("embed-roundtrip", records)
+            chunk_size = rng.choice((1, 2))
+            yield (digest, *check_embed_soundness_exhaustive(pi, chunk_size, *packed[chunk_size]))
 
 
 # ---------------------------------------------------------------------------
 # binary CSP chain
 # ---------------------------------------------------------------------------
 
-def check_csp_chain(gamma) -> list[CheckRecord]:
-    digest = instance_digest(gamma)
-    edge_total = len(gamma.graph.edges)
-    csp_opt = csp_opt_bruteforce(gamma)
-    pi = csp2_to_rcsp(gamma)
-    par, witness = par_bruteforce(pi)
-    records = [
-        _rec(
-            "csp-chain",
-            "full-satisfaction-iff-full-assignment",
-            digest,
-            f"CSP optimum == {edge_total} iff partial-assignment optimum == {edge_total}",
-            f"csp={csp_opt} par={par}",
-            (csp_opt == edge_total) == (par == edge_total),
-        )
-    ]
-    deficit = edge_total - par
-    extracted = csp2_assignment_from_rcsp(gamma, witness)
-    satisfied = csp_value(gamma, extracted)
-    records.append(
-        _rec(
-            "csp-chain",
-            "extraction-satisfies-enough-edges",
-            digest,
-            f"extracted assignment satisfies >= {edge_total} - 6*{deficit}",
-            f"satisfied {satisfied}",
-            satisfied >= edge_total - 6 * deficit,
-        )
-    )
-    return records
-
-
-def run_csp_chain(count: int, seed: int) -> VerificationReport:
-    records = []
+def _csp_chain(count: int, seed: int):
     for i in range(count):
         rng = _derive(seed, i)
         sigma = 2 if i % 4 else 3
         gamma = gen_csp2(
             4, sigma, rng, regular3=True, planted=bool(rng.getrandbits(1))
         )
-        records.extend(check_csp_chain(gamma))
-    return VerificationReport("csp-chain", records)
+        digest = instance_digest(gamma)
+        edge_total = len(gamma.graph.edges)
+        csp_opt = csp_opt_bruteforce(gamma)
+        par, witness = par_bruteforce(csp2_to_rcsp(gamma))
+        yield (
+            digest,
+            "full-satisfaction-iff-full-assignment",
+            f"CSP optimum == {edge_total} iff partial-assignment optimum == {edge_total}",
+            f"csp={csp_opt} par={par}",
+            (csp_opt == edge_total) == (par == edge_total),
+        )
+        deficit = edge_total - par
+        satisfied = csp_value(gamma, csp2_assignment_from_rcsp(gamma, witness))
+        yield (
+            digest,
+            "extraction-satisfies-enough-edges",
+            f"extracted assignment satisfies >= {edge_total} - 6*{deficit}",
+            f"satisfied {satisfied}",
+            satisfied >= edge_total - 6 * deficit,
+        )
 
 
 # ---------------------------------------------------------------------------
 # discretization bounds
 # ---------------------------------------------------------------------------
 
-def check_discretization_bounds(dimension: int, budget_max: int) -> list[CheckRecord]:
-    """Both bounds on every point (b, x) with 0 <= x <= b <= budget_max.
+def _discretize(count: int, seed: int):
+    """Both bounds on every point (b, x) with 0 <= x <= b <= budget_max, in
+    dimensions 1..5, where budget_max is count capped at 200; the sweep is
+    exhaustive, so the seed is unused.
 
     The sandwich test depends on x alone, so it runs once per x and a
     failure counts once for each of the budget_max + 1 - x budgets whose
@@ -300,61 +255,51 @@ def check_discretization_bounds(dimension: int, budget_max: int) -> list[CheckRe
     gamma = p/q, the bound b - (b - x)/gamma is (b*p - (b - x)*q)/p, so it is
     compared in integers and no point forms a Fraction of its own.
     """
-    gamma = gamma_for_dimension(dimension)
-    p, q = gamma.numerator, gamma.denominator
-    scaled = [gamma * x for x in range(budget_max + 1)]
-    sandwich_failures = 0
-    for x in range(budget_max + 1):
-        down, up = varpi_down(x, gamma), varpi_up(x, gamma)
-        bad = (not down <= x <= up) + (x >= 1 and not up < scaled[x])
-        sandwich_failures += bad * (budget_max + 1 - x)
-    min_bound_failures = 0
-    checked = 0
-    for b in range(budget_max + 1):
-        budget = (b,)
-        for x in range(b + 1):
-            checked += 1
-            value = digamma((x,), budget, gamma).values[0]
-            if value > scaled[x]:
-                min_bound_failures += 1
-            if value.numerator * p > (b * p - (b - x) * q) * value.denominator:
-                min_bound_failures += 1
-    return [
-        _rec(
-            "discretize",
+    budget_max = min(200, max(1, count))
+    sweep = f"exhaustive-B{budget_max}"
+    for dimension in range(1, 6):
+        gamma = gamma_for_dimension(dimension)
+        p, q = gamma.numerator, gamma.denominator
+        scaled = [gamma * x for x in range(budget_max + 1)]
+        sandwich_failures = 0
+        for x in range(budget_max + 1):
+            down, up = varpi_down(x, gamma), varpi_up(x, gamma)
+            bad = (not down <= x <= up) + (x >= 1 and not up < scaled[x])
+            sandwich_failures += bad * (budget_max + 1 - x)
+        min_bound_failures = 0
+        checked = 0
+        for b in range(budget_max + 1):
+            budget = (b,)
+            for x in range(b + 1):
+                checked += 1
+                value = digamma((x,), budget, gamma).values[0]
+                if value > scaled[x]:
+                    min_bound_failures += 1
+                if value.numerator * p > (b * p - (b - x) * q) * value.denominator:
+                    min_bound_failures += 1
+        yield (
+            sweep,
             f"sandwich-d{dimension}",
-            f"exhaustive-B{budget_max}",
             "down <= x <= up < gamma*x on every point",
             f"{checked} points, {sandwich_failures} violations",
             sandwich_failures == 0,
-        ),
-        _rec(
-            "discretize",
+        )
+        yield (
+            sweep,
             f"min-bounds-d{dimension}",
-            f"exhaustive-B{budget_max}",
             "value <= gamma*x and value <= B - (B-x)/gamma on every point",
             f"{checked} points, {min_bound_failures} violations",
             min_bound_failures == 0,
-        ),
-    ]
-
-
-def run_discretize(count: int, seed: int) -> VerificationReport:
-    """Sweeps every budget up to count, capped at 200, in dimensions 1..5;
-    the sweep is exhaustive, so the seed is unused."""
-    budget_max = min(200, max(1, count))
-    records = []
-    for dimension in range(1, 6):
-        records.extend(check_discretization_bounds(dimension, budget_max))
-    return VerificationReport("discretize", records)
+        )
 
 
 # ---------------------------------------------------------------------------
 # packed-cost algebraic identities
 # ---------------------------------------------------------------------------
 
-def check_digit_identities(pi, chunk_size) -> list[CheckRecord]:
-    """The packed target's three cost identities, checked item by item.
+def check_digit_identities(pi, chunk_size):
+    """Record fields (check, expected, observed, passed) of the packed
+    target's three cost identities, checked item by item.
 
     For a set S of chosen items, chunk l's first dimension must equal the
     stacked constraint weights sum(weight * q**(pos+1)), its second the
@@ -364,7 +309,6 @@ def check_digit_identities(pi, chunk_size) -> list[CheckRecord]:
     it holds on every single item.  The terms come from constraint_weight
     and the coverage table alone, never from the target's costs.
     """
-    digest = instance_digest(pi)
     target, art = rcsp_to_vk_embed(pi, chunk_size)
     q = art.base_q
     failures = [0, 0, 0]
@@ -381,10 +325,8 @@ def check_digit_identities(pi, chunk_size) -> list[CheckRecord]:
         "profit-equals-coverage",
     )
     return [
-        _rec(
-            "obs-basic",
+        (
             f"{name}-F{chunk_size}",
-            digest,
             "identity holds exactly on every item, so on every subset",
             f"{target.item_count} items in {art.chunk_count} chunks, {bad} violations",
             bad == 0,
@@ -393,95 +335,91 @@ def check_digit_identities(pi, chunk_size) -> list[CheckRecord]:
     ]
 
 
-def run_obs_basic(instances: int, seed: int) -> VerificationReport:
-    records = []
-    for i in range(instances):
+def _obs_basic(count: int, seed: int):
+    for i in range(count):
         rng = _derive(seed, i)
         pi, _ = _planted_cubic(rng.choice((4, 6)), rng)
-        records.extend(check_digit_identities(pi, rng.choice((1, 2, 3))))
-    return VerificationReport("obs-basic", records)
+        digest = instance_digest(pi)
+        for fields in check_digit_identities(pi, rng.choice((1, 2, 3))):
+            yield (digest, *fields)
 
 
 # ---------------------------------------------------------------------------
 # saturation checks: coverage cap and forced digit targets
 # ---------------------------------------------------------------------------
 
-def check_saturation(pi, chunk_size) -> list[CheckRecord]:
+def _vkw(count: int, seed: int):
     """Exhaustive over feasible subsets: per-chunk coverage never exceeds the
     chunk total, and meeting it forces every constraint weight to the
     range size (checked both directly and through the digit-sum utility)."""
-    digest = instance_digest(pi)
-    target, art = rcsp_to_vk_embed(pi, chunk_size)
-    m = pi.upsilon_size
-    cap_failures = 0
-    forced_failures = 0
-    feasible_count = 0
-    saturated_count = 0
-    for _, solution in _feasible_subsets(target):
-        feasible_count += 1
-        pairs = [item_of(pi, i) for i in solution.chosen]
-        for l, chunk in enumerate(art.partition):
-            coverage = sum(art.coverage[l][v] for (v, _) in pairs)
-            if coverage > art.chunk_totals[l]:
-                cap_failures += 1
-            if coverage == art.chunk_totals[l]:
-                saturated_count += 1
-                weights = [
-                    sum(constraint_weight(pi, j, v, s) for (v, s) in pairs)
-                    for j in chunk
-                ]
-                if not all(w == m for w in weights):
-                    forced_failures += 1
-                if not verify_base_q_digits(weights, art.base_q, m):
-                    forced_failures += 1
-    return [
-        _rec(
-            "vkw",
-            f"coverage-cap-F{chunk_size}",
-            digest,
-            "selected coverage never exceeds the chunk total",
-            f"{feasible_count} feasible subsets, {cap_failures} violations",
-            cap_failures == 0,
-        ),
-        _rec(
-            "vkw",
-            f"saturation-forces-digit-targets-F{chunk_size}",
-            digest,
-            "saturated chunks have every constraint weight at the range size",
-            f"{saturated_count} saturated chunks, {forced_failures} violations",
-            forced_failures == 0,
-        ),
-    ]
-
-
-def run_vkw(count: int, seed: int) -> VerificationReport:
-    records = []
     for i in range(count):
         rng = _derive(seed, i)
         pi, _ = _planted_cubic(4, rng)
-        records.extend(check_saturation(pi, rng.choice((1, 2))))
-    return VerificationReport("vkw", records)
+        chunk_size = rng.choice((1, 2))
+        digest = instance_digest(pi)
+        target, art = rcsp_to_vk_embed(pi, chunk_size)
+        m = pi.upsilon_size
+        cap_failures = 0
+        forced_failures = 0
+        feasible_count = 0
+        saturated_count = 0
+        for _, solution in _feasible_subsets(target):
+            feasible_count += 1
+            pairs = [item_of(pi, item) for item in solution.chosen]
+            for l, chunk in enumerate(art.partition):
+                coverage = sum(art.coverage[l][v] for (v, _) in pairs)
+                if coverage > art.chunk_totals[l]:
+                    cap_failures += 1
+                if coverage == art.chunk_totals[l]:
+                    saturated_count += 1
+                    weights = [
+                        sum(constraint_weight(pi, j, v, s) for (v, s) in pairs)
+                        for j in chunk
+                    ]
+                    if not all(w == m for w in weights):
+                        forced_failures += 1
+                    if not verify_base_q_digits(weights, art.base_q, m):
+                        forced_failures += 1
+        yield (
+            digest,
+            f"coverage-cap-F{chunk_size}",
+            "selected coverage never exceeds the chunk total",
+            f"{feasible_count} feasible subsets, {cap_failures} violations",
+            cap_failures == 0,
+        )
+        yield (
+            digest,
+            f"saturation-forces-digit-targets-F{chunk_size}",
+            "saturated chunks have every constraint weight at the range size",
+            f"{saturated_count} saturated chunks, {forced_failures} violations",
+            forced_failures == 0,
+        )
 
 
 # ---------------------------------------------------------------------------
 # dispatch and rendering
 # ---------------------------------------------------------------------------
 
-# suite name -> (runner taking (count, seed), default count)
+# suite name -> (generator taking (count, seed) and yielding the fields
+# (instance, check, expected, observed, passed) of each record, default count)
 SUITES = {
-    "simple-roundtrip": (run_simple_roundtrip, 200),
-    "embed-roundtrip": (run_embed_roundtrip, 40),
-    "csp-chain": (run_csp_chain, 100),
-    "discretize": (run_discretize, 200),
-    "obs-basic": (run_obs_basic, 50),
-    "vkw": (run_vkw, 25),
+    "simple-roundtrip": (_simple_roundtrip, 200),
+    "embed-roundtrip": (_embed_roundtrip, 40),
+    "csp-chain": (_csp_chain, 100),
+    "discretize": (_discretize, 200),
+    "obs-basic": (_obs_basic, 50),
+    "vkw": (_vkw, 25),
 }
 
 
 def run_suite(suite: str, count: int, seed: int) -> VerificationReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return SUITES[suite][0](count, seed)
+    records = [
+        CheckRecord(suite, check, instance, expected, str(observed), bool(passed))
+        for instance, check, expected, observed, passed in SUITES[suite][0](count, seed)
+    ]
+    return VerificationReport(suite, records)
 
 
 def report_text(report: VerificationReport) -> str:

@@ -409,6 +409,26 @@ def test_verify_count_below_one_is_usage_error(count, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_verify_out_without_format_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    assert main(["verify", "vkw", "--count", "1", "--seed", "7", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_artifacts_off_the_embed_route_is_usage_error(tmp_path, capsys):
+    src, art = tmp_path / "pi.json", tmp_path / "a.json"
+    main(["gen", "rcsp", "--regular3", "--vertices", "4", "--seed", "13", "--out", str(src)])
+    capsys.readouterr()
+    assert main(["reduce", "rcsp2vk-simple", "--in", str(src), "--artifacts", str(art)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --artifacts") and captured.err.count("\n") == 1
+    assert not art.exists()
+
+
 def test_reduce_is_byte_deterministic(tmp_path):
     src = tmp_path / "pi.json"
     main(["gen", "rcsp", "--regular3", "--vertices", "4", "--seed", "13",

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,6 +16,7 @@ from knapreduce.verify import (
     VerificationReport,
     check_digit_identities,
     check_embed_completeness,
+    check_embed_soundness_exhaustive,
     report_csv,
     report_json_payload,
     report_text,
@@ -61,10 +64,42 @@ def test_corrupted_budget_negative_control():
         target.costs,
         (target.budget[0] - 1,) + target.budget[1:],
     )
-    records = check_embed_completeness(pi, planted, 2, target=corrupted)
-    assert not all(r.passed for r in records)
-    failing = [r for r in records if not r.passed]
-    assert "violates" in failing[0].observed
+    check, _, observed, passed = check_embed_completeness(pi, planted, 2, corrupted)
+    assert check == "completeness-F2"
+    assert not passed
+    assert observed == "planted solution violates a budget"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4, 5])
+@pytest.mark.parametrize("chunk_size", [1, 2])
+def test_soundness_negative_control(seed, chunk_size):
+    """The packed target of pi extracts the planted symbols, which an
+    instance with one edge's u-projection moved by 1 mod m rejects."""
+    pi, planted = verify._planted_cubic(4, random.Random(seed))
+    m = pi.upsilon_size
+    assert m > 1  # seed 2 draws m = 1, where no projection can move
+    (u, v), (proj_u, proj_v) = min(pi.projections.items())
+    moved = list(proj_u)
+    moved[planted.values[u]] = (moved[planted.values[u]] + 1) % m
+    corrupted = replace(pi, projections={**pi.projections, (u, v): (tuple(moved), proj_v)})
+    target, art = rcsp_to_vk_embed(pi, chunk_size)
+    assert check_embed_soundness_exhaustive(pi, chunk_size, target, art)[3]
+    check, _, observed, passed = check_embed_soundness_exhaustive(
+        corrupted, chunk_size, target, art
+    )
+    assert check == f"soundness-exhaustive-F{chunk_size}"
+    assert not passed
+    assert observed.startswith("inconsistent extraction at mask ")
+
+
+def test_records_pinned_over_many_seeds():
+    """Every record byte of every suite at counts 1, 2 and 4, seeds 0-11."""
+    digest = hashlib.sha256()
+    for suite in SUITES:
+        for count in (1, 2, 4):
+            for seed in range(12):
+                digest.update(report_text(run_suite(suite, count, seed)).encode())
+    assert digest.hexdigest() == "9493b1cbfc34a90df7786570dcfbd9daa269e22909ddf2147bbbd68c3f0e38c6"
 
 
 def test_report_renderers():
@@ -140,8 +175,7 @@ def test_per_item_identities_agree_with_sampled_subsets(monkeypatch, corruption,
             rng.choice((4, 6)), rng.randint(1, 2), rng.randint(1, 3), rng, regular3=True
         )
         chunk_size = rng.choice((1, 2, 3))
-        records = check_digit_identities(pi, chunk_size)
-        observed = [r.passed for r in records]
+        observed = [passed for *_, passed in check_digit_identities(pi, chunk_size)]
         assert observed == sampled_digit_identities(pi, chunk_size, rng) == verdicts, seed
 
 

@@ -162,7 +162,7 @@ class TestSimpleTarget:
             target = rcsp_to_vk_simple(pi)
             opt, solution = solve_bruteforce(target)
             assert par == opt
-            extracted = extract_partial_assignment(pi, "simple", solution)
+            extracted = extract_partial_assignment(pi, "simple", solution, target)
             assert is_consistent(pi, extracted)
             assert extracted.size() == opt
 
@@ -193,7 +193,7 @@ class TestSimpleTarget:
         pi = swap_instance()
         both_copies = Solution(frozenset({0, 1}))
         with pytest.raises(ValueError):
-            extract_partial_assignment(pi, "simple", both_copies)
+            extract_partial_assignment(pi, "simple", both_copies, rcsp_to_vk_simple(pi))
 
     def test_refuses_past_the_target_cap(self):
         # checked before any row is built: the dimension alone, or the
@@ -324,10 +324,10 @@ class TestEmbedTarget:
             pi, planted = planted_k4(1000 + seed, sigma=2, upsilon=3)
             par, _ = par_bruteforce(pi)
             assert par == 4  # planted instances admit a total assignment
-            target, _ = rcsp_to_vk_embed(pi, 2)
+            target, art = rcsp_to_vk_embed(pi, 2)
             opt, solution = solve_bruteforce(target)
             assert opt == 16
-            recovered = extract_partial_assignment(pi, 2, solution)
+            recovered = extract_partial_assignment(pi, 2, solution, (target, art))
             assert recovered.size() == 4
 
     def test_roundtrip_equivalence_on_unplanted_instances(self):
@@ -367,18 +367,22 @@ class TestEmbedTarget:
         pi, planted = planted_k4(42)
         solution = vk_solution_from_assignment(pi, planted)
         for chunk_size in (1, 2, 4):
-            recovered = extract_partial_assignment(pi, chunk_size, solution)
+            recovered = extract_partial_assignment(
+                pi, chunk_size, solution, rcsp_to_vk_embed(pi, chunk_size)
+            )
             assert recovered == planted
-        simple_recovered = extract_partial_assignment(pi, "simple", solution)
+        simple_recovered = extract_partial_assignment(
+            pi, "simple", solution, rcsp_to_vk_simple(pi)
+        )
         assert simple_recovered == planted
 
     def test_extract_rejects_infeasible(self):
         pi, _ = planted_k4(11)
-        target, _ = rcsp_to_vk_embed(pi, 1)
+        target, art = rcsp_to_vk_embed(pi, 1)
         everything = Solution(frozenset(range(target.item_count)))
         assert not check_feasible(target, everything)
         with pytest.raises(ValueError):
-            extract_partial_assignment(pi, 1, everything)
+            extract_partial_assignment(pi, 1, everything, (target, art))
 
 
 class TestDigitSums:
