@@ -53,15 +53,6 @@ USAGE_EXIT = 2
 CAP_EXIT = 3
 VERIFY_EXIT = 4
 
-GEN_KINDS = ("sat", "csp2", "rcsp", "vk")
-REDUCE_ROUTES = (
-    "sat2rcsp-embed",
-    "sat2rcsp-disperser",
-    "csp2rcsp",
-    "rcsp2vk-simple",
-    "rcsp2vk-embed",
-)
-SOLVE_METHODS = ("brute", "dp", "approx", "approx-unbounded", "approx-lp")
 # --epsilon: an integer, a decimal or p/q with q > 0.  Fraction also takes an
 # exponent, and "1e-2000000" alone builds a denominator of millions of bits.
 RATIONAL = re.compile(r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|[0-9]*\.?[0-9]+)")
@@ -80,6 +71,76 @@ def _read_instance(path: str):
         return parse_instance(handle.read())
 
 
+def _gen_sat(a, rng):
+    if a.planted:
+        return gen_sat_satisfiable(a.n, a.m, a.bound, rng)[0]
+    return gen_sat(a.n, a.m, a.bound, rng)
+
+
+def _gen_rcsp(a, rng):
+    shape = (a.vertices, a.sigma, a.upsilon, rng)
+    if a.planted:
+        return gen_rcsp_planted(*shape, edge_count=a.edges, regular3=a.regular3)[0]
+    return gen_rcsp(*shape, edge_count=a.edges, regular3=a.regular3)
+
+
+def _sat2rcsp_disperser(phi, a):
+    if not RATIONAL.fullmatch(a.epsilon):
+        raise ValueError("--epsilon must be an integer, decimal or p/q with q > 0, "
+                         f"not {a.epsilon!r}")
+    return sat_to_rcsp_disperser_route(phi, a.k, a.r, Fraction(a.epsilon), a.seed)
+
+
+# vk class: (generator, least --max-cost); the non-plain classes draw each
+# budget from 2..max_cost
+VK_CLASSES = {
+    "plain": (gen_vk, 1),
+    "mixed": (gen_vk_mixed, 2),
+    "2bounded": (gen_vk_2bounded, 2),
+    "2unbounded": (gen_vk_2unbounded, 2),
+}
+
+# kind: (its own flag floors given the args, build from (args, rng))
+GEN = {
+    "sat": (lambda a: (), _gen_sat),
+    "csp2": (
+        lambda a: (("sigma", 1),),
+        lambda a, rng: gen_csp2(
+            a.vertices, a.sigma, rng, edge_count=a.edges,
+            regular3=a.regular3 or a.edges is None, planted=a.planted,
+        ),
+    ),
+    "rcsp": (lambda a: (("sigma", 1), ("upsilon", 1)), _gen_rcsp),
+    "vk": (
+        lambda a: (
+            ("max-cost", VK_CLASSES[a.vk_class][1], f" for --vk-class {a.vk_class}"),
+            ("max-profit", 0),
+        ),
+        lambda a, rng: VK_CLASSES[a.vk_class][0](a.n, a.dims, a.max_cost, a.max_profit, rng),
+    ),
+}
+
+# route: (input type, the kind its error names, build from (instance, args));
+# AUDITED_ROUTE alone builds an artifacts object beside its target
+AUDITED_ROUTE = "rcsp2vk-embed"
+REDUCE = {
+    "sat2rcsp-embed": (SatInstance, "a sat", lambda phi, a: sat_to_rcsp_embedding_route(phi, a.k)),
+    "sat2rcsp-disperser": (SatInstance, "a sat", _sat2rcsp_disperser),
+    "csp2rcsp": (Csp2Instance, "a csp2", lambda gamma, a: csp2_to_rcsp(gamma)),
+    "rcsp2vk-simple": (RcspInstance, "an rcsp", lambda pi, a: rcsp_to_vk_simple(pi)),
+    AUDITED_ROUTE: (RcspInstance, "an rcsp", lambda pi, a: rcsp_to_vk_embed(pi, a.F)),
+}
+
+# method: the chosen Solution of (instance, args)
+SOLVE = {
+    "brute": lambda inst, a: solve_bruteforce(inst, a.cap_nodes)[1],
+    "dp": lambda inst, a: solve_dp(inst, a.cap_states)[1],
+    "approx": lambda inst, a: approx_sqrt_d(inst, a.seed),
+    "approx-unbounded": lambda inst, a: approx_2unbounded(inst),
+    "approx-lp": lambda inst, a: approx_lp_rounding(inst, a.seed),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knapreduce",
@@ -91,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a seeded random instance file")
-    gen.add_argument("kind", choices=GEN_KINDS)
+    gen.set_defaults(run=_cmd_gen)
+    gen.add_argument("kind", choices=GEN)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", default=None)
     gen.add_argument("--n", type=int, default=6, help="variables (sat) or items (vk)")
@@ -106,14 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dims", type=int, default=2)
     gen.add_argument("--max-cost", type=int, default=10)
     gen.add_argument("--max-profit", type=int, default=10)
-    gen.add_argument(
-        "--vk-class",
-        choices=("plain", "mixed", "2bounded", "2unbounded"),
-        default="plain",
-    )
+    gen.add_argument("--vk-class", choices=VK_CLASSES, default="plain")
 
     red = sub.add_parser("reduce", help="apply a reduction route to an instance file")
-    red.add_argument("route", choices=REDUCE_ROUTES)
+    red.set_defaults(run=_cmd_reduce)
+    red.add_argument("route", choices=REDUCE)
     red.add_argument("--in", dest="input", required=True)
     red.add_argument("--out", default=None)
     red.add_argument("--artifacts", default=None, help="audit file for the embed route")
@@ -124,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--seed", type=int, default=0)
 
     solve = sub.add_parser("solve", help="run a solver on a knapsack instance file")
-    solve.add_argument("method", choices=SOLVE_METHODS)
+    solve.set_defaults(run=_cmd_solve)
+    solve.add_argument("method", choices=SOLVE)
     solve.add_argument("--in", dest="input", required=True)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", default=None)
@@ -133,6 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--cap-states", type=int, default=DEFAULT_STATE_CAP)
 
     ver = sub.add_parser("verify", help="run a property-verification suite")
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("suite", choices=SUITES)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument(
@@ -147,105 +208,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.dims < 1:
-        raise ValueError(f"--dims must be at least 1, got {args.dims}")
-    for flag in ("n", "m", "vertices"):
-        if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag} must be nonnegative, got {getattr(args, flag)}")
-    alphabet_flags = {"csp2": ("sigma",), "rcsp": ("sigma", "upsilon")}.get(args.kind, ())
-    for flag in alphabet_flags:
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-    if args.kind == "vk":
-        # the non-plain classes draw each budget from 2..max_cost
-        least_cost = 1 if args.vk_class == "plain" else 2
-        if args.max_cost < least_cost:
-            raise ValueError(
-                f"--max-cost must be at least {least_cost} for --vk-class {args.vk_class}, "
-                f"got {args.max_cost}"
-            )
-        if args.max_profit < 0:
-            raise ValueError(f"--max-profit must be nonnegative, got {args.max_profit}")
-    rng = random.Random(args.seed)
-    if args.kind == "sat":
-        if args.planted:
-            inst, _ = gen_sat_satisfiable(args.n, args.m, args.bound, rng)
-        else:
-            inst = gen_sat(args.n, args.m, args.bound, rng)
-    elif args.kind == "csp2":
-        inst = gen_csp2(
-            args.vertices,
-            args.sigma,
-            rng,
-            edge_count=args.edges,
-            regular3=args.regular3 or args.edges is None,
-            planted=args.planted,
-        )
-    elif args.kind == "rcsp":
-        if args.planted:
-            inst, _ = gen_rcsp_planted(
-                args.vertices,
-                args.sigma,
-                args.upsilon,
-                rng,
-                edge_count=args.edges,
-                regular3=args.regular3,
-            )
-        else:
-            inst = gen_rcsp(
-                args.vertices,
-                args.sigma,
-                args.upsilon,
-                rng,
-                edge_count=args.edges,
-                regular3=args.regular3,
-            )
-    else:
-        maker = {
-            "plain": gen_vk,
-            "mixed": gen_vk_mixed,
-            "2bounded": gen_vk_2bounded,
-            "2unbounded": gen_vk_2unbounded,
-        }[args.vk_class]
-        inst = maker(args.n, args.dims, args.max_cost, args.max_profit, rng)
-    _write_out(serialize_instance(inst), args.out)
+    own_floors, build = GEN[args.kind]
+    floors = (("dims", 1), ("n", 0), ("m", 0), ("vertices", 0)) + own_floors(args)
+    for flag, least, *context in floors:
+        value = getattr(args, flag.replace("-", "_"))
+        if value < least:
+            bound = f"at least {least}" if least else "nonnegative"
+            raise ValueError(f"--{flag} must be {bound}{''.join(context)}, got {value}")
+    _write_out(serialize_instance(build(args, random.Random(args.seed))), args.out)
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    if args.artifacts and args.route != "rcsp2vk-embed":
-        raise ValueError(f"--artifacts applies only to route rcsp2vk-embed, not {args.route}")
+    if args.artifacts and args.route != AUDITED_ROUTE:
+        raise ValueError(f"--artifacts applies only to route {AUDITED_ROUTE}, not {args.route}")
+    expects, kind, build = REDUCE[args.route]
     inst = _read_instance(args.input)
-    artifacts_text = None
-    if args.route == "sat2rcsp-embed":
-        if not isinstance(inst, SatInstance):
-            raise ValueError("route sat2rcsp-embed expects a sat instance")
-        out = sat_to_rcsp_embedding_route(inst, args.k)
-    elif args.route == "sat2rcsp-disperser":
-        if not isinstance(inst, SatInstance):
-            raise ValueError("route sat2rcsp-disperser expects a sat instance")
-        if not RATIONAL.fullmatch(args.epsilon):
-            raise ValueError(f"--epsilon must be an integer, decimal or p/q with q > 0, not {args.epsilon!r}")
-        out = sat_to_rcsp_disperser_route(
-            inst, args.k, args.r, Fraction(args.epsilon), args.seed
-        )
-    elif args.route == "csp2rcsp":
-        if not isinstance(inst, Csp2Instance):
-            raise ValueError("route csp2rcsp expects a csp2 instance")
-        out = csp2_to_rcsp(inst)
-    elif args.route == "rcsp2vk-simple":
-        if not isinstance(inst, RcspInstance):
-            raise ValueError("route rcsp2vk-simple expects an rcsp instance")
-        out = rcsp_to_vk_simple(inst)
-    else:
-        if not isinstance(inst, RcspInstance):
-            raise ValueError("route rcsp2vk-embed expects an rcsp instance")
-        out, artifacts = rcsp_to_vk_embed(inst, args.F)
-        artifacts_text = serialize_artifacts(artifacts)
+    if not isinstance(inst, expects):
+        raise ValueError(f"route {args.route} expects {kind} instance")
+    out, audit = build(inst, args), None
+    if args.route == AUDITED_ROUTE:
+        out, artifacts = out
+        audit = serialize_artifacts(artifacts)
     _write_out(serialize_instance(out), args.out)
-    if artifacts_text is not None and args.artifacts:
-        with open(args.artifacts, "w", encoding="utf-8") as handle:
-            handle.write(artifacts_text)
+    if args.artifacts:
+        _write_out(audit, args.artifacts)
     return 0
 
 
@@ -254,19 +241,8 @@ def _cmd_solve(args) -> int:
     if not isinstance(inst, VkInstance):
         raise ValueError("solve expects a vk instance")
     started = time.perf_counter()
-    if args.method == "brute":
-        value, solution = solve_bruteforce(inst, args.cap_nodes)
-    elif args.method == "dp":
-        value, solution = solve_dp(inst, args.cap_states)
-    elif args.method == "approx":
-        solution = approx_sqrt_d(inst, args.seed)
-        value = profit(inst, solution)
-    elif args.method == "approx-unbounded":
-        solution = approx_2unbounded(inst)
-        value = profit(inst, solution)
-    else:
-        solution = approx_lp_rounding(inst, args.seed)
-        value = profit(inst, solution)
+    solution = SOLVE[args.method](inst, args)
+    value = profit(inst, solution)
     elapsed = time.perf_counter() - started
     record = {
         "method": args.method,
@@ -310,16 +286,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_EXIT

@@ -7,7 +7,9 @@ tables and projection maps are keyed per endpoint).
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -117,9 +119,22 @@ def random_regular3_graph(n: int, rng: random.Random) -> Graph:
 
 
 def random_graph(n: int, edge_count: int, rng: random.Random) -> Graph:
-    """Seeded graph with exactly edge_count distinct edges."""
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if edge_count > len(possible):
+    """Seeded graph with exactly edge_count distinct edges.
+
+    Samples positions in the lexicographic list of all pairs (u, v), u < v,
+    without building it: rng.sample draws the same positions from any
+    population of the same length, and each position is unranked directly.
+    """
+    pair_count = n * (n - 1) // 2 if n > 1 else 0
+    if edge_count > pair_count:
         raise ValueError(f"cannot place {edge_count} edges on {n} vertices")
-    chosen = rng.sample(possible, edge_count)
-    return Graph(n, frozenset(chosen))
+    if pair_count > sys.maxsize:
+        raise ValueError(f"{n} vertices have more pairs than random.sample can index")
+    edges = set()
+    for position in rng.sample(range(pair_count), edge_count):
+        # back pairs follow this one; from the end, the rows u = n-2, n-3, ...
+        # hold 1, 2, ... pairs, so it lies in the row u = n-1-size of size pairs
+        back = pair_count - 1 - position
+        size = (math.isqrt(8 * back + 1) + 1) // 2
+        edges.add((n - 1 - size, n - 1 - back + size * (size - 1) // 2))
+    return Graph(n, frozenset(edges))

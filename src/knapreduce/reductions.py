@@ -43,6 +43,12 @@ ALPHABET_CAP = 1 << 16
 # at least a pointer, so the cap keeps the table near 100 MB.
 SIMPLE_TARGET_CAP = 10_000_000
 
+# Largest host size k of either 3-SAT route, checked before the covering
+# family or the host graph is built.  The disperser route's complete host
+# has k(k-1)/2 edges, each with a projection row per endpoint: on the README
+# formula (8 variables, 5 clauses, one cover) k = 128 peaks near 100 MB.
+HOST_CAP = 128
+
 # A packed-dimension constraint is either a vertex index or an oriented edge.
 Constraint = Union[int, Edge]
 
@@ -173,9 +179,15 @@ def rcsp_assignment_from_sat(
     return PartialAssignment(tuple(values))
 
 
+def _check_host_size(k: int) -> None:
+    if k > HOST_CAP:
+        raise CapExceededError(f"host size {k} exceeds the host cap {HOST_CAP}")
+
+
 def sat_to_rcsp_embedding_route(phi: SatInstance, k: int) -> RcspInstance:
     """Clause-conflict graph, embedded into a small cubic host; each host
     vertex receives the clauses whose image covers it."""
+    _check_host_size(k)
     conflict = build_clause_conflict_graph(phi)
     host, emb = simple_connected_embedding(conflict, k)
     clause_sets = [
@@ -190,6 +202,7 @@ def sat_to_rcsp_disperser_route(
 ) -> RcspInstance:
     """Complete host graph on k vertices; clause sets drawn from a verified
     covering family over the clause universe."""
+    _check_host_size(k)
     m = phi.clause_count
     eps = Fraction(epsilon)
     if m == 0:

@@ -147,12 +147,12 @@ def _simple_roundtrip(count: int, seed: int):
 # packed reduction roundtrip
 # ---------------------------------------------------------------------------
 
-def check_embed_completeness(pi, planted, chunk_size, target):
-    """Record fields (check, expected, observed, passed): the planted
-    assignment's items are feasible in target with full profit.  A negative
-    control passes a deliberately corrupted target to see the check fail."""
+def check_embed_completeness(pi, solution, chunk_size, target):
+    """Record fields (check, expected, observed, passed): solution, the
+    planted assignment's items, is feasible in target with full profit.  A
+    negative control passes a deliberately corrupted target to see the
+    check fail."""
     full = pi.graph.vertex_count + 2 * len(pi.graph.edges)
-    solution = vk_solution_from_assignment(pi, planted)
     feasible = check_feasible(target, solution)
     observed = (
         f"profit {profit(target, solution)}"
@@ -167,7 +167,7 @@ def check_embed_completeness(pi, planted, chunk_size, target):
     )
 
 
-def check_embed_soundness_exhaustive(pi, chunk_size, target, art):
+def check_embed_soundness_exhaustive(pi, target, art):
     """Record fields (check, expected, observed, passed): every feasible
     subset of the packed (target, art) extracts to an assignment of pi that
     is consistent and within the deficit bound.  Exhaustive, so keep the
@@ -178,14 +178,14 @@ def check_embed_soundness_exhaustive(pi, chunk_size, target, art):
     for mask, solution in _feasible_subsets(target):
         checked += 1
         deficit = full - profit(target, solution)
-        phi = extract_partial_assignment(pi, chunk_size, solution, (target, art))
-        bound = pi.graph.vertex_count - 2 * deficit * chunk_size
+        phi = extract_partial_assignment(pi, art.chunk_size, solution, (target, art))
+        bound = pi.graph.vertex_count - 2 * deficit * art.chunk_size
         if not is_consistent(pi, phi):
             failures.append(f"inconsistent extraction at mask {mask}")
         elif phi.size() < bound:
             failures.append(f"size {phi.size()} below bound {bound} at mask {mask}")
     return (
-        f"soundness-exhaustive-F{chunk_size}",
+        f"soundness-exhaustive-F{art.chunk_size}",
         "every feasible subset extracts consistently within the size bound",
         failures[0] if failures else f"{checked} feasible subsets",
         not failures,
@@ -198,12 +198,12 @@ def _embed_roundtrip(count: int, seed: int):
         n = rng.choice((4, 6))
         pi, planted = _planted_cubic(n, rng)
         digest = instance_digest(pi)
+        solution = vk_solution_from_assignment(pi, planted)
         packed = {chunk_size: rcsp_to_vk_embed(pi, chunk_size) for chunk_size in (1, 2, n)}
         for chunk_size, (target, _) in packed.items():
-            yield (digest, *check_embed_completeness(pi, planted, chunk_size, target))
+            yield (digest, *check_embed_completeness(pi, solution, chunk_size, target))
         if n == 4:
-            chunk_size = rng.choice((1, 2))
-            yield (digest, *check_embed_soundness_exhaustive(pi, chunk_size, *packed[chunk_size]))
+            yield (digest, *check_embed_soundness_exhaustive(pi, *packed[rng.choice((1, 2))]))
 
 
 # ---------------------------------------------------------------------------

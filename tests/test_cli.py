@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from knapreduce.cli import main
+from knapreduce.reductions import HOST_CAP
 from knapreduce.serialize import parse_instance
 
 
@@ -109,6 +110,28 @@ def test_sat_clause_set_past_the_alphabet_cap_is_refused(tmp_path, capsys):
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         "error: 2^20 candidate assignments exceed the alphabet cap 65536\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["sat2rcsp-embed", "sat2rcsp-disperser"])
+def test_sat_host_past_the_cap_is_refused(tmp_path, capsys, route):
+    src, out = tmp_path / "phi.json", tmp_path / "pi.json"
+    assert main(["gen", "sat", "--seed", "1", "--out", str(src)] + GEN_FLAGS["sat"]) == 0
+    reduce = ["reduce", route, "--in", str(src), "--r", "1", "--out", str(out), "--k"]
+    assert main(reduce + [str(HOST_CAP + 1)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: host size {HOST_CAP + 1} exceeds the host cap {HOST_CAP}\n")
+    assert not out.exists()
+    assert main(reduce + [str(HOST_CAP)]) == 0
+    assert parse_instance(read(out)).graph.vertex_count == HOST_CAP
+
+
+def test_gen_graph_past_the_sample_index_range_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "pi.json"
+    assert main(["gen", "rcsp", "--vertices", str(1 << 40), "--edges", "3", "--seed", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {1 << 40} vertices ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -381,10 +404,44 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["solve", "brute", "--in", str(tmp_path / "nope.json")]) == 2
 
 
-def test_wrong_instance_kind_is_usage_error(tmp_path):
-    src = tmp_path / "phi.json"
-    main(["gen", "sat", "--n", "4", "--m", "1", "--seed", "11", "--out", str(src)])
-    assert main(["solve", "brute", "--in", str(src)]) == 2
+ROUTE_KINDS = {"sat2rcsp-embed": "a sat", "sat2rcsp-disperser": "a sat", "csp2rcsp": "a csp2",
+               "rcsp2vk-simple": "an rcsp", "rcsp2vk-embed": "an rcsp"}
+
+
+def test_wrong_instance_kind_is_usage_error(tmp_path, capsys):
+    # every route and solve, given each kind they do not take
+    for kind, flags in GEN_FLAGS.items():
+        src, out = tmp_path / f"{kind}.json", tmp_path / "out.json"
+        assert main(["gen", kind, "--seed", "11", "--out", str(src)] + flags) == 0
+        commands = [(["reduce", route], f"route {route} expects {named} instance")
+                    for route, named in ROUTE_KINDS.items() if named.split()[1] != kind]
+        if kind != "vk":
+            commands.append((["solve", "brute"], "solve expects a vk instance"))
+        for command, message in commands:
+            assert main(command + ["--in", str(src), "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not out.exists()
+
+
+def test_solve_approx_lp(tmp_path, capsys):
+    src = tmp_path / "vk.json"
+    assert main(["gen", "vk", "--n", "8", "--dims", "3", "--vk-class", "2bounded",
+                 "--seed", "5", "--out", str(src)]) == 0
+    inst = parse_instance(read(src))
+    assert main(["solve", "approx-lp", "--in", str(src), "--seed", "2", "--oracle"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    chosen = record["witness"]
+    assert record["method"] == "approx-lp" and record["feasible"] is True and chosen
+    assert all(sum(inst.costs[i][j] for i in chosen) <= inst.budget[j]
+               for j in range(inst.dimension))
+    assert record["value"] == str(sum(inst.profits[i] for i in chosen))
+    assert 0 < int(record["value"]) <= int(record["oracle_value"])
+    # item 1 costs more than half the budget, which the LP branch refuses
+    src.write_text(json.dumps({"kind": "vk", "profits": [1, 2], "costs": [["1"], ["3"]],
+                               "budget": ["4"]}), encoding="utf-8")
+    assert main(["solve", "approx-lp", "--in", str(src)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: item 1 exceeds half the budget in some coordinate\n")
 
 
 def test_unknown_route_is_usage_error():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -106,3 +107,31 @@ def test_random_graph_edge_count():
     assert len(g.edges) == 4
     with pytest.raises(ValueError):
         random_graph(3, 4, random.Random(1))
+
+
+def _all_pairs_random_graph(n, edge_count, rng):
+    """The sampler random_graph replaced: list every pair, then sample."""
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, frozenset(rng.sample(possible, edge_count)))
+
+
+def test_random_graph_matches_the_all_pairs_sampler():
+    for n in range(40):
+        top = n * (n - 1) // 2
+        for edge_count in sorted({0, min(1, top), top // 3, top // 2, top}):
+            for seed in range(3):
+                fast, slow = random.Random(seed), random.Random(seed)
+                assert random_graph(n, edge_count, fast) == _all_pairs_random_graph(
+                    n, edge_count, slow)
+                assert fast.random() == slow.random()
+
+
+def test_random_graph_does_not_list_every_pair():
+    tracemalloc.start()
+    try:
+        g = random_graph(1000, 5, random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # listing all 499,500 pairs would take tens of megabytes
+    assert len(g.edges) == 5 and peak < 64 * 1024

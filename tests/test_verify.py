@@ -10,7 +10,12 @@ import pytest
 from knapreduce import verify
 from knapreduce.generators import gen_rcsp_planted
 from knapreduce.knapsack import Solution, VkInstance, check_feasible
-from knapreduce.reductions import constraint_weight, item_of, rcsp_to_vk_embed
+from knapreduce.reductions import (
+    constraint_weight,
+    item_of,
+    rcsp_to_vk_embed,
+    vk_solution_from_assignment,
+)
 from knapreduce.verify import (
     SUITES,
     VerificationReport,
@@ -64,7 +69,8 @@ def test_corrupted_budget_negative_control():
         target.costs,
         (target.budget[0] - 1,) + target.budget[1:],
     )
-    check, _, observed, passed = check_embed_completeness(pi, planted, 2, corrupted)
+    solution = vk_solution_from_assignment(pi, planted)
+    check, _, observed, passed = check_embed_completeness(pi, solution, 2, corrupted)
     assert check == "completeness-F2"
     assert not passed
     assert observed == "planted solution violates a budget"
@@ -83,13 +89,23 @@ def test_soundness_negative_control(seed, chunk_size):
     moved[planted.values[u]] = (moved[planted.values[u]] + 1) % m
     corrupted = replace(pi, projections={**pi.projections, (u, v): (tuple(moved), proj_v)})
     target, art = rcsp_to_vk_embed(pi, chunk_size)
-    assert check_embed_soundness_exhaustive(pi, chunk_size, target, art)[3]
-    check, _, observed, passed = check_embed_soundness_exhaustive(
-        corrupted, chunk_size, target, art
-    )
+    assert check_embed_soundness_exhaustive(pi, target, art)[3]
+    check, _, observed, passed = check_embed_soundness_exhaustive(corrupted, target, art)
     assert check == f"soundness-exhaustive-F{chunk_size}"
     assert not passed
     assert observed.startswith("inconsistent extraction at mask ")
+
+
+def test_embed_roundtrip_builds_each_planted_solution_once(monkeypatch):
+    calls = []
+
+    def counted(pi, planted):
+        calls.append(pi)
+        return vk_solution_from_assignment(pi, planted)
+
+    monkeypatch.setattr(verify, "vk_solution_from_assignment", counted)
+    assert run_suite("embed-roundtrip", 3, seed=4).passed
+    assert len(calls) == 3
 
 
 def test_records_pinned_over_many_seeds():
