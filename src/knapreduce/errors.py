@@ -6,10 +6,10 @@ two failure modes that deserve their own exit codes at the CLI boundary.
 """
 
 # Node budget of all four pruned exhaustive searches.  Measured with CPython 3.11
-# on one core of an Intel Xeon: the knapsack subset search visits ~390k
-# nodes/s on 22-item subset-sum-like instances and 65k-140k nodes/s on
+# on one core of an Intel Xeon: the knapsack subset search visits ~700k
+# nodes/s on 22-item subset-sum-like instances and 420k-480k nodes/s on
 # 36-item digit-packed targets (F = 1..3), and par_bruteforce expands ~600k
-# nodes/s on 16-vertex instances, so the budget is about 25 s, 1-2.5 min and
+# nodes/s on 16-vertex instances, so the budget is about 14 s, 21-24 s and
 # 17 s of search.  Being above 2^22, it admits every instance of up to 22
 # items, and a CSP search over at most 10^7 (partial) assignments never
 # reaches it.

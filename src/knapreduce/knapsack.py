@@ -8,6 +8,18 @@ The dynamic program is capped by the number of distinct reachable cost
 vectors, so budget magnitude limits no oracle; digit-packed targets of
 the dimension-embedding reduction are solved by the search and the DP.
 
+Both exact oracles pack each vector into one Python int (guard bits, after
+Lamport, "Multiple byte processing with full-word instructions", CACM 1975).
+Coordinate j owns a field of whole bytes whose top bit, the guard bit, lies
+above every bit that b_j and every c_ij use; call the w_j bits below it the
+value bits.  A room r <= b carries every guard bit set, a cost carries
+none, so each field of room - cost holds 2^w_j + r_j - c_j, which lies in
+[1, 2^(w_j + 1)): the exact big-integer subtraction never borrows across
+fields.  The cost fits iff every guard bit survives, and then the
+difference is the child's packed room.  Whole-byte fields let
+int.to_bytes and int.from_bytes pack a vector in time linear in its width,
+where shifting each coordinate into place takes time quadratic in d.
+
 All solvers break ties between equal-profit optima toward the
 lexicographically smallest chosen index set (compared as sorted tuples),
 so golden outputs are stable.
@@ -16,13 +28,14 @@ so golden outputs are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from operator import add, gt, le, sub
+from itertools import accumulate, chain, repeat
+from operator import le
 
 from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
 
-# tracemalloc measured up to ~2.2 KB per DP state at 50 cost coordinates (a
-# state holds one int per coordinate), so this keeps such a table near 225 MB
+# tracemalloc measured ~0.4 KB per DP state at 50 cost coordinates of 31-bit
+# budgets and ~1 KB at 121-bit ones (a state is keyed by one packed int of 50
+# whole-byte fields), so this keeps such a table near 40-105 MB
 DEFAULT_STATE_CAP = 100_000
 
 
@@ -102,10 +115,8 @@ def _check_items(inst: VkInstance, sol: Solution):
 def check_feasible(inst: VkInstance, sol: Solution) -> bool:
     """Exact coordinatewise budget test; equality is allowed."""
     _check_items(inst, sol)
-    for j in range(inst.dimension):
-        if sum(inst.costs[i][j] for i in sol.chosen) > inst.budget[j]:
-            return False
-    return True
+    used = map(sum, zip(*map(inst.costs.__getitem__, sol.chosen)))
+    return all(map(le, used, inst.budget))
 
 
 def profit(inst: VkInstance, sol: Solution) -> int:
@@ -117,6 +128,20 @@ def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
     return prof > best_prof or (prof == best_prof and items < best_items)
 
 
+def _packed(inst: VkInstance) -> tuple[int, list[int], int]:
+    """The budget as a packed room, each item's packed cost, and the guard
+    mask (see the module docstring): a room fits cost c iff
+    (room - c) & guards == guards, and the difference is then the room
+    left over."""
+    sizes = [max(column).bit_length() // 8 + 1 for column in zip(inst.budget, *inst.costs)]
+
+    def pack(vector) -> int:
+        return int.from_bytes(b"".join(map(int.to_bytes, vector, sizes, repeat("little"))), "little")
+
+    guards = pack([1 << (8 * size - 1) for size in sizes])
+    return guards + pack(inst.budget), [pack(c) for c in inst.costs], guards
+
+
 def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, Solution]:
     """Best feasible subset of at most max_size items, by depth-first search.
 
@@ -126,19 +151,18 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     replaces the incumbent.  A branch carries its residual budget, so an
     item that does not fit is skipped in one test (costs are nonnegative,
     so no superset can fit either), and the index loop stops once the
-    remaining profit cannot beat the incumbent.  Each visited set is one
-    node; refuses with CapExceededError once the search visits more than
-    max_nodes of them.
+    remaining profit cannot beat the incumbent.  The residual budget is one
+    packed int, so that test and the child's residual are one subtraction.
+    Each visited set is one node; refuses with CapExceededError once the
+    search visits more than max_nodes of them.
     """
-    profits, costs, n = inst.profits, inst.costs, inst.item_count
+    profits, n = inst.profits, inst.item_count
+    budget, costs, guards = _packed(inst)
     suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
     best_prof, best_items = 0, ()
     nodes = 0
 
-    # room is a list: tuple(map(...)) guesses a size and resizes, so each
-    # dropped d-tuple would join CPython's per-size tuple free list, which
-    # keeps up to 2,000 of them for the life of the process
-    def extend(start: int, room, prof: int, items: tuple, slots: int):
+    def extend(start: int, room: int, prof: int, items: tuple, slots: int):
         nonlocal best_prof, best_items, nodes
         nodes += 1
         if nodes > max_nodes:
@@ -150,11 +174,11 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
         for i in range(start, n):
             if prof + suffix_profit[i] <= best_prof:
                 return
-            ci = costs[i]
-            if all(map(le, ci, room)):
-                yield extend(i + 1, list(map(sub, room, ci)), prof + profits[i], items + (i,), slots - 1)
+            rest = room - costs[i]
+            if rest & guards == guards:
+                yield extend(i + 1, rest, prof + profits[i], items + (i,), slots - 1)
 
-    run_depth_first(extend(0, inst.budget, 0, (), max_size))
+    run_depth_first(extend(0, budget, 0, (), max_size))
     return best_prof, Solution(frozenset(best_items))
 
 
@@ -181,16 +205,17 @@ def solve_dp(inst: VkInstance, state_cap: int = DEFAULT_STATE_CAP) -> tuple[int,
     witness is the pair (smallest index, rest of the witness); nested pairs
     compare like the flat sorted tuples, which reproduces the lexicographic
     tie-break of the brute force while every state shares its tail.
-    Refuses with CapExceededError before the table holds more than
-    state_cap cost vectors.
+    A state is keyed by its packed room, budget minus cost vector, which
+    is one-to-one with the cost vector.  Refuses with CapExceededError
+    before the table holds more than state_cap cost vectors.
     """
-    budget = inst.budget
-    states = {(0,) * inst.dimension: (0, ())}
+    budget, costs, guards = _packed(inst)
+    states = {budget: (0, ())}
     for i in range(inst.item_count - 1, -1, -1):
-        ci, pi = inst.costs[i], inst.profits[i]
-        for cost, (prof, witness) in list(states.items()):
-            reached = tuple(map(add, cost, ci))
-            if any(map(gt, reached, budget)):
+        ci, pi = costs[i], inst.profits[i]
+        for room, (prof, witness) in list(states.items()):
+            reached = room - ci
+            if reached & guards != guards:
                 continue
             candidate = (prof + pi, (i, witness))
             incumbent = states.get(reached)

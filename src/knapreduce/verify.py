@@ -74,8 +74,11 @@ def _feasible_subsets(target):
     still fit its residual budget, so it visits only the feasible sets:
     costs are nonnegative, so no superset of an infeasible set fits.  The
     masks are sorted afterwards, which keeps the order of the full
-    range(1 << n) filter.  room is a list for the reason given in
-    knapsack._best_subset.
+    range(1 << n) filter.  The walk keeps its own coordinatewise fit test
+    rather than the oracles' packed one, so the suites stay independent of
+    the oracles.  room is a list: tuple(map(...)) guesses a size and
+    resizes, so each dropped d-tuple would join CPython's per-size tuple
+    free list, which keeps up to 2,000 of them for the life of the process.
     """
     costs, n_items = target.costs, target.item_count
     masks = []

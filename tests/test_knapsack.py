@@ -1,18 +1,20 @@
 import inspect
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
+from operator import add, gt, le, sub
 
 import pytest
 
 from knapreduce.cli import main
-from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError
+from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
 from knapreduce.csp import par_bruteforce
 from knapreduce.generators import (
     gen_rcsp,
     gen_rcsp_planted,
     gen_vk,
+    gen_vk_2bounded,
     gen_vk_2unbounded,
     gen_vk_mixed,
 )
@@ -54,6 +56,121 @@ def combinations_reference(inst, s_max):
             if prof > best_prof or (prof == best_prof and items < best_items):
                 best_prof, best_items = prof, items
     return best_prof, Solution(frozenset(best_items))
+
+
+# The tuple-room oracles that the packed-int ones replaced, kept verbatim
+# as references: the search carries its residual budget as a d-list, the
+# DP keys its states by the reached cost tuple.
+
+
+def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
+    return prof > best_prof or (prof == best_prof and items < best_items)
+
+
+def tuple_room_best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, Solution]:
+    profits, costs, n = inst.profits, inst.costs, inst.item_count
+    suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
+    best_prof, best_items = 0, ()
+    nodes = 0
+
+    # room is a list: tuple(map(...)) guesses a size and resizes, so each
+    # dropped d-tuple would join CPython's per-size tuple free list, which
+    # keeps up to 2,000 of them for the life of the process
+    def extend(start: int, room, prof: int, items: tuple, slots: int):
+        nonlocal best_prof, best_items, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        if prof > best_prof:
+            best_prof, best_items = prof, items
+        if not slots:
+            return
+        for i in range(start, n):
+            if prof + suffix_profit[i] <= best_prof:
+                return
+            ci = costs[i]
+            if all(map(le, ci, room)):
+                yield extend(i + 1, list(map(sub, room, ci)), prof + profits[i], items + (i,), slots - 1)
+
+    run_depth_first(extend(0, inst.budget, 0, (), max_size))
+    return best_prof, Solution(frozenset(best_items))
+
+
+def tuple_keyed_solve_dp(inst: VkInstance, state_cap: int) -> tuple[int, Solution]:
+    budget = inst.budget
+    states = {(0,) * inst.dimension: (0, ())}
+    for i in range(inst.item_count - 1, -1, -1):
+        ci, pi = inst.costs[i], inst.profits[i]
+        for cost, (prof, witness) in list(states.items()):
+            reached = tuple(map(add, cost, ci))
+            if any(map(gt, reached, budget)):
+                continue
+            candidate = (prof + pi, (i, witness))
+            incumbent = states.get(reached)
+            if incumbent is None:
+                if len(states) >= state_cap:
+                    raise CapExceededError(f"reachable cost vectors exceed state cap {state_cap}")
+                states[reached] = candidate
+            elif _better(*candidate, *incumbent):
+                states[reached] = candidate
+    value, witness = min(states.values(), key=lambda state: (-state[0], state[1]))
+    chosen = []
+    while witness:
+        i, witness = witness
+        chosen.append(i)
+    return value, Solution(frozenset(chosen))
+
+
+def per_dimension_check_feasible(inst: VkInstance, sol: Solution) -> bool:
+    """The per-dimension feasibility test check_feasible replaced."""
+    for j in range(inst.dimension):
+        if sum(inst.costs[i][j] for i in sol.chosen) > inst.budget[j]:
+            return False
+    return True
+
+
+def trip_point(run) -> int:
+    """The smallest cap at which run(cap) does not raise CapExceededError."""
+
+    def passes(cap):
+        try:
+            run(cap)
+        except CapExceededError:
+            return False
+        return True
+
+    low, high = 0, 1
+    while not passes(high):
+        low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        if passes(mid):
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+def assert_same_as_reference(solve, reference, inst, label):
+    """solve(inst, cap) matches reference(inst, cap): the same (value,
+    Solution) at the reference's trip point, and a refusal one below it."""
+    cap = trip_point(lambda c: reference(inst, c))
+    assert solve(inst, cap) == reference(inst, cap), label
+    if cap:
+        with pytest.raises(CapExceededError):
+            solve(inst, cap - 1)
+
+
+def assert_oracles_match_references(inst, label):
+    sizes = sorted({0, 1, 2, inst.dimension, inst.item_count})
+    for s in sizes:
+        assert_same_as_reference(
+            lambda i, cap: solve_bruteforce_bounded_size(i, s, max_nodes=cap),
+            lambda i, cap: tuple_room_best_subset(i, s, cap),
+            inst,
+            (label, s),
+        )
+    assert_same_as_reference(solve_dp, tuple_keyed_solve_dp, inst, (label, "dp"))
 
 
 def per_row_cost_check(costs, d):
@@ -324,6 +441,67 @@ class TestDp:
             packed, _ = rcsp_to_vk_embed(pi, rng.randint(1, 3))
             for target in (plain, packed):
                 assert solve_dp(target) == solve_bruteforce(target), i
+
+
+class TestPackedOracles:
+    """The packed-int search and DP against their tuple-room references."""
+
+    def test_seeded_instances_of_every_class(self):
+        generators = (gen_vk, gen_vk_mixed, gen_vk_2bounded, gen_vk_2unbounded)
+        for i in range(48):
+            rng = random.Random(3100 + i)
+            # 100 fills the 7 value bits of a one-byte field, 255 needs a second byte
+            max_budget = rng.choice((2, 9, 100, 255, 1 << rng.randint(8, 70)))
+            inst = generators[i % 4](rng.randint(0, 9), rng.randint(1, 4), max_budget, rng.randint(0, 6), rng)
+            assert_oracles_match_references(inst, i)
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
+    def test_digit_packed_targets(self, chunk_size):
+        for i in range(4):
+            rng = random.Random(3200 + 10 * chunk_size + i)
+            vertices, sigma = rng.choice(((4, 2), (4, 3), (6, 2)))
+            if i % 2:
+                pi = gen_rcsp(vertices, sigma, 2, rng, regular3=True)
+            else:
+                pi, _ = gen_rcsp_planted(vertices, sigma, 2, rng, regular3=True)
+            target, _ = rcsp_to_vk_embed(pi, chunk_size)
+            assert_oracles_match_references(target, (chunk_size, i))
+
+    @pytest.mark.parametrize(
+        "profits, costs, budget",
+        [
+            pytest.param((3, 4), ((), ()), (), id="d-0"),
+            pytest.param((3, 4, 5), ((0, 2), (1, 0), (0, 0)), (0, 5), id="zero-budget-coordinate"),
+            pytest.param((9, 4, 5), ((1, 7), (3, 3), (4, 2)), (8, 6), id="over-budget-in-one-coordinate"),
+            pytest.param((5, 1, 2), ((True, False), (1, 1), (0, True)), (True, 2), id="bool-entries"),
+            pytest.param((0, 2, 1, 0), ((0, 0), (0, 0), (3, 1), (0, 0)), (3, 1), id="zero-cost-items"),
+            pytest.param(
+                (5, 4, 3, 2),
+                (
+                    ((1 << 200) + 1, 1 << 201, 1 << 206),
+                    (1 << 200, 5, 1 << 207),
+                    (3, (1 << 202) - 1, 0),
+                    (1 << 199, 1 << 200, (1 << 206) + (1 << 205)),
+                ),
+                # 207 and 208 bits: the first fills the value bits of a
+                # 26-byte field, the second needs a 27th byte
+                ((1 << 201) + 1, (1 << 207) - 1, (1 << 207) + 5),
+                id="budgets-past-2^200",
+            ),
+        ],
+    )
+    def test_edge_cases(self, profits, costs, budget):
+        inst = VkInstance(profits, costs, budget)
+        assert_oracles_match_references(inst, budget)
+
+    def test_check_feasible_matches_per_dimension_reference(self):
+        for i in range(200):
+            rng = random.Random(3300 + i)
+            n, d = rng.randint(0, 6), rng.randint(0, 3)
+            inst = gen_vk(n, d, rng.choice((1, 8, 1 << 90)), 5, rng)
+            for size in range(n + 1):
+                sol = Solution(frozenset(rng.sample(range(n), size)))
+                assert check_feasible(inst, sol) == per_dimension_check_feasible(inst, sol), (i, sol)
 
 
 class TestProperties:
