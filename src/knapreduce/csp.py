@@ -140,25 +140,19 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
     n = gamma.graph.vertex_count
     edges = gamma.graph.edge_list
     total = len(edges)
+    if not total:
+        return 0
     # Edges whose later endpoint is v, for incremental scoring during DFS.
     closing: list[list[Edge]] = [[] for _ in range(n)]
     for e in edges:
         closing[e[1]].append(e)
     remaining_after = [sum(len(closing[w]) for w in range(v + 1, n)) for v in range(n)]
+    last = n - 1
     best = 0
     assignment: list[int] = [0] * n
-    nodes = 0
 
     def descend(v: int, score: int):
-        nonlocal best, nodes
-        if v == n:
-            best = max(best, score)
-            return
-        if score + len(closing[v]) + remaining_after[v] <= best:
-            return
-        nodes += 1
-        if nodes > max_nodes:
-            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        nonlocal best
         for s in range(gamma.sigma_size):
             assignment[v] = s
             gained = sum(
@@ -166,11 +160,14 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
                 for (u, w) in closing[v]
                 if (assignment[u], s) in gamma.constraints[(u, w)]
             )
-            yield descend(v + 1, score + gained)
+            if v == last:
+                best = max(best, score + gained)
+            elif score + gained + remaining_after[v] > best:
+                yield descend(v + 1, score + gained)
             if best == total:
                 return
 
-    run_depth_first(descend(0, 0))
+    run_depth_first(descend(0, 0), max_nodes)
     return best
 
 
@@ -248,20 +245,10 @@ def par_bruteforce(
     best_size = 0
     best: tuple[Symbol, ...] = (None,) * n
     current: list[Symbol] = [None] * n
-    nodes = 0
+    last = n - 1
 
     def descend(v: int, assigned: int):
-        nonlocal best_size, best, nodes
-        if v == n:
-            if assigned > best_size:
-                best_size = assigned
-                best = tuple(current)
-            return
-        if assigned + (n - v) <= best_size:
-            return
-        nodes += 1
-        if nodes > max_nodes:
-            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        nonlocal best_size, best
         for s in range(pi.sigma_size):
             for u, pu, pv in closing[v]:
                 a = current[u]
@@ -269,11 +256,20 @@ def par_bruteforce(
                     break
             else:
                 current[v] = s
-                yield descend(v + 1, assigned + 1)
+                if v == last:
+                    if assigned + 1 > best_size:
+                        best_size, best = assigned + 1, tuple(current)
+                elif assigned + n - v > best_size:
+                    yield descend(v + 1, assigned + 1)
                 current[v] = None
                 if best_size == n:
                     return
-        yield descend(v + 1, assigned)
+        if v == last:
+            if assigned > best_size:
+                best_size, best = assigned, tuple(current)
+        elif assigned + last - v > best_size:
+            yield descend(v + 1, assigned)
 
-    run_depth_first(descend(0, 0))
+    if n:
+        run_depth_first(descend(0, 0), max_nodes)
     return best_size, PartialAssignment(best)

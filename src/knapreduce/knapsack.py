@@ -160,13 +160,9 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     budget, costs, guards = _packed(inst)
     suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
     best_prof, best_items = 0, ()
-    nodes = 0
 
     def extend(start: int, room: int, prof: int, items: tuple, slots: int):
-        nonlocal best_prof, best_items, nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        nonlocal best_prof, best_items
         if prof > best_prof:
             best_prof, best_items = prof, items
         if not slots:
@@ -178,7 +174,7 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
             if rest & guards == guards:
                 yield extend(i + 1, rest, prof + profits[i], items + (i,), slots - 1)
 
-    run_depth_first(extend(0, budget, 0, (), max_size))
+    run_depth_first(extend(0, budget, 0, (), max_size), max_nodes)
     return best_prof, Solution(frozenset(best_items))
 
 

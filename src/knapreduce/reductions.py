@@ -49,6 +49,13 @@ SIMPLE_TARGET_CAP = 10_000_000
 # formula (8 variables, 5 clauses, one cover) k = 128 peaks near 100 MB.
 HOST_CAP = 128
 
+# Largest projection table, 2 * |E| * sigma entries, that sat_to_rcsp
+# builds, checked after the per-vertex codes and before the projections.
+# HOST_CAP bounds |E| but not sigma, which reaches ALPHABET_CAP.  Peak RSS of
+# reduce sat2rcsp-disperser grows by ~150 bytes an entry (155 MB at 918,592
+# entries, 173 MB at 1,038,972), so the cap keeps a run near 175 MB.
+PROJECTION_CAP = 1 << 20
+
 # A packed-dimension constraint is either a vertex index or an oriented edge.
 Constraint = Union[int, Edge]
 
@@ -128,6 +135,11 @@ def sat_to_rcsp(phi: SatInstance, host: Graph, clause_sets) -> RcspInstance:
         per_vertex.append((variables, codes))
 
     sigma_size = max(1, max(len(codes) for _, codes in per_vertex) if per_vertex else 1)
+    entries = 2 * len(host.edge_list) * sigma_size
+    if entries > PROJECTION_CAP:
+        raise CapExceededError(
+            f"projection table of {entries} entries exceeds the cap {PROJECTION_CAP}"
+        )
     shared: dict[Edge, tuple[int, ...]] = {}
     for (x, y) in host.edge_list:
         vx, _ = per_vertex[x]

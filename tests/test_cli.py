@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from knapreduce.cli import main
-from knapreduce.reductions import HOST_CAP
+from knapreduce import reductions
+from knapreduce.reductions import HOST_CAP, PROJECTION_CAP
 from knapreduce.serialize import parse_instance
 
 
@@ -124,6 +125,25 @@ def test_sat_host_past_the_cap_is_refused(tmp_path, capsys, route):
     assert not out.exists()
     assert main(reduce + [str(HOST_CAP)]) == 0
     assert parse_instance(read(out)).graph.vertex_count == HOST_CAP
+
+
+def test_sat_projection_table_past_the_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # sigma = 926 on every complete host here, so the table has 926 * k(k - 1) entries
+    src, out = tmp_path / "phi.json", tmp_path / "pi.json"
+    assert main(["gen", "sat", "--n", "16", "--m", "6", "--bound", "4", "--seed", "1",
+                 "--out", str(src)]) == 0
+    reduce = ["reduce", "sat2rcsp-disperser", "--in", str(src), "--r", "1", "--out", str(out), "--k"]
+    assert main(reduce + ["35"]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: projection table of 1101940 entries exceeds the cap {PROJECTION_CAP}\n")
+    assert not out.exists()
+    # a table of exactly the cap's size is built
+    monkeypatch.setattr(reductions, "PROJECTION_CAP", 926 * 5 * 4 - 1)
+    assert main(reduce + ["5"]) == 3
+    assert not out.exists()
+    monkeypatch.setattr(reductions, "PROJECTION_CAP", 926 * 5 * 4)
+    assert main(reduce + ["5"]) == 0
+    assert parse_instance(read(out)).sigma_size == 926
 
 
 def test_gen_graph_past_the_sample_index_range_is_usage_error(tmp_path, capsys):

@@ -15,7 +15,8 @@ from knapreduce.csp import (
     par_bruteforce,
     sat_opt_bruteforce,
 )
-from knapreduce.errors import CapExceededError
+from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError
+from knapreduce.generators import gen_csp2, gen_rcsp, gen_rcsp_planted
 from knapreduce.graphs import Graph, graph_from_edges
 
 
@@ -266,3 +267,180 @@ class TestRcsp:
         with pytest.raises(CapExceededError):
             par_bruteforce(pi, max_nodes=2)
 
+
+
+# The two CSP searches as they were when each counted its own nodes and
+# every leaf and bound-pruned child was a generator of its own, kept
+# verbatim as references, with the one-argument stack driver of their day.
+
+
+def run_depth_first(root) -> None:
+    stack = [root]
+    while stack:
+        for child in stack[-1]:
+            stack.append(child)
+            break
+        else:
+            stack.pop()
+
+
+def reference_csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -> int:
+    n = gamma.graph.vertex_count
+    edges = gamma.graph.edge_list
+    total = len(edges)
+    # Edges whose later endpoint is v, for incremental scoring during DFS.
+    closing = [[] for _ in range(n)]
+    for e in edges:
+        closing[e[1]].append(e)
+    remaining_after = [sum(len(closing[w]) for w in range(v + 1, n)) for v in range(n)]
+    best = 0
+    assignment = [0] * n
+    nodes = 0
+
+    def descend(v: int, score: int):
+        nonlocal best, nodes
+        if v == n:
+            best = max(best, score)
+            return
+        if score + len(closing[v]) + remaining_after[v] <= best:
+            return
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        for s in range(gamma.sigma_size):
+            assignment[v] = s
+            gained = sum(
+                1
+                for (u, w) in closing[v]
+                if (assignment[u], s) in gamma.constraints[(u, w)]
+            )
+            yield descend(v + 1, score + gained)
+            if best == total:
+                return
+
+    run_depth_first(descend(0, 0))
+    return best
+
+
+def reference_par_bruteforce(pi: RcspInstance, max_nodes: int = DEFAULT_NODE_CAP):
+    n = pi.graph.vertex_count
+    # closing[v] holds (u, proj_u, proj_v) for each edge (u, v) with u < v.
+    closing = [[] for _ in range(n)]
+    for e in pi.graph.edge_list:
+        closing[e[1]].append((e[0], *pi.projections[e]))
+    best_size = 0
+    best = (None,) * n
+    current = [None] * n
+    nodes = 0
+
+    def descend(v: int, assigned: int):
+        nonlocal best_size, best, nodes
+        if v == n:
+            if assigned > best_size:
+                best_size = assigned
+                best = tuple(current)
+            return
+        if assigned + (n - v) <= best_size:
+            return
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceededError(f"search exceeded node budget {max_nodes}")
+        for s in range(pi.sigma_size):
+            for u, pu, pv in closing[v]:
+                a = current[u]
+                if a is not None and pu[a] != pv[s]:
+                    break
+            else:
+                current[v] = s
+                yield descend(v + 1, assigned + 1)
+                current[v] = None
+                if best_size == n:
+                    return
+        yield descend(v + 1, assigned)
+
+    run_depth_first(descend(0, 0))
+    return best_size, PartialAssignment(best)
+
+
+def result_and_trip_point(search, instance):
+    """The search's result and its trip point, the smallest max_nodes at
+    which it does not refuse; every smaller budget must refuse with the
+    budget in its message."""
+    hi = 1
+    while True:
+        try:
+            result = search(instance, max_nodes=hi)
+            break
+        except CapExceededError:
+            hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            search(instance, max_nodes=mid)
+            hi = mid
+        except CapExceededError as e:
+            assert str(e) == f"search exceeded node budget {mid}"
+            lo = mid + 1
+    return result, lo
+
+
+def seeded_graph_shapes():
+    """(seed, vertices, sigma, graph keywords): cubic graphs on 4, 6 and 8
+    vertices and graphs drawn by edge count on 0 to 8, sigma 1 to 3."""
+    cases = []
+    for seed in range(240):
+        rng = random.Random(7100 + seed)
+        n = (0, 1, 2, 4, 6, 8)[seed % 6]
+        sigma = 1 + seed // 6 % 3
+        if n >= 4 and seed % 4 == 3:
+            shape = {"regular3": True}
+        else:
+            shape = {"edge_count": rng.randint(0, n * (n - 1) // 2), "regular3": False}
+        cases.append((rng, n, sigma, shape))
+    return cases
+
+
+class TestSearchesMatchTheirReferences:
+    """Node counting moved into the driver and leaves and bound-pruned
+    children into their parents; values, witnesses and trip points stay."""
+
+    def test_par_bruteforce(self):
+        for i, (rng, n, sigma, shape) in enumerate(seeded_graph_shapes()):
+            upsilon = rng.randint(1, 3)
+            if i % 2:
+                pi, _ = gen_rcsp_planted(n, sigma, upsilon, rng, **shape)
+            else:
+                pi = gen_rcsp(n, sigma, upsilon, rng, **shape)
+            expected = result_and_trip_point(reference_par_bruteforce, pi)
+            assert result_and_trip_point(par_bruteforce, pi) == expected
+            # only the vertexless instance needs no node
+            assert (expected[1] == 0) == (n == 0)
+
+    def test_csp_opt_bruteforce(self):
+        for rng, n, sigma, shape in seeded_graph_shapes():
+            gamma = gen_csp2(n, sigma, rng, **shape)
+            expected = result_and_trip_point(reference_csp_opt_bruteforce, gamma)
+            assert result_and_trip_point(csp_opt_bruteforce, gamma) == expected
+            # only an edgeless instance needs no node
+            assert (expected[1] == 0) == (not gamma.graph.edge_list)
+
+    def test_zero_node_instances_need_no_budget(self):
+        assert par_bruteforce(RcspInstance(Graph(0), 2, 1, {}), max_nodes=0) == (
+            0, PartialAssignment(()))
+        for n in (0, 1, 5):
+            gamma = Csp2Instance(Graph(n), 2, {})
+            assert csp_opt_bruteforce(gamma, max_nodes=0) == 0
+            assert reference_csp_opt_bruteforce(gamma, max_nodes=0) == 0
+
+    def test_the_root_is_a_node(self):
+        # one vertex: the root is the only node, and its children are leaves
+        pi = RcspInstance(Graph(1), 1, 1, {})
+        with pytest.raises(CapExceededError, match="node budget 0"):
+            par_bruteforce(pi, max_nodes=0)
+        assert par_bruteforce(pi, max_nodes=1) == (1, PartialAssignment((0,)))
+        # one edge: the root and the node of vertex 1
+        gamma = Csp2Instance(graph_from_edges(2, [(0, 1)]), 1, {(0, 1): frozenset({(0, 0)})})
+        with pytest.raises(CapExceededError, match="node budget 1"):
+            csp_opt_bruteforce(gamma, max_nodes=1)
+        assert csp_opt_bruteforce(gamma, max_nodes=2) == 1

@@ -8,7 +8,7 @@ from operator import add, gt, le, sub
 import pytest
 
 from knapreduce.cli import main
-from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
+from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError
 from knapreduce.csp import par_bruteforce
 from knapreduce.generators import (
     gen_rcsp,
@@ -60,7 +60,18 @@ def combinations_reference(inst, s_max):
 
 # The tuple-room oracles that the packed-int ones replaced, kept verbatim
 # as references: the search carries its residual budget as a d-list, the
-# DP keys its states by the reached cost tuple.
+# DP keys its states by the reached cost tuple.  The search runs on the
+# one-argument stack driver of its day, which left node counting to it.
+
+
+def run_depth_first(root) -> None:
+    stack = [root]
+    while stack:
+        for child in stack[-1]:
+            stack.append(child)
+            break
+        else:
+            stack.pop()
 
 
 def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
