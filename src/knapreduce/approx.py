@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
+from operator import le, mul
 
 from .discretize import gamma_for_dimension, prune_by_discretization
 from .knapsack import (
@@ -29,7 +31,7 @@ ROUNDING_TRIALS = 32
 
 
 def _is_bounded(inst: VkInstance, i: int) -> bool:
-    return all(2 * inst.costs[i][j] <= inst.budget[j] for j in range(inst.dimension))
+    return all(map(le, map(mul, inst.costs[i], repeat(2)), inst.budget))
 
 
 def split_by_boundedness(inst: VkInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -58,11 +60,7 @@ def approx_2unbounded(inst: VkInstance) -> Solution:
     for i in range(inst.item_count):
         if _is_bounded(inst, i):
             raise ValueError(f"item {i} fits half the budget in every coordinate")
-    fitting = [
-        i
-        for i in range(inst.item_count)
-        if all(inst.costs[i][j] <= inst.budget[j] for j in range(d))
-    ]
+    fitting = [i for i in range(inst.item_count) if all(map(le, inst.costs[i], inst.budget))]
     if not fitting:
         return Solution()
     gamma = gamma_for_dimension(d)

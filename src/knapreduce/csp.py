@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
+from .errors import DEFAULT_NODE_CAP, CapExceededError, search_budget_exceeded
 from .graphs import Edge, Graph
 
 # Most variables whose 2^n assignments sat_opt_bruteforce enumerates.
@@ -150,10 +150,23 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
     last = n - 1
     best = 0
     assignment: list[int] = [0] * n
-
-    def descend(v: int, score: int):
-        nonlocal best
-        for s in range(gamma.sigma_size):
+    # One loop over an explicit stack of (vertex, symbol iterator, score)
+    # frames, one per expanded vertex above the current one; a resumed
+    # frame goes on with the symbols its iterator has left.  A node is
+    # counted when it is entered (symbols is None), the root included.  A
+    # leaf updates the incumbent in its parent, and a child is entered only
+    # if its bound can beat the incumbent.  A full score ends the search.
+    alphabet = range(gamma.sigma_size)
+    nodes, stack = 0, []
+    v = score = 0
+    symbols = None
+    while best < total:
+        if symbols is None:
+            nodes += 1
+            if nodes > max_nodes:
+                raise search_budget_exceeded(max_nodes)
+            symbols = iter(alphabet)
+        for s in symbols:
             assignment[v] = s
             gained = sum(
                 1
@@ -162,12 +175,16 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
             )
             if v == last:
                 best = max(best, score + gained)
+                if best == total:
+                    break
             elif score + gained + remaining_after[v] > best:
-                yield descend(v + 1, score + gained)
-            if best == total:
-                return
-
-    run_depth_first(descend(0, 0), max_nodes)
+                stack.append((v, symbols, score))
+                v, symbols, score = v + 1, None, score + gained
+                break
+        else:
+            if not stack:
+                break
+            v, symbols, score = stack.pop()
     return best
 
 
@@ -195,7 +212,7 @@ class RcspInstance:
             for proj in (pu, pv):
                 if len(proj) != self.sigma_size:
                     raise ValueError(f"projection on {e} not total on the alphabet")
-                if any(not 0 <= t < self.upsilon_size for t in proj):
+                if proj and (min(proj) < 0 or max(proj) >= self.upsilon_size):
                     raise ValueError(f"projection on {e} maps outside the range")
 
 
@@ -240,36 +257,58 @@ def par_bruteforce(
     n = pi.graph.vertex_count
     # closing[v] holds (u, proj_u, proj_v) for each edge (u, v) with u < v.
     closing: list[list[tuple]] = [[] for _ in range(n)]
+    projections = pi.projections
     for e in pi.graph.edge_list:
-        closing[e[1]].append((e[0], *pi.projections[e]))
+        closing[e[1]].append((e[0], *projections[e]))
     best_size = 0
     best: tuple[Symbol, ...] = (None,) * n
     current: list[Symbol] = [None] * n
     last = n - 1
-
-    def descend(v: int, assigned: int):
-        nonlocal best_size, best
-        for s in range(pi.sigma_size):
+    # One loop over an explicit stack of (vertex, symbol iterator, assigned)
+    # frames, one per vertex above the current one that holds a symbol; a
+    # resumed frame goes on with the symbols its iterator has left.  A node
+    # is counted when it is entered (symbols is None), the root included.
+    # A leaf updates the incumbent in its parent, and a child is entered
+    # only if its bound can beat the incumbent.  Leaving a vertex
+    # unassigned is its last branch, so that child replaces its parent and
+    # needs no frame.  A full assignment ends the search.
+    alphabet = range(pi.sigma_size)
+    nodes, stack = 0, []
+    v = assigned = 0
+    symbols = None
+    while best_size < n:
+        if symbols is None:
+            nodes += 1
+            if nodes > max_nodes:
+                raise search_budget_exceeded(max_nodes)
+            symbols = iter(alphabet)
+        for s in symbols:
             for u, pu, pv in closing[v]:
                 a = current[u]
                 if a is not None and pu[a] != pv[s]:
                     break
             else:
-                current[v] = s
                 if v == last:
                     if assigned + 1 > best_size:
+                        current[v] = s
                         best_size, best = assigned + 1, tuple(current)
+                        current[v] = None
+                        if best_size == n:
+                            break
                 elif assigned + n - v > best_size:
-                    yield descend(v + 1, assigned + 1)
-                current[v] = None
-                if best_size == n:
-                    return
-        if v == last:
-            if assigned > best_size:
+                    current[v] = s
+                    stack.append((v, symbols, assigned))
+                    v, symbols, assigned = v + 1, None, assigned + 1
+                    break
+        else:
+            if v < last:
+                if assigned + last - v > best_size:
+                    v, symbols = v + 1, None
+                    continue
+            elif assigned > best_size:
                 best_size, best = assigned, tuple(current)
-        elif assigned + last - v > best_size:
-            yield descend(v + 1, assigned)
-
-    if n:
-        run_depth_first(descend(0, 0), max_nodes)
+            if not stack:
+                break
+            v, symbols, assigned = stack.pop()
+            current[v] = None
     return best_size, PartialAssignment(best)

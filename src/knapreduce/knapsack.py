@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import le
 
-from .errors import DEFAULT_NODE_CAP, CapExceededError, run_depth_first
+from .errors import DEFAULT_NODE_CAP, CapExceededError, search_budget_exceeded
 
 # tracemalloc measured ~0.4 KB per DP state at 50 cost coordinates of 31-bit
 # budgets and ~1 KB at 121-bit ones (a state is keyed by one packed int of 50
@@ -153,29 +153,43 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     so no superset can fit either), and the index loop stops once the
     remaining profit cannot beat the incumbent.  The residual budget is one
     packed int, so that test and the child's residual are one subtraction.
-    Each visited set is one node; refuses with CapExceededError once the
+
+    The search is one loop: the current set is `path`, and the stack holds
+    one (next index, room, profit) frame per item of it, the parent's
+    state to resume once the child's subtree ends.  A child's end index is
+    n, or 0 once the set holds max_size items.  Each visited set is one
+    node, the empty root included; refuses with CapExceededError once the
     search visits more than max_nodes of them.
     """
     profits, n = inst.profits, inst.item_count
-    budget, costs, guards = _packed(inst)
+    room, costs, guards = _packed(inst)
     suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
     best_prof, best_items = 0, ()
-
-    def extend(start: int, room: int, prof: int, items: tuple, slots: int):
-        nonlocal best_prof, best_items
-        if prof > best_prof:
-            best_prof, best_items = prof, items
-        if not slots:
-            return
-        for i in range(start, n):
-            if prof + suffix_profit[i] <= best_prof:
-                return
+    if max_nodes < 1:
+        raise search_budget_exceeded(max_nodes)
+    nodes, path, stack = 1, [], []
+    i, end, prof = 0, n if max_size else 0, 0
+    while True:
+        if i < end and prof + suffix_profit[i] > best_prof:
             rest = room - costs[i]
+            i += 1
             if rest & guards == guards:
-                yield extend(i + 1, rest, prof + profits[i], items + (i,), slots - 1)
-
-    run_depth_first(extend(0, budget, 0, (), max_size), max_nodes)
-    return best_prof, Solution(frozenset(best_items))
+                nodes += 1
+                if nodes > max_nodes:
+                    raise search_budget_exceeded(max_nodes)
+                stack.append((i, room, prof))
+                path.append(i - 1)
+                room, prof = rest, prof + profits[i - 1]
+                if prof > best_prof:
+                    best_prof, best_items = prof, tuple(path)
+                if len(path) == max_size:
+                    end = 0
+            continue
+        if not stack:
+            return best_prof, Solution(frozenset(best_items))
+        i, room, prof = stack.pop()
+        path.pop()
+        end = n
 
 
 def solve_bruteforce(inst: VkInstance, max_nodes: int = DEFAULT_NODE_CAP) -> tuple[int, Solution]:

@@ -151,6 +151,41 @@ def swap_instance():
 
 
 class TestRcsp:
+    @pytest.mark.parametrize(
+        "upsilon, projections, message",
+        [
+            pytest.param(
+                2, {(0, 1): ((0, -1), (0, 1))}, "projection on (0, 1) maps outside the range",
+                id="negative-entry",
+            ),
+            pytest.param(
+                2, {(0, 1): ((0, 1), (2, 1))}, "projection on (0, 1) maps outside the range",
+                id="entry-at-upsilon",
+            ),
+            pytest.param(
+                2, {(0, 1): ((0, 1), (0,))}, "projection on (0, 1) not total on the alphabet",
+                id="wrong-length",
+            ),
+            pytest.param(
+                2, {(0, 2): ((0, 1), (0, 1))}, "projections must be keyed exactly by the edge set",
+                id="wrong-keys",
+            ),
+            pytest.param(
+                0, {(0, 1): ((0, 0), (0, 0))}, "upsilon_size must be at least 1",
+                id="empty-range",
+            ),
+        ],
+    )
+    def test_validation_messages(self, upsilon, projections, message):
+        with pytest.raises(ValueError) as excinfo:
+            RcspInstance(graph_from_edges(3, [(0, 1)]), 2, upsilon, projections)
+        assert str(excinfo.value) == message
+
+    def test_boundary_entries_and_an_empty_alphabet_are_accepted(self):
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        RcspInstance(g, 0, 1, {(0, 1): ((), ()), (1, 2): ((), ())})
+        RcspInstance(g, 2, 2, {(0, 1): ((0, 1), (1, 1)), (1, 2): ((1, 0), (0, 0))})
+
     def test_all_bottom_is_consistent(self):
         pi = swap_instance()
         assert is_consistent(pi, PartialAssignment((None, None)))
@@ -261,6 +296,19 @@ class TestRcsp:
     def test_par_deeper_than_the_recursion_limit(self):
         pi = RcspInstance(Graph(2000), 1, 1, {})
         assert par_bruteforce(pi) == (2000, PartialAssignment((0,) * 2000))
+
+    def test_par_path_deeper_than_the_recursion_limit(self):
+        # a 2000-vertex path of equality edges whose last edge no pair
+        # satisfies: the search walks the all-0 chain, backtracks to the
+        # root and walks the all-1 chain: 2000 deep, 3,999 nodes
+        n = 2000
+        g = graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        projections = {(v, v + 1): ((0, 1), (0, 1)) for v in range(n - 2)}
+        projections[(n - 2, n - 1)] = ((0, 1), (2, 2))
+        pi = RcspInstance(g, 2, 3, projections)
+        expected = result_and_trip_point(reference_par_bruteforce, pi)
+        assert result_and_trip_point(par_bruteforce, pi) == expected
+        assert expected == ((n - 1, PartialAssignment((0,) * (n - 1) + (None,))), 2 * n - 1)
 
     def test_par_node_budget(self):
         pi = RcspInstance(Graph(6), 2, 1, {})
@@ -402,8 +450,9 @@ def seeded_graph_shapes():
 
 
 class TestSearchesMatchTheirReferences:
-    """Node counting moved into the driver and leaves and bound-pruned
-    children into their parents; values, witnesses and trip points stay."""
+    """Each search is now one loop over an explicit stack that counts its
+    own nodes, with leaves and bound-pruned children handled in their
+    parents; values, witnesses and trip points stay."""
 
     def test_par_bruteforce(self):
         for i, (rng, n, sigma, shape) in enumerate(seeded_graph_shapes()):

@@ -172,7 +172,7 @@ def assert_same_as_reference(solve, reference, inst, label):
             solve(inst, cap - 1)
 
 
-def assert_oracles_match_references(inst, label):
+def assert_search_matches_reference(inst, label):
     sizes = sorted({0, 1, 2, inst.dimension, inst.item_count})
     for s in sizes:
         assert_same_as_reference(
@@ -181,6 +181,10 @@ def assert_oracles_match_references(inst, label):
             inst,
             (label, s),
         )
+
+
+def assert_oracles_match_references(inst, label):
+    assert_search_matches_reference(inst, label)
     assert_same_as_reference(solve_dp, tuple_keyed_solve_dp, inst, (label, "dp"))
 
 
@@ -477,6 +481,20 @@ class TestPackedOracles:
                 pi, _ = gen_rcsp_planted(vertices, sigma, 2, rng, regular3=True)
             target, _ = rcsp_to_vk_embed(pi, chunk_size)
             assert_oracles_match_references(target, (chunk_size, i))
+
+    def test_digit_packed_targets_of_20_items_and_more(self):
+        # 10 vertices with sigma 2 or 8 with sigma 3, planted and random;
+        # the search only, since the DP's trip point takes seconds to find
+        for i in range(4):
+            rng = random.Random(3400 + i)
+            vertices, sigma = ((10, 2), (8, 3))[i % 2]
+            if i // 2 % 2:
+                pi = gen_rcsp(vertices, sigma, 2, rng, regular3=True)
+            else:
+                pi, _ = gen_rcsp_planted(vertices, sigma, 2, rng, regular3=True)
+            target, _ = rcsp_to_vk_embed(pi, 1 + i % 3)
+            assert target.item_count >= 20
+            assert_search_matches_reference(target, i)
 
     @pytest.mark.parametrize(
         "profits, costs, budget",
