@@ -142,10 +142,15 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
     total = len(edges)
     if not total:
         return 0
-    # Edges whose later endpoint is v, for incremental scoring during DFS.
-    closing: list[list[Edge]] = [[] for _ in range(n)]
-    for e in edges:
-        closing[e[1]].append(e)
+    alphabet = range(gamma.sigma_size)
+    # closing[v] holds (u, allowed) for each edge (u, v) with u < v, where
+    # allowed[a] is the set of symbols v may take beside symbol a at u.
+    closing: list[list[tuple]] = [[] for _ in range(n)]
+    for (u, w) in edges:
+        allowed: list[set[int]] = [set() for _ in alphabet]
+        for a, b in gamma.constraints[(u, w)]:
+            allowed[a].add(b)
+        closing[w].append((u, allowed))
     remaining_after = [sum(len(closing[w]) for w in range(v + 1, n)) for v in range(n)]
     last = n - 1
     best = 0
@@ -156,7 +161,6 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
     # counted when it is entered (symbols is None), the root included.  A
     # leaf updates the incumbent in its parent, and a child is entered only
     # if its bound can beat the incumbent.  A full score ends the search.
-    alphabet = range(gamma.sigma_size)
     nodes, stack = 0, []
     v = score = 0
     symbols = None
@@ -168,11 +172,10 @@ def csp_opt_bruteforce(gamma: Csp2Instance, max_nodes: int = DEFAULT_NODE_CAP) -
             symbols = iter(alphabet)
         for s in symbols:
             assignment[v] = s
-            gained = sum(
-                1
-                for (u, w) in closing[v]
-                if (assignment[u], s) in gamma.constraints[(u, w)]
-            )
+            gained = 0
+            for u, allowed in closing[v]:
+                if s in allowed[assignment[u]]:
+                    gained += 1
             if v == last:
                 best = max(best, score + gained)
                 if best == total:

@@ -10,18 +10,17 @@ is formed, so boundary values bucket deterministically.
 
 A coordinate's discretized value is the smaller of the geometric
 round-up of the cost and the budget minus the geometric round-down of
-the residual; ties go to the round-up branch.  The per-coordinate key
-(branch, exponent) determines the exact value given the budget and g, so
-values are formed from the keys only when read.
+the residual; ties go to the round-up branch.  Each coordinate is first
+keyed by (branch, exponent), which fixes its exact value given the budget
+and g.  Pruning compares these keys alone and never forms a rational
+power; digamma turns each key into its value.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 
 from .errors import CapExceededError
@@ -55,12 +54,6 @@ class _FloorTable:
         self.floors = [1]
         # (r, q^t) for the last t in floors: gamma^t = floors[t] + r / q^t
         self.rest = (0, 1)
-
-    @property
-    def top(self) -> tuple[int, int]:
-        """(p^t, q^t) for the last t in floors."""
-        r, scale = self.rest
-        return self.floors[-1] * scale + r, scale
 
     def reach(self, upto: int) -> list[int]:
         """The floors, extended until the last one is at least upto.
@@ -136,56 +129,25 @@ def gamma_for_dimension(d: int) -> Fraction:
     return Fraction(10 * d + 1, 10 * d)
 
 
-def _nonnegative(x) -> int:
+def _grid_point(x, gamma: Fraction, exponent) -> Fraction:
+    """0 at 0, else gamma ** exponent(table, x) for the table of gamma."""
     x = operator.index(x)
     if x < 0:
         raise ValueError("negative values cannot be discretized")
-    return x
+    if x == 0:
+        return Fraction(0)
+    table = _table(gamma)
+    return table.gamma ** exponent(table, x)
 
 
 def varpi_up(x: int, gamma: Fraction) -> Fraction:
     """0 at 0, else the smallest gamma power at or above x."""
-    x = _nonnegative(x)
-    if x == 0:
-        return Fraction(0)
-    table = _table(gamma)
-    return table.gamma ** bisect_left(table.reach(x), x)
+    return _grid_point(x, gamma, lambda table, x: bisect_left(table.reach(x), x))
 
 
 def varpi_down(x: int, gamma: Fraction) -> Fraction:
     """0 at 0, else the largest gamma power at or below x."""
-    x = _nonnegative(x)
-    if x == 0:
-        return Fraction(0)
-    table = _table(gamma)
-    return table.gamma ** table.round_down_exponent(x)
-
-
-@dataclass(frozen=True)
-class DiscretizedCost:
-    """Per-coordinate branch keys, with the budget and gamma they refer to.
-
-    values, the exact discretized coordinates, is derived from the keys on
-    first read; key comparison alone never forms a rational power.
-    """
-
-    keys: tuple[CoordKey, ...]
-    budget: tuple[int, ...]
-    gamma: Fraction
-
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        out = []
-        for key, b in zip(self.keys, self.budget):
-            if key[0] == ZERO:
-                out.append(Fraction(0))
-            elif key[0] == UP:
-                out.append(self.gamma ** key[1])
-            elif key[1] is None:
-                out.append(Fraction(b))
-            else:
-                out.append(b - self.gamma ** key[1])
-        return tuple(out)
+    return _grid_point(x, gamma, _FloorTable.round_down_exponent)
 
 
 def _coordinate_key(table: _FloorTable, x, b: int) -> CoordKey:
@@ -202,14 +164,25 @@ def _coordinate_key(table: _FloorTable, x, b: int) -> CoordKey:
     return (COMP_DOWN, t_down)
 
 
-def digamma(cost_vector, budget, gamma: Fraction) -> DiscretizedCost:
+def _key_value(key: CoordKey, b: int, gamma: Fraction) -> Fraction:
+    """The exact discretized coordinate that key stands for against budget b."""
+    if key[0] == ZERO:
+        return Fraction(0)
+    if key[0] == UP:
+        return gamma ** key[1]
+    if key[1] is None:
+        return Fraction(b)
+    return b - gamma ** key[1]
+
+
+def digamma(cost_vector, budget, gamma: Fraction) -> tuple[Fraction, ...]:
     """Discretize one cost vector against its budget, coordinate by coordinate."""
     if len(cost_vector) != len(budget):
         raise ValueError("cost vector and budget must have equal length")
     table = _table(gamma)
     budget = tuple(map(operator.index, budget))
-    keys = tuple(map(_coordinate_key, repeat(table), cost_vector, budget))
-    return DiscretizedCost(keys, budget, table.gamma)
+    keys = map(_coordinate_key, repeat(table), cost_vector, budget)
+    return tuple(map(_key_value, keys, budget, repeat(table.gamma)))
 
 
 def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:

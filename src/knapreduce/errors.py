@@ -15,8 +15,8 @@ interpreter's recursion limit.
 # subset-sum instances of small integers and 0.6M-1.3M nodes/s on 36-item
 # digit-packed targets (F = 1..3); on 16-vertex cubic instances with
 # sigma = 3, par_bruteforce expands 1.3M-1.6M nodes/s and csp_opt_bruteforce
-# ~300k nodes/s.  So the budget is about 5-8 s, 8-16 s, 6-8 s and 33 s of
-# search.  Being above 2^22, it admits every instance of up to 22 items, and
+# 0.8M-1.0M nodes/s.  So the budget is about 5-8 s, 8-16 s, 6-8 s and 10-13 s
+# of search.  Being above 2^22, it admits every instance of up to 22 items, and
 # a CSP search over at most 10^7 (partial) assignments never reaches it.
 DEFAULT_NODE_CAP = 10_000_000
 

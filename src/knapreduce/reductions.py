@@ -39,9 +39,14 @@ from .knapsack import Solution, VkInstance, check_feasible
 ALPHABET_CAP = 1 << 16
 
 # Largest dimension, and largest cost-table size (items times dimensions),
-# of a plain target that rcsp_to_vk_simple builds; each cost entry takes
-# at least a pointer, so the cap keeps the table near 100 MB.
-SIMPLE_TARGET_CAP = 10_000_000
+# of the plain or the packed target; each cost entry takes at least a
+# pointer, so the cap keeps the table near 100 MB.
+TARGET_CAP = 10_000_000
+
+# Most decimal digits of a packed target entry: CPython's default limit on
+# int <-> str conversion, so every target built can also be written.  As
+# log2(10) > 3.32, an entry of at most 3.32 bits per digit is under it.
+TARGET_DIGITS_CAP = 4300
 
 # Largest host size k of either 3-SAT route, checked before the covering
 # family or the host graph is built.  The disperser route's complete host
@@ -107,6 +112,19 @@ def _satisfying_codes(
     return variables, tuple(good)
 
 
+def _host_codes(phi: SatInstance, host: Graph, clause_sets) -> list:
+    """Each host vertex's (variables, satisfying codes), after checking that
+    there is one clause set per host vertex and each index names a clause."""
+    if len(clause_sets) != host.vertex_count:
+        raise ValueError("one clause set per host vertex required")
+    chosen = [tuple(sorted(set(indices))) for indices in clause_sets]
+    for indices in chosen:
+        for c in indices:
+            if not 0 <= c < phi.clause_count:
+                raise ValueError(f"clause index {c} out of range")
+    return [_satisfying_codes(phi, indices) for indices in chosen]
+
+
 def sat_to_rcsp(phi: SatInstance, host: Graph, clause_sets) -> RcspInstance:
     """Rectangular CSP whose vertices carry the satisfying assignments of
     their clause set and whose edges force agreement on shared variables.
@@ -117,22 +135,14 @@ def sat_to_rcsp(phi: SatInstance, host: Graph, clause_sets) -> RcspInstance:
     agree with the opposite endpoint.  The shared range packs restrictions
     to the edge's common variables below all sentinels.
     """
-    if len(clause_sets) != host.vertex_count:
-        raise ValueError("one clause set per host vertex required")
-    per_vertex = []
-    for x in range(host.vertex_count):
-        chosen = tuple(sorted(set(clause_sets[x])))
-        for c in chosen:
-            if not 0 <= c < phi.clause_count:
-                raise ValueError(f"clause index {c} out of range")
-        variables, codes = _satisfying_codes(phi, chosen)
+    per_vertex = _host_codes(phi, host, clause_sets)
+    for x, (_, codes) in enumerate(per_vertex):
         if not codes:
             warnings.warn(
                 f"host vertex {x} hosts an unsatisfiable clause set; it has no "
                 f"symbol participating in any consistent assignment",
                 stacklevel=2,
             )
-        per_vertex.append((variables, codes))
 
     sigma_size = max(1, max(len(codes) for _, codes in per_vertex) if per_vertex else 1)
     entries = 2 * len(host.edge_list) * sigma_size
@@ -178,10 +188,12 @@ def rcsp_assignment_from_sat(
     Valid (and total) whenever the assignment satisfies all clauses of
     every clause set, in particular whenever it satisfies the formula.
     """
+    if len(assignment) != phi.variable_count:
+        raise ValueError(
+            f"assignment length {len(assignment)} != variable count {phi.variable_count}"
+        )
     values = []
-    for x in range(host.vertex_count):
-        chosen = tuple(sorted(set(clause_sets[x])))
-        variables, codes = _satisfying_codes(phi, chosen)
+    for x, (variables, codes) in enumerate(_host_codes(phi, host, clause_sets)):
         t = len(variables)
         code = sum(1 << (t - 1 - i) for i, v in enumerate(variables) if assignment[v - 1])
         symbol = bisect_left(codes, code)
@@ -321,6 +333,14 @@ def csp2_assignment_from_rcsp(gamma: Csp2Instance, phi: PartialAssignment) -> tu
 # rectangular CSP -> vector knapsack, one dimension per constraint endpoint
 # ---------------------------------------------------------------------------
 
+def _check_target_shape(kind: str, items: int, d: int) -> None:
+    if max(d, items * d) > TARGET_CAP:
+        raise CapExceededError(
+            f"{kind} target of {items} items in {d} dimensions exceeds the cap "
+            f"{TARGET_CAP} on its dimension and cost-table size"
+        )
+
+
 def item_index(pi: RcspInstance, v: int, s: int) -> int:
     return v * pi.sigma_size + s
 
@@ -340,11 +360,7 @@ def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
     n = pi.graph.vertex_count
     sigma = pi.sigma_size
     d = n + 2 * len(pi.graph.edges)
-    if max(d, n * sigma * d) > SIMPLE_TARGET_CAP:
-        raise CapExceededError(
-            f"plain target of {n * sigma} items in {d} dimensions exceeds the cap "
-            f"{SIMPLE_TARGET_CAP} on its dimension and cost-table size"
-        )
+    _check_target_shape("plain", n * sigma, d)
     m = pi.upsilon_size
     index = {e: t for t, e in enumerate(pi.graph.edge_list)}
     zero = (0,) * sigma
@@ -445,6 +461,7 @@ def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifact
     partition = tuple(
         tuple(ordered[i: i + chunk_size]) for i in range(0, len(ordered), chunk_size)
     )
+    _check_target_shape("packed", n * pi.sigma_size, 2 * len(partition))
     coverage = []
     for chunk in partition:
         row = [0] * n
@@ -483,6 +500,12 @@ def rcsp_to_vk_embed(
     if not pi.graph.is_regular(3):
         raise ValueError("constraint graph must be 3-regular")
     art = embed_artifacts(pi, chunk_size)
+    entry = art.sentinel * max(art.chunk_totals)  # no entry of the target exceeds it
+    if entry.bit_length() > TARGET_DIGITS_CAP * 332 // 100 and entry >= 10 ** TARGET_DIGITS_CAP:
+        raise CapExceededError(
+            f"packed target entries of up to {entry.bit_length()} bits exceed the cap of "
+            f"{TARGET_DIGITS_CAP} decimal digits"
+        )
     n = pi.graph.vertex_count
     sigma = pi.sigma_size
     m = pi.upsilon_size

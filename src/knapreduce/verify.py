@@ -275,7 +275,7 @@ def _discretize(count: int, seed: int):
             budget = (b,)
             for x in range(b + 1):
                 checked += 1
-                value = digamma((x,), budget, gamma).values[0]
+                value = digamma((x,), budget, gamma)[0]
                 if value > scaled[x]:
                     min_bound_failures += 1
                 if value.numerator * p > (b * p - (b - x) * q) * value.denominator:

@@ -237,7 +237,7 @@ def test_criterion_06_discretization_bounds():
                 assert down <= x <= up
                 if x >= 1:
                     assert up < gamma * x
-                value = digamma((x,), (b,), gamma).values[0]
+                value = digamma((x,), (b,), gamma)[0]
                 assert value <= gamma * x
                 assert value <= b - Fraction(b - x, 1) / gamma
                 points += 1

@@ -420,6 +420,24 @@ def test_huge_plain_target_is_refused_at_the_cap(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+def test_packed_target_past_the_digit_cap_is_refused(tmp_path, capsys):
+    # on 120 vertices, F = 300 gives entries of up to ~4,850 digits, more than
+    # CPython converts to text by default; 100 vertices at F = 250 stay near 3,940
+    src, out = tmp_path / "pi.json", tmp_path / "vk.json"
+    for vertices, chunk_size, code in ((120, 300, 3), (100, 250, 0)):
+        assert main(["gen", "rcsp", "--regular3", "--vertices", str(vertices), "--seed", "1",
+                     "--out", str(src)]) == 0
+        capsys.readouterr()
+        reduce = ["reduce", "rcsp2vk-embed", "--in", str(src), "--F", str(chunk_size)]
+        assert main(reduce + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"error: packed target entries of up to 16179 bits exceed the cap "
+                           f"of {reductions.TARGET_DIGITS_CAP} decimal digits\n")
+            assert not out.exists()
+    assert parse_instance(read(out)).dimension == 2
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["solve", "brute", "--in", str(tmp_path / "nope.json")]) == 2
 

@@ -10,7 +10,6 @@ from knapreduce.discretize import (
     COMP_DOWN,
     UP,
     ZERO,
-    DiscretizedCost,
     digamma,
     gamma_for_dimension,
     prune_by_discretization,
@@ -58,6 +57,18 @@ class FractionReference:
                 keys.append((COMP_DOWN, t_down))
                 values.append(comp)
         return tuple(keys), tuple(values)
+
+
+def coordinate_keys(cost_vector, budget, gamma):
+    """The private per-coordinate keys that pruning compares."""
+    table = discretize._table(gamma)
+    return tuple(discretize._coordinate_key(table, x, b) for x, b in zip(cost_vector, budget))
+
+
+def running_pair(table):
+    """(p^t, q^t) for the last t in the floors, from floors[-1] and the carried rest."""
+    r, scale = table.rest
+    return table.floors[-1] * scale + r, scale
 
 
 def reference_prune(items, budget, gamma):
@@ -124,23 +135,23 @@ class TestAgainstFractionReference:
             reference = FractionReference(gamma)
             for b in range(61):
                 for x in range(b + 1):
-                    out = digamma((x,), (b,), gamma)
-                    assert (out.keys, out.values) == reference.digamma((x,), (b,)), (d, b, x)
-                    assert all(type(v) is Fraction for v in out.values)
+                    out = coordinate_keys((x,), (b,), gamma), digamma((x,), (b,), gamma)
+                    assert out == reference.digamma((x,), (b,)), (d, b, x)
+                    assert all(type(v) is Fraction for v in out[1])
 
     def test_integer_gamma(self):
         # every power of 2 is an integer, so equality with x is reachable at t > 0
         gamma = Fraction(2)
         assert varpi_up(5, gamma) == 8 and varpi_down(5, gamma) == 4
         assert varpi_up(8, gamma) == varpi_down(8, gamma) == 8
-        assert digamma((4,), (8,), gamma).keys == ((UP, 2),)
-        assert digamma((5,), (8,), gamma).keys == ((COMP_DOWN, 1),)
-        assert digamma((5,), (8,), gamma).values == (6,)
+        assert coordinate_keys((4,), (8,), gamma) == ((UP, 2),)
+        assert coordinate_keys((5,), (8,), gamma) == ((COMP_DOWN, 1),)
+        assert digamma((5,), (8,), gamma) == (6,)
         reference = FractionReference(gamma)
         for b in range(61):
             for x in range(b + 1):
-                out = digamma((x,), (b,), gamma)
-                assert (out.keys, out.values) == reference.digamma((x,), (b,)), (b, x)
+                out = coordinate_keys((x,), (b,), gamma), digamma((x,), (b,), gamma)
+                assert out == reference.digamma((x,), (b,)), (b, x)
         assert varpi_up(5, 2) == 8
 
     def test_packed_target(self):
@@ -150,15 +161,15 @@ class TestAgainstFractionReference:
         discretize._tables.pop(gamma, None)
         reference = FractionReference(gamma)
         for cost in inst.costs:
-            out = digamma(cost, inst.budget, gamma)
-            assert (out.keys, out.values) == reference.digamma(cost, inst.budget)
+            out = coordinate_keys(cost, inst.budget, gamma), digamma(cost, inst.budget, gamma)
+            assert out == reference.digamma(cost, inst.budget)
         # the cache holds small floors plus one exact running pair
         table = discretize._tables[gamma]
         widest = max(inst.budget).bit_length()
         assert all(f.bit_length() <= widest for f in table.floors[:-1])
         assert table.floors[-1] < gamma * max(inst.budget) + 1
         top = len(table.floors) - 1
-        assert table.top == (gamma.numerator ** top, gamma.denominator ** top)
+        assert running_pair(table) == (gamma.numerator ** top, gamma.denominator ** top)
 
     def test_over_cap_request_is_refused(self, monkeypatch):
         gamma = Fraction(101, 100)
@@ -171,7 +182,7 @@ class TestAgainstFractionReference:
             digamma((1,), (3,), gamma)
         table = discretize._tables[gamma]
         assert len(table.floors) == 100
-        assert table.top == (101 ** 99, 100 ** 99)
+        assert running_pair(table) == (101 ** 99, 100 ** 99)
         assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
         discretize._tables.pop(gamma)
 
@@ -185,7 +196,7 @@ class TestAgainstFractionReference:
         top = len(floors) - 1
         for t in [*range(50), *range(50, top, 97), top]:
             assert floors[t] == p**t // q**t, t
-        assert table.top == (p**top, q**top)
+        assert running_pair(table) == (p**top, q**top)
 
     def test_table_count_is_bounded(self, monkeypatch):
         monkeypatch.setattr(discretize, "TABLE_COUNT_CAP", 3)
@@ -198,29 +209,27 @@ class TestAgainstFractionReference:
 class TestDigamma:
     def test_zero_vector(self):
         gamma = gamma_for_dimension(2)
-        out = digamma((0, 0), (5, 9), gamma)
-        assert out.keys == ((ZERO,), (ZERO,))
-        assert out.values == (0, 0)
+        assert coordinate_keys((0, 0), (5, 9), gamma) == ((ZERO,), (ZERO,))
+        assert digamma((0, 0), (5, 9), gamma) == (0, 0)
 
     def test_full_budget_uses_complement_branch(self):
         gamma = gamma_for_dimension(1)
-        out = digamma((7,), (7,), gamma)
-        assert out.keys[0][0] == COMP_DOWN
-        assert out.keys[0][1] is None
-        assert out.values[0] == 7
+        key = coordinate_keys((7,), (7,), gamma)[0]
+        assert key[0] == COMP_DOWN
+        assert key[1] is None
+        assert digamma((7,), (7,), gamma)[0] == 7
 
     def test_tie_prefers_round_up(self):
         # x = 1, budget 2: round-up gives 1, complement gives 2 - 1 = 1
         gamma = gamma_for_dimension(1)
-        out = digamma((1,), (2,), gamma)
-        assert out.keys[0] == (UP, 0)
-        assert out.values[0] == 1
+        assert coordinate_keys((1,), (2,), gamma)[0] == (UP, 0)
+        assert digamma((1,), (2,), gamma)[0] == 1
 
     def test_identical_vectors_share_keys(self):
         gamma = gamma_for_dimension(3)
-        a = digamma((4, 9, 0), (10, 20, 5), gamma)
-        b = digamma((4, 9, 0), (10, 20, 5), gamma)
-        assert a == b and isinstance(a, DiscretizedCost)
+        a = coordinate_keys((4, 9, 0), (10, 20, 5), gamma)
+        b = coordinate_keys((4, 9, 0), (10, 20, 5), gamma)
+        assert a == b
 
     def test_cost_above_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +240,7 @@ class TestDigamma:
             gamma = gamma_for_dimension(d)
             for b in (1, 7, 40):
                 for x in range(b + 1):
-                    value = digamma((x,), (b,), gamma).values[0]
+                    value = digamma((x,), (b,), gamma)[0]
                     assert value <= gamma * x
                     assert value <= b - Fraction(b - x, 1) / gamma
 
@@ -241,8 +250,8 @@ class TestDigamma:
         b = 30
         by_key = {}
         for x in range(b + 1):
-            out = digamma((x,), (b,), gamma)
-            by_key.setdefault(out.keys[0], set()).add(out.values[0])
+            key = coordinate_keys((x,), (b,), gamma)[0]
+            by_key.setdefault(key, set()).add(digamma((x,), (b,), gamma)[0])
         assert all(len(values) == 1 for values in by_key.values())
 
 
@@ -270,9 +279,8 @@ class TestPrune:
         for _ in range(200):
             x = (rng.randint(0, 25), rng.randint(0, 25))
             y = (rng.randint(0, 25), rng.randint(0, 25))
-            dx, dy = digamma(x, budget, gamma), digamma(y, budget, gamma)
-            if dx.keys == dy.keys:
-                assert dx.values == dy.values
+            if coordinate_keys(x, budget, gamma) == coordinate_keys(y, budget, gamma):
+                assert digamma(x, budget, gamma) == digamma(y, budget, gamma)
 
     def test_matches_per_item_reference_on_packed_targets(self):
         rng = random.Random(5)
@@ -301,7 +309,7 @@ class TestPrune:
         # first item must not share the second item's key
         gamma = gamma_for_dimension(2)
         budget = (11, 100)
-        first, second = digamma((10, 10), budget, gamma).keys, digamma((10, 99), budget, gamma).keys
+        first, second = coordinate_keys((10, 10), budget, gamma), coordinate_keys((10, 99), budget, gamma)
         assert first[0] != first[1] and first[0] == second[0] == second[1]
         items = [(0, 1, (10, 10)), (1, 1, (10, 99))]
         assert prune_by_discretization(items, budget, gamma) == [0, 1]

@@ -154,6 +154,27 @@ class TestCoreReduction:
         with pytest.raises(ValueError, match="vertex 1"):
             rcsp_assignment_from_sat(phi, Graph(2), clause_sets, [True] * 3)
 
+    @pytest.mark.parametrize("clause_sets, message", [
+        ([[0], [1], [-1]], "^clause index -1 out of range$"),
+        ([[0], [1], [99]], "^clause index 99 out of range$"),
+        ([[0], [1]], "^one clause set per host vertex required$"),
+    ], ids=["negative", "past-the-end", "too-few"])
+    def test_both_directions_refuse_invalid_clause_sets(self, clause_sets, message):
+        # index -1 must not read the last clause, nor a short list end in IndexError
+        phi, hidden = gen_sat_satisfiable(8, 5, 3, random.Random(1))
+        host = complete_graph(3)
+        with pytest.raises(ValueError, match=message):
+            sat_to_rcsp(phi, host, clause_sets)
+        with pytest.raises(ValueError, match=message):
+            rcsp_assignment_from_sat(phi, host, clause_sets, hidden)
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_projection_refuses_an_assignment_of_the_wrong_length(self, length):
+        phi, hidden = gen_sat_satisfiable(8, 5, 3, random.Random(1))
+        assignment = (list(hidden) + [True])[:length]
+        with pytest.raises(ValueError, match=f"^assignment length {length} != variable count 8$"):
+            rcsp_assignment_from_sat(phi, complete_graph(3), [[0], [1], [2]], assignment)
+
     def test_unsatisfiable_pattern_instance_cross_checked(self):
         # all 8 sign patterns on 3 variables: no assignment satisfies them all
         phi = sat(3, [

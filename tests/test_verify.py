@@ -3,7 +3,6 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -259,7 +258,7 @@ def test_min_bound_failure_counts_once(monkeypatch, b, x, value):
     digamma = verify.digamma
     monkeypatch.setattr(
         verify, "digamma",
-        lambda cost, budget, gamma: SimpleNamespace(values=(value,))
+        lambda cost, budget, gamma: (value,)
         if (cost, budget) == ((x,), (b,)) else digamma(cost, budget, gamma),
     )
     assert _discretize_observed("min-bounds") == {f"{DISCRETIZE_POINTS} points, 1 violations"}

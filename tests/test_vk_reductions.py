@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from knapreduce import reductions
 from knapreduce.csp import (
     PartialAssignment,
     RcspInstance,
@@ -20,7 +21,7 @@ from knapreduce.knapsack import (
     solve_bruteforce,
 )
 from knapreduce.reductions import (
-    SIMPLE_TARGET_CAP,
+    TARGET_CAP,
     constraint_weight,
     embed_artifacts,
     extract_partial_assignment,
@@ -198,7 +199,7 @@ class TestSimpleTarget:
     def test_refuses_past_the_target_cap(self):
         # checked before any row is built: the dimension alone, or the
         # cost table of a dimension under the cap
-        cap = SIMPLE_TARGET_CAP
+        cap = TARGET_CAP
         for pi in (RcspInstance(Graph(cap + 1), 0, 1, {}), RcspInstance(Graph(cap // 2), 3, 1, {})):
             with pytest.raises(CapExceededError):
                 rcsp_to_vk_simple(pi)
@@ -233,6 +234,29 @@ class TestEmbedArtifacts:
             embed_artifacts(pi, 0)
         with pytest.raises(ValueError):
             embed_artifacts(pi, 11)
+
+    def test_refuses_past_the_target_cap(self, monkeypatch):
+        # K4 with two symbols is 8 items; chunk size 1 gives 10 chunks, 20 dimensions
+        pi, _ = planted_k4(5)
+        monkeypatch.setattr(reductions, "TARGET_CAP", 8 * 20 - 1)
+        with pytest.raises(CapExceededError, match="^packed target of 8 items in 20 dimensions"):
+            rcsp_to_vk_embed(pi, 1)
+        monkeypatch.setattr(reductions, "TARGET_CAP", 8 * 20)
+        assert rcsp_to_vk_embed(pi, 1)[0].dimension == 20
+
+    def test_refuses_entries_past_the_digit_cap(self, monkeypatch):
+        # no entry exceeds sentinel * (largest chunk total); a cap of exactly
+        # that many digits admits the target, one digit fewer refuses it
+        pi, _ = planted_k4(6)
+        for chunk_size in (1, 3, 10):
+            art = embed_artifacts(pi, chunk_size)
+            widest = art.sentinel * max(art.chunk_totals)
+            monkeypatch.setattr(reductions, "TARGET_DIGITS_CAP", len(str(widest)))
+            target, _ = rcsp_to_vk_embed(pi, chunk_size)
+            assert max(max(map(max, target.costs)), max(target.budget)) <= widest
+            monkeypatch.setattr(reductions, "TARGET_DIGITS_CAP", len(str(widest)) - 1)
+            with pytest.raises(CapExceededError, match="^packed target entries of up to"):
+                rcsp_to_vk_embed(pi, chunk_size)
 
     def test_requires_cubic_graph(self):
         with pytest.raises(ValueError):
