@@ -13,7 +13,10 @@ round-up of the cost and the budget minus the geometric round-down of
 the residual; ties go to the round-up branch.  Each coordinate is first
 keyed by (branch, exponent), which fixes its exact value given the budget
 and g.  Pruning compares these keys alone and never forms a rational
-power; digamma turns each key into its value.
+power; digamma turns each key into its value.  It forms gamma^t as a
+Fraction power, which pairs p^t with q^t and, since gcd(p, q) = 1, skips
+the gcd that building a Fraction from two integers always takes; for the
+exponents of wide budgets that gcd costs far more than the power.
 """
 
 from __future__ import annotations
@@ -45,12 +48,13 @@ TABLE_COUNT_CAP = 64
 
 
 class _FloorTable:
-    """floor(gamma^t) for t = 0, 1, ..., extended on demand."""
+    """floor(gamma^t) for t = 0, 1, ..., extended on demand, for gamma = p/q."""
 
     def __init__(self, gamma: Fraction):
         if gamma <= 1:
             raise ValueError("scaling factor must exceed 1")
         self.gamma = gamma
+        self.p, self.q = gamma.numerator, gamma.denominator
         self.floors = [1]
         # (r, q^t) for the last t in floors: gamma^t = floors[t] + r / q^t
         self.rest = (0, 1)
@@ -62,8 +66,7 @@ class _FloorTable:
         a + (b * q^t + p * r) / q^(t+1), the last term below 1 + p / q: a
         step multiplies by small integers, never divides two powers.
         """
-        floors = self.floors
-        p, q = self.gamma.numerator, self.gamma.denominator
+        floors, p, q = self.floors, self.p, self.q
         while floors[-1] < upto:
             if len(floors) >= FLOOR_TABLE_CAP:
                 raise CapExceededError(
@@ -83,7 +86,7 @@ class _FloorTable:
 
     def is_integer(self, t: int) -> bool:
         """Whether gamma^t equals its floor: t = 0, or gamma is an integer."""
-        return t == 0 or self.gamma.denominator == 1
+        return t == 0 or self.q == 1
 
     def round_down_exponent(self, x: int) -> int:
         """Largest t with gamma^t <= x, for an integer x >= 1."""
@@ -95,30 +98,36 @@ class _FloorTable:
         """gamma^t_up + gamma^t_down <= bound, the second term absent when None.
 
         Each term lies in [floor, floor + 1), and equals its floor only when
-        it is an integer.  The floors decide unless the two fractional parts
-        could sum to either side of 1; then one big-integer comparison does.
+        it is an integer, so one term is decided by its floor.  For two, the
+        floors decide unless the two fractional parts could sum to either
+        side of 1; then one big-integer comparison does.
         """
-        terms = (t_up,) if t_down is None else (t_up, t_down)
-        low = sum(self.floors[t] for t in terms)
-        fractional = sum(not self.is_integer(t) for t in terms)
+        floors, p, q = self.floors, self.p, self.q
+        low = floors[t_up]
+        fractional = not self.is_integer(t_up)
+        if t_down is None:
+            return low + fractional <= bound
+        low += floors[t_down]
+        fractional += not self.is_integer(t_down)
         if low + fractional <= bound:
             return True
         if low >= bound:
             return False
-        p, q = self.gamma.numerator, self.gamma.denominator
-        top = max(terms)
-        return sum(p**t * q ** (top - t) for t in terms) <= bound * q**top
+        top = max(t_up, t_down)
+        return p**t_up * q ** (top - t_up) + p**t_down * q ** (top - t_down) <= bound * q**top
 
 
-_tables: dict[Fraction, _FloorTable] = {}
+# Keyed by (numerator, denominator) of gamma, so a lookup hashes two ints.
+_tables: dict[tuple[int, int], _FloorTable] = {}
 
 
 def _table(gamma) -> _FloorTable:
-    table = _tables.get(gamma)
+    key = gamma.numerator, gamma.denominator
+    table = _tables.get(key)
     if table is None:
         while len(_tables) >= TABLE_COUNT_CAP:
             del _tables[next(iter(_tables))]
-        table = _tables[gamma] = _FloorTable(Fraction(gamma))
+        table = _tables[key] = _FloorTable(Fraction(*key))
     return table
 
 
@@ -180,9 +189,12 @@ def digamma(cost_vector, budget, gamma: Fraction) -> tuple[Fraction, ...]:
     if len(cost_vector) != len(budget):
         raise ValueError("cost vector and budget must have equal length")
     table = _table(gamma)
-    budget = tuple(map(operator.index, budget))
+    # lists, then one tuple made at its final size: tuple(map(...)) starts at
+    # 10 slots and resizes, and the resized rows fill CPython's per-length
+    # tuple free lists, ~1 MB of peak memory over a verify sweep
+    budget = list(map(operator.index, budget))
     keys = map(_coordinate_key, repeat(table), cost_vector, budget)
-    return tuple(map(_key_value, keys, budget, repeat(table.gamma)))
+    return tuple(list(map(_key_value, keys, budget, repeat(table.gamma))))
 
 
 def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:

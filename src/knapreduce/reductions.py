@@ -462,6 +462,12 @@ def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifact
         tuple(ordered[i: i + chunk_size]) for i in range(0, len(ordered), chunk_size)
     )
     _check_target_shape("packed", n * pi.sigma_size, 2 * len(partition))
+    # the cost-table check bounds this table only when sigma >= 1
+    if n * len(partition) > TARGET_CAP:
+        raise CapExceededError(
+            f"packed target's coverage table of {n} vertices by {len(partition)} chunks "
+            f"exceeds the cap {TARGET_CAP}"
+        )
     coverage = []
     for chunk in partition:
         row = [0] * n

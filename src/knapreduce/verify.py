@@ -254,31 +254,29 @@ def _discretize(count: int, seed: int):
     The sandwich test depends on x alone, so it runs once per x and a
     failure counts once for each of the budget_max + 1 - x budgets whose
     sweep contains x; the counts read as those of a per-point sweep.  The
-    min bounds depend on the budget, so digamma runs on every point; with
-    gamma = p/q, the bound b - (b - x)/gamma is (b*p - (b - x)*q)/p, so it is
-    compared in integers and no point forms a Fraction of its own.
+    min bounds depend on the budget, so each budget b takes one digamma call
+    over its whole row x = 0..b.  With gamma = p/q every bound is compared
+    in integers: value <= gamma*x as value*q <= p*x, up < gamma*x likewise,
+    and value <= b - (b - x)/gamma as value*p <= b*p - (b - x)*q.
     """
     budget_max = min(200, max(1, count))
     sweep = f"exhaustive-B{budget_max}"
+    checked = (budget_max + 1) * (budget_max + 2) // 2
     for dimension in range(1, 6):
         gamma = gamma_for_dimension(dimension)
         p, q = gamma.numerator, gamma.denominator
-        scaled = [gamma * x for x in range(budget_max + 1)]
         sandwich_failures = 0
         for x in range(budget_max + 1):
             down, up = varpi_down(x, gamma), varpi_up(x, gamma)
-            bad = (not down <= x <= up) + (x >= 1 and not up < scaled[x])
+            bad = (not down <= x <= up) + (x >= 1 and up.numerator * q >= p * x * up.denominator)
             sandwich_failures += bad * (budget_max + 1 - x)
         min_bound_failures = 0
-        checked = 0
         for b in range(budget_max + 1):
-            budget = (b,)
-            for x in range(b + 1):
-                checked += 1
-                value = digamma((x,), budget, gamma)[0]
-                if value > scaled[x]:
+            for x, value in enumerate(digamma(range(b + 1), (b,) * (b + 1), gamma)):
+                num, den = value.numerator, value.denominator
+                if num * q > p * x * den:
                     min_bound_failures += 1
-                if value.numerator * p > (b * p - (b - x) * q) * value.denominator:
+                if num * p > (b * p - (b - x) * q) * den:
                     min_bound_failures += 1
         yield (
             sweep,

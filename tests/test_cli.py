@@ -2,13 +2,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 from knapreduce.cli import main
 from knapreduce import reductions
+from knapreduce.csp import RcspInstance
+from knapreduce.graphs import Graph
 from knapreduce.reductions import HOST_CAP, PROJECTION_CAP
-from knapreduce.serialize import parse_instance
+from knapreduce.serialize import parse_instance, serialize_instance
 
 
 def read(path):
@@ -418,6 +421,24 @@ def test_huge_plain_target_is_refused_at_the_cap(tmp_path, capsys, sigma):
     err = capsys.readouterr().err
     assert err.startswith("error: plain target of ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_packed_coverage_table_past_the_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # sigma = 0 leaves no items, so at F = 1 only K4's coverage table of
+    # 4 vertices by 10 chunks meets the cap; its 20 dimensions stay under it
+    k4 = Graph(4, frozenset(combinations(range(4), 2)))
+    src, out = tmp_path / "pi.json", tmp_path / "vk.json"
+    src.write_text(serialize_instance(RcspInstance(k4, 0, 1, {e: ((), ()) for e in k4.edges})),
+                   encoding="utf-8")
+    reduce = ["reduce", "rcsp2vk-embed", "--in", str(src), "--F", "1", "--out", str(out)]
+    monkeypatch.setattr(reductions, "TARGET_CAP", 4 * 10 - 1)
+    assert main(reduce) == 3
+    assert capsys.readouterr() == (
+        "", "error: packed target's coverage table of 4 vertices by 10 chunks exceeds the cap 39\n")
+    assert not out.exists()
+    monkeypatch.setattr(reductions, "TARGET_CAP", 4 * 10)
+    assert main(reduce) == 0
+    assert parse_instance(read(out)).dimension == 20
 
 
 def test_packed_target_past_the_digit_cap_is_refused(tmp_path, capsys):

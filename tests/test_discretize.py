@@ -65,6 +65,11 @@ def coordinate_keys(cost_vector, budget, gamma):
     return tuple(discretize._coordinate_key(table, x, b) for x, b in zip(cost_vector, budget))
 
 
+def table_key(gamma):
+    """The cache key of gamma's floor table: its integer pair."""
+    return gamma.numerator, gamma.denominator
+
+
 def running_pair(table):
     """(p^t, q^t) for the last t in the floors, from floors[-1] and the carried rest."""
     r, scale = table.rest
@@ -130,13 +135,14 @@ class TestRounding:
 
 class TestAgainstFractionReference:
     def test_every_small_point(self):
-        for d in range(1, 6):
-            gamma = gamma_for_dimension(d)
+        # 3/2 is a coarse grid with non-integer powers; test_integer_gamma
+        # checks gamma = 2, whose powers are all integers
+        for gamma in (*map(gamma_for_dimension, range(1, 6)), Fraction(3, 2)):
             reference = FractionReference(gamma)
             for b in range(61):
                 for x in range(b + 1):
                     out = coordinate_keys((x,), (b,), gamma), digamma((x,), (b,), gamma)
-                    assert out == reference.digamma((x,), (b,)), (d, b, x)
+                    assert out == reference.digamma((x,), (b,)), (gamma, b, x)
                     assert all(type(v) is Fraction for v in out[1])
 
     def test_integer_gamma(self):
@@ -158,13 +164,13 @@ class TestAgainstFractionReference:
         inst = packed_target()
         gamma = gamma_for_dimension(inst.dimension)
         assert inst.dimension == 14 and max(inst.budget).bit_length() >= 90
-        discretize._tables.pop(gamma, None)
+        discretize._tables.pop(table_key(gamma), None)
         reference = FractionReference(gamma)
         for cost in inst.costs:
             out = coordinate_keys(cost, inst.budget, gamma), digamma(cost, inst.budget, gamma)
             assert out == reference.digamma(cost, inst.budget)
         # the cache holds small floors plus one exact running pair
-        table = discretize._tables[gamma]
+        table = discretize._tables[table_key(gamma)]
         widest = max(inst.budget).bit_length()
         assert all(f.bit_length() <= widest for f in table.floors[:-1])
         assert table.floors[-1] < gamma * max(inst.budget) + 1
@@ -173,18 +179,18 @@ class TestAgainstFractionReference:
 
     def test_over_cap_request_is_refused(self, monkeypatch):
         gamma = Fraction(101, 100)
-        discretize._tables.pop(gamma, None)
+        discretize._tables.pop(table_key(gamma), None)
         monkeypatch.setattr(discretize, "FLOOR_TABLE_CAP", 100)
         # 1.01^99 < 3, so rounding 3 up needs more than 100 exponents
         with pytest.raises(CapExceededError):
             varpi_up(3, gamma)
         with pytest.raises(CapExceededError):
             digamma((1,), (3,), gamma)
-        table = discretize._tables[gamma]
+        table = discretize._tables[table_key(gamma)]
         assert len(table.floors) == 100
         assert running_pair(table) == (101 ** 99, 100 ** 99)
         assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
-        discretize._tables.pop(gamma)
+        discretize._tables.pop(table_key(gamma))
 
     def test_long_table_equals_direct_floors(self):
         # the floors come from a carried remainder, not from dividing p^t by q^t
@@ -203,7 +209,7 @@ class TestAgainstFractionReference:
         gammas = [Fraction(k + 1, k) for k in range(991, 996)]
         for gamma in gammas:
             assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
-        assert list(discretize._tables) == gammas[-3:]
+        assert list(discretize._tables) == [table_key(gamma) for gamma in gammas[-3:]]
 
 
 class TestDigamma:
@@ -234,6 +240,14 @@ class TestDigamma:
     def test_cost_above_budget_rejected(self):
         with pytest.raises(ValueError):
             digamma((3,), (2,), gamma_for_dimension(1))
+
+    def test_batched_row_equals_per_point_values(self):
+        # one call per budget row, as the verify sweep makes, up to its largest budget
+        for d in range(1, 6):
+            gamma = gamma_for_dimension(d)
+            for b in range(201):
+                row = digamma(range(b + 1), (b,) * (b + 1), gamma)
+                assert row == tuple(digamma((x,), (b,), gamma)[0] for x in range(b + 1)), (d, b)
 
     def test_both_upper_bounds(self):
         for d in (1, 3):
@@ -340,6 +354,6 @@ class TestPrune:
 
     def test_empty_items_make_no_table(self):
         gamma = Fraction(1000, 999)
-        discretize._tables.pop(gamma, None)
+        discretize._tables.pop(table_key(gamma), None)
         assert prune_by_discretization([], (5,), gamma) == []
-        assert gamma not in discretize._tables
+        assert table_key(gamma) not in discretize._tables

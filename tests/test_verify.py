@@ -256,10 +256,51 @@ def test_sandwich_failure_counts_once_per_budget(monkeypatch, wrong_x):
 ], ids=["gamma-x", "complement"])
 def test_min_bound_failure_counts_once(monkeypatch, b, x, value):
     digamma = verify.digamma
-    monkeypatch.setattr(
-        verify, "digamma",
-        lambda cost, budget, gamma: (value,)
-        if (cost, budget) == ((x,), (b,)) else digamma(cost, budget, gamma),
-    )
+
+    def wrong_at_point(cost, budget, gamma):
+        row = digamma(cost, budget, gamma)
+        return row[:x] + (value,) + row[x + 1:] if budget[0] == b else row
+
+    monkeypatch.setattr(verify, "digamma", wrong_at_point)
     assert _discretize_observed("min-bounds") == {f"{DISCRETIZE_POINTS} points, 1 violations"}
     assert _discretize_observed("sandwich") == {f"{DISCRETIZE_POINTS} points, 0 violations"}
+
+
+def test_integer_bound_checks_equal_their_fraction_forms(monkeypatch):
+    """On every point of the largest sweep, each integer check counts what
+    its Fraction form counts, for values on, just above and just below
+    each bound as well as the true ones."""
+    budget_max = 200
+    nudge = Fraction(1, 10**9)
+    digamma, varpi_up = verify.digamma, verify.varpi_up
+    expected = {}  # check -> violations by the Fraction forms; gamma = (10d + 1)/(10d)
+
+    def shifted(bound):
+        return bound, bound + nudge, bound - nudge
+
+    def tallied_row(cost, budget, gamma):
+        b, row = budget[0], []
+        for x, value in enumerate(digamma(cost, budget, gamma)):
+            bounds = gamma * x, b - (b - x) / gamma
+            options = (value, *shifted(bounds[0]), *shifted(bounds[1]))
+            value = options[(3 * b + x) % len(options)]
+            key = f"min-bounds-d{gamma.denominator // 10}"
+            expected[key] = expected.get(key, 0) + sum(value > bound for bound in bounds)
+            row.append(value)
+        return tuple(row)
+
+    def tallied_up(x, gamma):
+        up = (varpi_up(x, gamma), *shifted(gamma * x))[x % 4]
+        bad = (not verify.varpi_down(x, gamma) <= x <= up) + (x >= 1 and not up < gamma * x)
+        key = f"sandwich-d{gamma.denominator // 10}"
+        expected[key] = expected.get(key, 0) + bad * (budget_max + 1 - x)
+        return up
+
+    monkeypatch.setattr(verify, "digamma", tallied_row)
+    monkeypatch.setattr(verify, "varpi_up", tallied_up)
+    records = run_suite("discretize", budget_max, seed=0).records
+    points = (budget_max + 1) * (budget_max + 2) // 2
+    assert sorted(r.check for r in records) == sorted(expected) and len(records) == 10
+    for r in records:
+        assert 0 < expected[r.check] < points, r.check
+        assert r.observed == f"{points} points, {expected[r.check]} violations", r.check
