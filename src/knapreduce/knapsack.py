@@ -38,6 +38,10 @@ from .errors import DEFAULT_NODE_CAP, CapExceededError, search_budget_exceeded
 # whole-byte fields), so this keeps such a table near 40-105 MB
 DEFAULT_STATE_CAP = 100_000
 
+# Cost rows that VkInstance validation dedupes at once, which bounds its
+# transient memory on a table of any length
+ROW_SLICE = 4096
+
 
 def _integers(row) -> bool:
     """Whether every entry is an int.  One builtin sum keeps this cheap on
@@ -67,25 +71,33 @@ class VkInstance:
                 raise ValueError(f"{name} must be integers")
             if min(row, default=0) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        # One pass over the flattened table accepts a valid one; any doubt
-        # goes to the per-row loop, which finds and words the first fault.
+        # Slice by slice, one pass over the flattened distinct rows accepts a
+        # valid table; any doubt goes to the per-row loop over the slice,
+        # which finds and words the first fault.  The reductions put one
+        # tuple object at every index whose row is equal, so each distinct
+        # object is checked once: deduped by identity, never by equality,
+        # as (1.0, 2) == (1, 2) would let a float row pass as an int row.
         entries = chain.from_iterable
-        try:
-            if (
-                set(map(len, self.costs)) <= {d}
-                and _integers(entries(self.costs))
-                and min(entries(self.costs), default=0) >= 0
-            ):
-                return
-        except TypeError:
-            pass
-        for i, c in enumerate(self.costs):
-            if len(c) != d:
-                raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
-            if not _integers(c):
-                raise ValueError(f"cost vector of item {i} has a non-integer coordinate")
-            if min(c, default=0) < 0:
-                raise ValueError(f"cost vector of item {i} has a negative coordinate")
+        costs = self.costs
+        for start in range(0, len(costs), ROW_SLICE):
+            part = costs[start: start + ROW_SLICE]
+            rows = dict(zip(map(id, part), part)).values()
+            try:
+                if (
+                    set(map(len, rows)) <= {d}
+                    and _integers(entries(rows))
+                    and min(entries(rows), default=0) >= 0
+                ):
+                    continue
+            except TypeError:
+                pass
+            for i, c in enumerate(part, start):
+                if len(c) != d:
+                    raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
+                if not _integers(c):
+                    raise ValueError(f"cost vector of item {i} has a non-integer coordinate")
+                if min(c, default=0) < 0:
+                    raise ValueError(f"cost vector of item {i} has a negative coordinate")
 
     @property
     def item_count(self) -> int:

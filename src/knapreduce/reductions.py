@@ -162,12 +162,19 @@ def sat_to_rcsp(phi: SatInstance, host: Graph, clause_sets) -> RcspInstance:
         side = []
         for vertex in (x, y):
             variables, codes = per_vertex[vertex]
-            # each code restricted to the common variables, packed likewise
+            # each code restricted to the common variables, packed likewise:
+            # bit src of a code moves to bit dst, and the variables with one
+            # shift src - dst move together in one mask-and-shift pass (one
+            # pass in all when every variable of the vertex is common)
             t, k = len(variables), len(common)
-            proj = [0] * len(codes)
+            masks: dict[int, int] = {}
             for j, v in enumerate(common):
-                src, dst = t - 1 - variables.index(v), k - 1 - j
-                proj = [p | ((code >> src) & 1) << dst for p, code in zip(proj, codes)]
+                src = t - 1 - variables.index(v)
+                shift = src - (k - 1 - j)
+                masks[shift] = masks.get(shift, 0) | 1 << src
+            proj = [0] * len(codes)
+            for shift, mask in masks.items():
+                proj = [p | (code & mask) >> shift for p, code in zip(proj, codes)]
             proj += [packed_range + vertex] * (sigma_size - len(codes))
             side.append(tuple(proj))
         projections[(x, y)] = (side[0], side[1])
@@ -349,13 +356,43 @@ def item_of(pi: RcspInstance, index: int) -> tuple[int, int]:
     return divmod(index, pi.sigma_size)
 
 
+def _symbol_classes(pi: RcspInstance, v: int):
+    """Group vertex v's symbols by their projections on its incident edges.
+
+    An item's cost row depends on its symbol only through v's side of the
+    projection on each edge in pi.graph.incident[v], so symbols with one
+    key (the tuple of those projections) have equal rows.  Returns
+    (columns, width, keys): columns holds v's side on each incident edge
+    over the width distinct keys in first-occurrence order, and keys lists
+    each symbol's key.  When no key repeats, columns are the projection
+    tuples themselves, width is sigma and keys is None.
+    """
+    sides = [pi.projections[e][e.index(v)] for e in pi.graph.incident[v]]
+    keys = list(zip(*sides)) if sides else [()] * pi.sigma_size
+    distinct = dict.fromkeys(keys)
+    if len(distinct) == pi.sigma_size:
+        return sides, pi.sigma_size, None
+    return list(zip(*distinct)), len(distinct), keys
+
+
+def _rows(columns, keys):
+    """Each symbol's row from columns over the distinct keys: one tuple
+    object per key, put at every symbol with that key."""
+    if keys is None:
+        return zip(*columns)
+    row_of = dict(zip(dict.fromkeys(keys), zip(*columns)))
+    return map(row_of.__getitem__, keys)
+
+
 def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
     """Unit-profit knapsack with one dimension per vertex and two per edge.
 
     A vertex dimension admits at most one copy of its vertex; the two
     dimensions of an edge are budget-tight exactly when the chosen symbols
     project equally, so feasible solutions are consistent partial
-    assignments and vice versa.
+    assignments and vice versa.  Symbols of a vertex with equal projections
+    on all its edges have equal rows, and the target holds one tuple for
+    them (_symbol_classes).
     """
     n = pi.graph.vertex_count
     sigma = pi.sigma_size
@@ -363,20 +400,20 @@ def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
     _check_target_shape("plain", n * sigma, d)
     m = pi.upsilon_size
     index = {e: t for t, e in enumerate(pi.graph.edge_list)}
-    zero = (0,) * sigma
     costs = []
     for v in range(n):
+        sides, width, keys = _symbol_classes(pi, v)
         # vertex v's rows, built column by column from its own constraints
-        columns = [zero] * d
-        columns[v] = (m,) * sigma
-        for e in pi.graph.incident[v]:
+        columns = [(0,) * width] * d
+        columns[v] = (m,) * width
+        for e, side in zip(pi.graph.incident[v], sides):
             dim = n + 2 * index[e]
-            proj_u, proj_v = pi.projections[e]
+            complement = [m - p for p in side]
             if v == e[0]:
-                columns[dim], columns[dim + 1] = proj_u, [m - p for p in proj_u]
+                columns[dim], columns[dim + 1] = side, complement
             else:
-                columns[dim], columns[dim + 1] = [m - p for p in proj_v], proj_v
-        costs += zip(*columns)
+                columns[dim], columns[dim + 1] = complement, side
+        costs += _rows(columns, keys)
     return VkInstance(
         profits=(1,) * (n * sigma),
         costs=tuple(costs),
@@ -501,7 +538,10 @@ def rcsp_to_vk_embed(
     and its three edges), placed by art.placement: every other constraint
     weighs zero on the vertex's items (constraint_weight), so only the at
     most four chunks holding them get nonzero entries.  The rows come out
-    column by column, one packed column per touched chunk.
+    column by column, one packed column per touched chunk, and symbols of
+    a vertex with equal projections on its three edges share one row tuple
+    (_symbol_classes).  Every item takes part in four constraints, its
+    vertex's and its three edges', which is its profit.
     """
     if not pi.graph.is_regular(3):
         raise ValueError("constraint graph must be 3-regular")
@@ -518,37 +558,39 @@ def rcsp_to_vk_embed(
     big = art.sentinel
     d = 2 * art.chunk_count
     place = art.placement
-    zero = (0,) * sigma
 
-    profits = []
     costs = []
     for v in range(n):
-        packed: dict[int, list[int]] = {}  # chunk -> packed digits, symbol by symbol
-        for j in (v, *pi.graph.incident[v]):
-            if j == v:
-                weights = [m] * sigma
-            else:
-                proj_a, proj_b = pi.projections[j]
-                weights = proj_a if v == j[0] else [m - p for p in proj_b]
+        sides, width, keys = _symbol_classes(pi, v)
+        l, power = place[v]
+        packed = {l: [m * power] * width}  # chunk -> packed digits, key by key
+        for j, side in zip(pi.graph.incident[v], sides):
+            weights = side if v == j[0] else [m - p for p in side]
             l, power = place[j]
-            column = packed.get(l, zero)
-            packed[l] = [x + w * power for x, w in zip(column, weights)]
-        columns = [zero] * d
+            column = packed.get(l)
+            packed[l] = (
+                [w * power for w in weights] if column is None
+                else [x + w * power for x, w in zip(column, weights)]
+            )
+        columns = [(0,) * width] * d
         for l, column in packed.items():
             cap = big * art.coverage[l][v]
             columns[2 * l] = column
             columns[2 * l + 1] = [cap - x for x in column]
-        profits += [sum(art.coverage[l][v] for l in packed)] * sigma
-        costs += zip(*columns)
+        costs += _rows(columns, keys)
 
+    # a chunk's packed budget, m in each of its digits, depends on its length alone
+    q = art.base_q
+    packed_budgets = {
+        k: m * sum(q ** i for i in range(1, k + 1)) for k in set(map(len, art.partition))
+    }
     budget = []
-    for l, chunk in enumerate(art.partition):
-        packed_budget = sum(m * place[j][1] for j in chunk)
-        budget.append(packed_budget)
-        budget.append(big * art.chunk_totals[l] - packed_budget)
+    for chunk, total in zip(art.partition, art.chunk_totals):
+        packed_budget = packed_budgets[len(chunk)]
+        budget += (packed_budget, big * total - packed_budget)
 
     inst = VkInstance(
-        profits=tuple(profits), costs=tuple(costs), budget=tuple(budget)
+        profits=(4,) * (n * sigma), costs=tuple(costs), budget=tuple(budget)
     )
     return inst, art
 

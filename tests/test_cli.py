@@ -621,6 +621,10 @@ README_GOLDEN = [
      {"pi-csp2.json": "4307675ef69b1ad71d4ea2244b9062765932551523de2b51a19e8f3d33c5a101"}),
     (["reduce", "sat2rcsp-embed", "--in", "phi.json", "--k", "8", "--out", "pi-embed.json"],
      {"pi-embed.json": "b56922937db30c3a3da32e0a2ed26659dac8b4115ed52c177ecb4ccd4a21315a"}),
+    (["reduce", "rcsp2vk-simple", "--in", "pi-embed.json", "--out", "vk-sat.json"],
+     {"vk-sat.json": "7bbf80db66027c5a1486e5aab6a296fbe247b3146117b3830da908ef744dd15a"}),
+    (["reduce", "rcsp2vk-embed", "--in", "pi-embed.json", "--F", "2", "--out", "vk-sat-f2.json"],
+     {"vk-sat-f2.json": "6a9c7ffc43f3d91bdd13be78f93e99c14e8796f4cb920702aa81e932ca74870e"}),
     (["reduce", "sat2rcsp-disperser", "--in", "phi.json", "--k", "5", "--r", "2",
       "--epsilon", "1/4", "--seed", "7", "--out", "pi-disperser.json"],
      {"pi-disperser.json": "668aefa78fbe8517a00cbe44604b79df57119c47a12548529b99c1ea2895aa0d"}),
@@ -664,3 +668,7 @@ def test_readme_examples_write_golden_bytes(tmp_path, monkeypatch, capsys):
             assert hashlib.sha256(data).hexdigest() == digest, (argv, name)
     brute, dp = (json.loads(read(tmp_path / name)) for name in ("brute.json", "dp-vk.json"))
     assert (dp["value"], dp["witness"]) == (brute["value"], brute["witness"])
+    # the SAT-route targets repeat rows: most symbols are padding to the shared alphabet
+    for name in ("vk-sat.json", "vk-sat-f2.json"):
+        costs = parse_instance(read(tmp_path / name)).costs
+        assert len(set(costs)) < len(costs)

@@ -1,5 +1,7 @@
 import inspect
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
@@ -7,6 +9,7 @@ from operator import add, gt, le, sub
 
 import pytest
 
+from knapreduce import knapsack
 from knapreduce.cli import main
 from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError
 from knapreduce.csp import par_bruteforce
@@ -243,30 +246,68 @@ class TestBasics:
         with pytest.raises(ValueError):
             VkInstance((1,), ((-1,),), (3,))
 
-    def test_cost_validation_matches_per_row_reference(self):
+    def test_cost_validation_matches_per_row_reference(self, monkeypatch):
         faults = (True, False, 1.0, 0.5, Fraction(3), Fraction(1, 2), "1", None, -1, -10**30)
-        seen = set()
-        for trial in range(800):
-            rng = random.Random(7300 + trial)
-            n, d = rng.randint(0, 6), rng.randint(0, 4)
-            costs = [[rng.randint(0, 10 ** rng.randint(1, 30)) for _ in range(d)] for _ in range(n)]
-            for _ in range(rng.choice((0, 1, 1, 2)) if costs else 0):
-                row = rng.choice(costs)
-                if row and rng.random() < 0.7:
-                    row[rng.randrange(len(row))] = rng.choice(faults)
-                elif row and rng.random() < 0.5:
-                    row.pop()
-                else:
-                    row.append(1)
-            costs = [tuple(row) for row in costs]
-            if costs and rng.random() < 0.05:
-                costs[rng.randrange(n)] = rng.choice((7, None))  # a row with no length
-            costs = tuple(costs)
-            expected = outcome(per_row_cost_check, costs, d)
-            assert outcome(VkInstance, (1,) * n, costs, (5,) * d) == expected, (trial, costs)
-            text = expected[1] if expected else ""
-            seen.add(next((k for k in ("length", "integer", "negative", "len()") if k in text), text))
-        assert seen == {"", "length", "integer", "negative", "len()"}
+        # small slices make one table span several of them
+        for row_slice in (1, 2, 3, knapsack.ROW_SLICE):
+            monkeypatch.setattr(knapsack, "ROW_SLICE", row_slice)
+            seen = set()
+            shared_faults = 0
+            for trial in range(800):
+                rng = random.Random(7300 + trial)
+                n, d = rng.randint(0, 6), rng.randint(0, 4)
+                costs = [[rng.randint(0, 10 ** rng.randint(1, 30)) for _ in range(d)]
+                         for _ in range(n)]
+                # one row object at several indices, as the reductions build them
+                for _ in range(rng.choice((0, 1, 2)) if n > 1 else 0):
+                    costs[rng.randrange(n)] = rng.choice(costs)
+                for _ in range(rng.choice((0, 1, 1, 2)) if costs else 0):
+                    row = rng.choice(costs)
+                    if row and rng.random() < 0.7:
+                        row[rng.randrange(len(row))] = rng.choice(faults)
+                    elif row and rng.random() < 0.5:
+                        row.pop()
+                    else:
+                        row.append(1)
+                as_tuple = {id(row): tuple(row) for row in costs}
+                costs = [as_tuple[id(row)] for row in costs]
+                if costs and rng.random() < 0.05:
+                    costs[rng.randrange(n)] = rng.choice((7, None))  # a row with no length
+                costs = tuple(costs)
+                expected = outcome(per_row_cost_check, costs, d)
+                assert outcome(VkInstance, (1,) * n, costs, (5,) * d) == expected, (trial, costs)
+                text = expected[1] if expected else ""
+                seen.add(next((k for k in ("length", "integer", "negative", "len()") if k in text),
+                              text))
+                named = re.search(r"item (\d+)", text)
+                if named:
+                    # a fault in a shared row names the first index holding it
+                    holders = [i for i, c in enumerate(costs) if c is costs[int(named[1])]]
+                    assert holders[0] == int(named[1])
+                    shared_faults += len(holders) > 1
+            assert seen == {"", "length", "integer", "negative", "len()"}
+            assert shared_faults >= 20, shared_faults
+
+    def test_float_row_equal_to_an_int_row_is_refused(self):
+        # (1.0, 2) == (1, 2), so only identity may dedupe rows
+        ints = (1, 2)
+        for costs, item in (((ints, (1.0, 2)), 1), ((ints, (1.0, 2), ints), 1),
+                            ((ints, ints, (1, 2.0)), 2)):
+            with pytest.raises(ValueError, match=f"item {item} has a non-integer"):
+                VkInstance((1,) * len(costs), costs, (5, 5))
+
+    def test_validation_transient_memory_is_bounded(self):
+        # 250,000 distinct d = 1 rows: one 4,096-row slice at a time peaks near
+        # 0.6 MB, and deduping all of them at once near 21 MB
+        costs = tuple((i,) for i in range(250_000))
+        profits = (1,) * len(costs)
+        tracemalloc.start()
+        try:
+            VkInstance(profits, costs, (1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     @pytest.mark.parametrize(
         "profits, costs, budget",

@@ -20,6 +20,7 @@ from knapreduce.errors import CapExceededError
 from knapreduce.generators import gen_sat, gen_sat_satisfiable
 from knapreduce.graphs import Graph, complete_graph, graph_from_edges
 from knapreduce.reductions import (
+    _host_codes,
     _satisfying_codes,
     build_clause_conflict_graph,
     rcsp_assignment_from_sat,
@@ -86,6 +87,18 @@ def reference_sat_to_rcsp(phi, host, clause_sets):
             ))
         projections[(x, y)] = tuple(side)
     return RcspInstance(host, sigma_size, packed_range + host.vertex_count, projections)
+
+
+def bitwise_projection(variables, codes, common):
+    """The one-pass-per-common-variable loop that sat_to_rcsp ran before it
+    moved the variables of one shift together, kept verbatim."""
+    # each code restricted to the common variables, packed likewise
+    t, k = len(variables), len(common)
+    proj = [0] * len(codes)
+    for j, v in enumerate(common):
+        src, dst = t - 1 - variables.index(v), k - 1 - j
+        proj = [p | ((code >> src) & 1) << dst for p, code in zip(proj, codes)]
+    return proj
 
 
 def seeded_formulas(base, count):
@@ -328,3 +341,33 @@ class TestAgainstReferenceBuilds:
                 assert sat_to_rcsp_disperser_route(
                     phi, k, cover, eps, 40 + i
                 ) == reference_sat_to_rcsp(phi, complete_graph(k), family.sets)
+
+    def test_projection_passes_match_the_bitwise_loop_on_both_routes(self):
+        hosts = []
+        for i, (phi, rng) in enumerate(seeded_formulas(8400, 16)):
+            host, emb = simple_connected_embedding(build_clause_conflict_graph(phi), 8)
+            hosts.append((phi, host, [
+                frozenset(c for c in range(phi.clause_count) if x in emb.images[c])
+                for x in range(host.vertex_count)
+            ]))
+            m = phi.clause_count
+            if m:
+                k, cover, eps = rng.randint(3, 6), 2, Fraction(1, 4)
+                set_size = min(m, math.ceil(Fraction(3 * m) / (eps * cover)))
+                family = build_disperser(m, k, set_size, cover, eps, 60 + i)
+                hosts.append((phi, complete_graph(k), family.sets))
+        all_common = set()
+        for phi, host, clause_sets in hosts:
+            per_vertex = _host_codes(phi, host, clause_sets)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unsatisfiable clause sets warn
+                pi = sat_to_rcsp(phi, host, clause_sets)
+            for (x, y), sides in pi.projections.items():
+                common = tuple(sorted(set(per_vertex[x][0]) & set(per_vertex[y][0])))
+                for vertex, side in zip((x, y), sides):
+                    variables, codes = per_vertex[vertex]
+                    expected = bitwise_projection(variables, codes, common)
+                    assert side[:len(codes)] == tuple(expected), ((x, y), vertex)
+                    all_common.add(common == variables)
+        # vertices whose variables are all common, and vertices with others
+        assert all_common == {True, False}

@@ -84,16 +84,21 @@ def reference_rcsp_to_vk_embed(pi, chunk_size):
     return VkInstance(tuple(profits), tuple(costs), tuple(budget)), art
 
 
+def sat_route_hosts():
+    """Seeded cubic rectangular CSPs from the 3-SAT embedding route."""
+    for seed, (variables, clauses) in enumerate(((6, 4), (7, 5), (8, 7))):
+        rng = random.Random(7400 + seed)
+        phi, _ = gen_sat_satisfiable(variables, clauses, 3, rng)
+        yield sat_to_rcsp_embedding_route(phi, 8)
+
+
 def cubic_hosts():
     """Seeded cubic rectangular CSPs: random ones and SAT-route ones."""
     for seed in range(6):
         rng = random.Random(7300 + seed)
         yield gen_rcsp(rng.choice((4, 6, 8)), rng.randint(1, 4), rng.randint(1, 5), rng,
                        regular3=True)
-    for seed, (variables, clauses) in enumerate(((6, 4), (7, 5), (8, 7))):
-        rng = random.Random(7400 + seed)
-        phi, _ = gen_sat_satisfiable(variables, clauses, 3, rng)
-        yield sat_to_rcsp_embedding_route(phi, 8)
+    yield from sat_route_hosts()
 
 
 class TestAgainstReferenceBuilds:
@@ -120,6 +125,16 @@ class TestAgainstReferenceBuilds:
                                   edge_count=rng.randint(0, n * (n - 1) // 2)))
         for pi in hosts:
             assert rcsp_to_vk_simple(pi) == reference_rcsp_to_vk_simple(pi)
+
+    def test_equal_rows_are_one_object_on_sat_route_targets(self):
+        # the sentinel-padded symbols of a SAT-route host repeat their
+        # projections, and every repeat shares its row tuple
+        for pi in sat_route_hosts():
+            targets = [rcsp_to_vk_simple(pi)]
+            targets += [rcsp_to_vk_embed(pi, chunk_size)[0] for chunk_size in (1, 2, 4)]
+            for target in targets:
+                costs = target.costs
+                assert len(set(map(id, costs))) == len(set(costs)) < len(costs)
 
 
 def swap_instance():
