@@ -2,17 +2,21 @@
 
 Items are split by whether every coordinate fits in half its budget.
 The half-fitting ("2-bounded") side is handled by randomized rounding of
-the exact fractional relaxation with greedy repair; the other side is
-discretized geometrically, duplicate-keyed items are pruned, and subsets
-of at most d items are enumerated (on that side no feasible solution can
-be larger, one coordinate per item being more than half spent).  The
-combined routine returns the better branch.
+the exact fractional relaxation with greedy repair: item i is drawn with
+the exact rational probability x_i / ceil(4 sqrt(d)) from one seeded
+stream, only items with x_i > 0 take a draw, and each distinct draw is
+repaired once.  The other side is discretized geometrically,
+duplicate-keyed items are pruned, and subsets of at most d items are
+enumerated (on that side no feasible solution can be larger, one
+coordinate per item being more than half spent).  The combined routine
+returns the better branch.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import repeat
 from operator import le, mul
 
@@ -20,13 +24,15 @@ from .discretize import gamma_for_dimension, prune_by_discretization
 from .knapsack import (
     Solution,
     VkInstance,
+    _better,
     profit,
     solve_bruteforce_bounded_size,
     subinstance,
 )
 from .simplex import knapsack_relaxation
 
-# Independent rounding draws of approx_lp_rounding; the best repaired one wins.
+# Rounding draws of approx_lp_rounding, all from one seeded stream; repeated
+# draws are skipped and the best repaired one wins.
 ROUNDING_TRIALS = 32
 
 
@@ -96,14 +102,23 @@ def _repair(inst: VkInstance, chosen: set[int]) -> set[int]:
         chosen.discard(worst)
 
 
+def _rounding_theta(d: int) -> Fraction:
+    """1/c for the least c with c*c >= 16*d: the largest 1/c <= 1/(4 sqrt(d))."""
+    c = math.isqrt(16 * d)
+    return Fraction(1, c if c * c == 16 * d else c + 1)
+
+
 def approx_lp_rounding(inst: VkInstance, seed: int) -> Solution:
     """Round the scaled fractional optimum; repair; keep the best of many trials.
 
     Every item must pass the half-budget test.  Each trial includes item i
-    with probability x_i / (4 sqrt(d)); infeasible draws are repaired by
-    discarding low profit-per-violation items.  The best feasible single
-    item is always a candidate, as is the empty set, so the result is
-    never worse than the best singleton.
+    with probability theta * x_i, theta = 1/ceil(4 sqrt(d)) exactly, drawn
+    as rng.randrange(den) < num on one random.Random(seed) stream; only
+    items with x_i > 0 take a draw.  Infeasible draws are repaired by
+    discarding low profit-per-violation items, and a draw equal to an
+    earlier one is skipped, its repair being the same.  The best feasible
+    single item is always a candidate, as is the empty set, so the result
+    is never worse than the best singleton.
     """
     for i in range(inst.item_count):
         if not _is_bounded(inst, i):
@@ -114,16 +129,25 @@ def approx_lp_rounding(inst: VkInstance, seed: int) -> Solution:
     if d == 0:
         return Solution(frozenset(range(inst.item_count)))
     _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
-    theta = min(1.0, 1.0 / (4.0 * math.sqrt(d)))
-    probabilities = [min(1.0, theta * float(w)) for w in weights]
+    theta = _rounding_theta(d)
+    odds = [(i, *(theta * w).as_integer_ratio()) for i, w in enumerate(weights) if w > 0]
 
     _, best = solve_bruteforce_bounded_size(inst, 1)
-    for trial in range(ROUNDING_TRIALS):
-        rng = random.Random(seed * 1_000_003 + trial)
-        drawn = {i for i, p in enumerate(probabilities) if rng.random() < p}
-        repaired = _repair(inst, drawn)
-        candidate = Solution(frozenset(repaired))
-        best = _best_solution(inst, best, candidate)
+    best_profit = profit(inst, best)
+    best_items = best.sorted_items()
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(ROUNDING_TRIALS):
+        drawn = frozenset(i for i, num, den in odds if rng.randrange(den) < num)
+        if drawn in seen:
+            continue
+        seen.add(drawn)
+        repaired = _repair(inst, set(drawn))
+        value = sum(inst.profits[i] for i in repaired)
+        if value >= best_profit:  # only a candidate that can win is sorted
+            items = tuple(sorted(repaired))
+            if _better(value, items, best_profit, best_items):
+                best, best_profit, best_items = Solution(frozenset(repaired)), value, items
     return best
 
 

@@ -640,16 +640,22 @@ def extract_partial_assignment(
     target, art = precomputed
     if not check_feasible(target, solution):
         raise ValueError("solution is infeasible in the packed target")
-    selected = [item_of(pi, index) for index in sorted(solution.chosen)]
-    saturated = {
-        l
-        for l in range(art.chunk_count)
-        if sum(art.coverage[l][v] for v, _ in selected) == art.chunk_totals[l]
-    }
-    values = [None] * pi.graph.vertex_count
-    for v in range(pi.graph.vertex_count):
-        if all(art.placement[j][0] in saturated for j in (v, *pi.graph.incident[v])):
-            symbols = [s for (w, s) in selected if w == v]
+    n = pi.graph.vertex_count
+    chunks_of = [
+        {art.placement[j][0] for j in (v, *pi.graph.incident[v])} for v in range(n)
+    ]
+    loads = [0] * art.chunk_count
+    symbols_of: list[list[int]] = [[] for _ in range(n)]
+    for index in sorted(solution.chosen):
+        v, s = item_of(pi, index)
+        symbols_of[v].append(s)
+        for l in chunks_of[v]:
+            loads[l] += art.coverage[l][v]
+    saturated = {l for l, total in enumerate(art.chunk_totals) if loads[l] == total}
+    values = [None] * n
+    for v in range(n):
+        if chunks_of[v] <= saturated:
+            symbols = symbols_of[v]
             if len(symbols) != 1:
                 raise ValueError(
                     f"saturation should force exactly one copy of vertex {v}, "

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from knapreduce import approx
 from knapreduce.approx import (
+    ROUNDING_TRIALS,
+    _best_solution,
     _repair,
+    _rounding_theta,
     approx_2unbounded,
     approx_lp_rounding,
     approx_sqrt_d,
@@ -21,7 +25,9 @@ from knapreduce.knapsack import (
     check_feasible,
     profit,
     solve_bruteforce,
+    solve_bruteforce_bounded_size,
 )
+from knapreduce.simplex import knapsack_relaxation
 
 
 class TestSplit:
@@ -115,6 +121,103 @@ class TestLpRoundingBranch:
     def test_empty_instance(self):
         inst = VkInstance((), (), (4,))
         assert approx_lp_rounding(inst, seed=0) == Solution()
+
+
+def reference_lp_rounding(inst, seed, stats):
+    """The rounding loop written out plainly: the same single stream, every
+    trial repaired and compared through _best_solution.  stats counts the
+    repeated draws and the candidates that tie the incumbent's profit."""
+    d = inst.dimension
+    c = 1
+    while c * c < 16 * d:
+        c += 1
+    _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
+    _, best = solve_bruteforce_bounded_size(inst, 1)
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(ROUNDING_TRIALS):
+        drawn = set()
+        for i, w in enumerate(weights):
+            if w > 0:
+                p = Fraction(1, c) * w
+                if rng.randrange(p.denominator) < p.numerator:
+                    drawn.add(i)
+        stats["repeats"] += frozenset(drawn) in seen
+        seen.add(frozenset(drawn))
+        candidate = Solution(frozenset(_repair(inst, drawn)))
+        stats["ties"] += candidate != best and profit(inst, candidate) == profit(inst, best)
+        best = _best_solution(inst, best, candidate)
+    return best
+
+
+class TestExactRounding:
+    def test_theta_is_the_largest_unit_fraction_within_the_guarantee(self):
+        for d in range(1, 10_001):
+            theta = _rounding_theta(d)
+            num, den = theta.numerator, theta.denominator
+            assert num == 1 and den >= 4
+            assert 16 * d * num * num <= den * den  # theta <= 1/(4 sqrt d)
+            assert 16 * d > (den - 1) * (den - 1)  # 1/(den - 1) would exceed it
+
+    def test_one_generator_per_call(self, monkeypatch):
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(approx.random, "Random", Counting)
+        for k in range(10):
+            rng = random.Random(4100 + k)
+            inst = gen_vk_2bounded(rng.randint(1, 12), rng.randint(1, 4), 20, 9, rng)
+            built.clear()
+            approx_lp_rounding(inst, seed=k)
+            assert built == [(k,)]
+
+    def test_float_draw_is_never_made(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("float draw")
+
+        monkeypatch.setattr(random.Random, "random", refuse)
+        for k in range(20):
+            rng = random.Random(4200 + k)
+            n, d = rng.randint(1, 12), rng.randint(1, 4)
+            inst = gen_vk_2bounded(n, d, 20, 9, rng)
+            assert check_feasible(inst, approx_lp_rounding(inst, seed=k))
+
+    def test_zero_weight_items_take_no_draw(self, monkeypatch):
+        calls = []
+
+        class Recording(random.Random):
+            def randrange(self, *args):
+                calls.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(approx.random, "Random", Recording)
+        zero_weights_seen = 0
+        for k in range(30):
+            rng = random.Random(4300 + k)
+            inst = gen_vk_2bounded(rng.randint(2, 14), rng.randint(1, 4), 20, 9, rng)
+            _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
+            theta = _rounding_theta(inst.dimension)
+            dens = [((theta * w).denominator,) for w in weights if w > 0]
+            zero_weights_seen += len(dens) < len(weights)
+            calls.clear()
+            approx_lp_rounding(inst, seed=k)
+            assert calls == dens * ROUNDING_TRIALS, k
+        assert zero_weights_seen >= 10
+
+    def test_matches_the_plain_loop(self):
+        # profits of at most 3 make equal-profit candidates common
+        stats = {"repeats": 0, "ties": 0}
+        for k in range(240):
+            rng = random.Random(4400 + k)
+            inst = gen_vk_2bounded(rng.randint(1, 12), rng.randint(1, 4),
+                                   rng.choice((4, 8, 20)), 3, rng)
+            expected = reference_lp_rounding(inst, k, stats)
+            assert approx_lp_rounding(inst, seed=k) == expected, k
+        assert stats["repeats"] > 0 and stats["ties"] > 0, stats
 
 
 def fraction_repair(inst, chosen):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from knapreduce.approx import split_by_boundedness
 from knapreduce.cli import main
 from knapreduce import reductions
 from knapreduce.csp import RcspInstance
@@ -592,9 +593,8 @@ def test_full_pipeline_sat_to_solved_knapsack(tmp_path, capsys):
     assert int(record["value"]) == rcsp.graph.vertex_count
 
 
-# The README CLI examples on their exact paths (solve approx, whose LP branch
-# draws against a float threshold, is left out; approx-unbounded has no float),
-# each with the sha256 of every file it writes; "stdout" is the text report.
+# The README CLI examples on their exact paths, each with the sha256 of every
+# file it writes; "stdout" is the text report.
 README_GOLDEN = [
     (["gen", "rcsp", "--regular3", "--vertices", "4", "--sigma", "2", "--upsilon", "2",
       "--seed", "7", "--out", "pi.json"],
@@ -617,6 +617,10 @@ README_GOLDEN = [
      {"vk-f1.json": "df0e48e5ce467dd1d8acb75aaa83a35120d10ecd4b2d9d628776adc28f6621e0"}),
     (["solve", "approx-unbounded", "--in", "vk-f1.json"],
      {"stdout": "b96d295aa2ebe1414a826fa94835462830e12c951fd82e1970a243b263b738e6"}),
+    (["solve", "approx", "--in", "vk.json", "--seed", "7", "--oracle"],
+     {"stdout": "0819c372e066d114d546b17e23b130d9ea32d05bd87f1642551fb9f52ffcb0f5"}),
+    (["solve", "approx", "--in", "inst.json", "--seed", "7", "--oracle"],
+     {"stdout": "fa52e756a1debb0ace42b82388a4d1d6b69a4ddfd956615ccc484c1deb7d0b6c"}),
     (["reduce", "csp2rcsp", "--in", "gamma.json", "--out", "pi-csp2.json"],
      {"pi-csp2.json": "4307675ef69b1ad71d4ea2244b9062765932551523de2b51a19e8f3d33c5a101"}),
     (["reduce", "sat2rcsp-embed", "--in", "phi.json", "--k", "8", "--out", "pi-embed.json"],
@@ -672,3 +676,5 @@ def test_readme_examples_write_golden_bytes(tmp_path, monkeypatch, capsys):
     for name in ("vk-sat.json", "vk-sat-f2.json"):
         costs = parse_instance(read(tmp_path / name)).costs
         assert len(set(costs)) < len(costs)
+    # the mixed instance has half-budget items, so its approx digest pins the LP branch
+    assert split_by_boundedness(parse_instance(read(tmp_path / "inst.json")))[0]

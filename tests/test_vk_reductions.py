@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from knapreduce import reductions
+from knapreduce import reductions, verify
 from knapreduce.csp import (
     PartialAssignment,
     RcspInstance,
@@ -422,6 +422,87 @@ class TestEmbedTarget:
         assert not check_feasible(target, everything)
         with pytest.raises(ValueError):
             extract_partial_assignment(pi, 1, everything, (target, art))
+
+
+def reference_extract_packed(pi, solution, precomputed):
+    """The packed branch of extract_partial_assignment as first written:
+    chunks x selected saturation sums, vertices x selected symbol scans."""
+    target, art = precomputed
+    if not check_feasible(target, solution):
+        raise ValueError("solution is infeasible in the packed target")
+    selected = [item_of(pi, index) for index in sorted(solution.chosen)]
+    saturated = {
+        l
+        for l in range(art.chunk_count)
+        if sum(art.coverage[l][v] for v, _ in selected) == art.chunk_totals[l]
+    }
+    values = [None] * pi.graph.vertex_count
+    for v in range(pi.graph.vertex_count):
+        if all(art.placement[j][0] in saturated for j in (v, *pi.graph.incident[v])):
+            symbols = [s for (w, s) in selected if w == v]
+            if len(symbols) != 1:
+                raise ValueError(
+                    f"saturation should force exactly one copy of vertex {v}, "
+                    f"found {len(symbols)}"
+                )
+            values[v] = symbols[0]
+    return PartialAssignment(tuple(values))
+
+
+def _outcome(call):
+    """The call's result, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return str(error)
+
+
+def _packed_extraction_cases():
+    for seed in range(6):
+        pi, _ = verify._planted_cubic(4 if seed % 2 else 6, random.Random(6600 + seed))
+        constraints = pi.graph.vertex_count + len(pi.graph.edges)
+        for chunk_size in (1, 2, 3, constraints):
+            yield pi, rcsp_to_vk_embed(pi, chunk_size)
+
+
+class TestPackedExtraction:
+    def test_matches_reference_on_every_feasible_solution(self):
+        assigned = 0
+        for pi, precomputed in _packed_extraction_cases():
+            for _, solution in verify._feasible_subsets(precomputed[0]):
+                got = extract_partial_assignment(
+                    pi, precomputed[1].chunk_size, solution, precomputed
+                )
+                assert got == reference_extract_packed(
+                    pi, solution, precomputed
+                )
+                assigned += got.size() > 0
+        assert assigned > 100
+
+    def test_matches_reference_errors(self):
+        # a target with every budget at its column sum accepts every subset, so
+        # saturated vertices with zero or several copies reach the error path
+        outcomes = set()
+        for k, (pi, (target, art)) in enumerate(_packed_extraction_cases()):
+            loose = VkInstance(target.profits, target.costs,
+                               tuple(map(sum, zip(*target.costs))))
+            rng = random.Random(6700 + k)
+            for _ in range(200):
+                solution = Solution(frozenset(
+                    i for i in range(loose.item_count) if rng.random() < 0.5
+                ))
+                got = _outcome(lambda: extract_partial_assignment(
+                    pi, art.chunk_size, solution, (loose, art)))
+                assert got == _outcome(lambda: reference_extract_packed(pi, solution, (loose, art)))
+                if isinstance(got, str):
+                    outcomes.add("found 0" if got.endswith("found 0") else "found many")
+                else:
+                    outcomes.add("assigned")
+        assert outcomes == {"found 0", "found many", "assigned"}
+        pi, (target, art) = next(_packed_extraction_cases())
+        everything = Solution(frozenset(range(target.item_count)))
+        with pytest.raises(ValueError, match="infeasible in the packed target"):
+            extract_partial_assignment(pi, art.chunk_size, everything, (target, art))
 
 
 class TestDigitSums:
