@@ -54,18 +54,20 @@ def _best_solution(inst: VkInstance, *solutions: Solution) -> Solution:
     return min(solutions, key=lambda sol: (-profit(inst, sol), sol.sorted_items()))
 
 
-def approx_2unbounded(inst: VkInstance) -> Solution:
+def approx_2unbounded(inst: VkInstance, *, _split: bool = False) -> Solution:
     """Discretize, prune duplicate cost keys, enumerate subsets of size <= d.
 
-    Every item must fail the half-budget test in some coordinate.  Items
-    that do not fit the budget alone are dropped up front.  The
+    Every item must fail the half-budget test in some coordinate; that is
+    checked unless _split says approx_sqrt_d has already sorted the items.
+    Items that do not fit the budget alone are dropped up front.  The
     enumeration runs on the original, undiscretized costs of the
     survivors, so the output is always feasible.
     """
     d = inst.dimension
-    for i in range(inst.item_count):
-        if _is_bounded(inst, i):
-            raise ValueError(f"item {i} fits half the budget in every coordinate")
+    if not _split:
+        for i in range(inst.item_count):
+            if _is_bounded(inst, i):
+                raise ValueError(f"item {i} fits half the budget in every coordinate")
     fitting = [i for i in range(inst.item_count) if all(map(le, inst.costs[i], inst.budget))]
     if not fitting:
         return Solution()
@@ -108,21 +110,23 @@ def _rounding_theta(d: int) -> Fraction:
     return Fraction(1, c if c * c == 16 * d else c + 1)
 
 
-def approx_lp_rounding(inst: VkInstance, seed: int) -> Solution:
+def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> Solution:
     """Round the scaled fractional optimum; repair; keep the best of many trials.
 
-    Every item must pass the half-budget test.  Each trial includes item i
-    with probability theta * x_i, theta = 1/ceil(4 sqrt(d)) exactly, drawn
-    as rng.randrange(den) < num on one random.Random(seed) stream; only
-    items with x_i > 0 take a draw.  Infeasible draws are repaired by
-    discarding low profit-per-violation items, and a draw equal to an
-    earlier one is skipped, its repair being the same.  The best feasible
-    single item is always a candidate, as is the empty set, so the result
-    is never worse than the best singleton.
+    Every item must pass the half-budget test; that is checked unless
+    _split says approx_sqrt_d has already sorted the items.  Each trial
+    includes item i with probability theta * x_i, theta = 1/ceil(4 sqrt(d))
+    exactly, drawn as rng.randrange(den) < num on one random.Random(seed)
+    stream; only items with x_i > 0 take a draw.  Infeasible draws are
+    repaired by discarding low profit-per-violation items, and a draw equal
+    to an earlier one is skipped, its repair being the same.  The best
+    feasible single item is always a candidate, as is the empty set, so the
+    result is never worse than the best singleton.
     """
-    for i in range(inst.item_count):
-        if not _is_bounded(inst, i):
-            raise ValueError(f"item {i} exceeds half the budget in some coordinate")
+    if not _split:
+        for i in range(inst.item_count):
+            if not _is_bounded(inst, i):
+                raise ValueError(f"item {i} exceeds half the budget in some coordinate")
     if inst.item_count == 0:
         return Solution()
     d = inst.dimension
@@ -157,10 +161,10 @@ def approx_sqrt_d(inst: VkInstance, seed: int) -> Solution:
     candidates = [Solution()]
     if bounded:
         sub, order = subinstance(inst, bounded)
-        sol = approx_lp_rounding(sub, seed)
+        sol = approx_lp_rounding(sub, seed, _split=True)
         candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
     if unbounded:
         sub, order = subinstance(inst, unbounded)
-        sol = approx_2unbounded(sub)
+        sol = approx_2unbounded(sub, _split=True)
         candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
     return _best_solution(inst, *candidates)

@@ -622,9 +622,12 @@ def extract_partial_assignment(
 
     precomputed is the target that solution was drawn from: the plain
     target for "simple", the (target, artifacts) pair of the packed one
-    otherwise.
+    otherwise, whose chunk size must equal variant.
     """
+    plain = isinstance(precomputed, VkInstance)
     if variant == "simple":
+        if not plain:
+            raise ValueError('"simple" takes the plain target, not a (target, artifacts) pair')
         if not check_feasible(precomputed, solution):
             raise ValueError("solution is infeasible in the plain target")
         chosen_vertices: set[int] = set()
@@ -637,7 +640,11 @@ def extract_partial_assignment(
             values[v] = s
         return PartialAssignment(tuple(values))
 
+    if plain:
+        raise ValueError(f"chunk size {variant} takes a (target, artifacts) pair, not a target")
     target, art = precomputed
+    if variant != art.chunk_size:
+        raise ValueError(f"variant {variant} is not the artifacts' chunk size {art.chunk_size}")
     if not check_feasible(target, solution):
         raise ValueError("solution is infeasible in the packed target")
     n = pi.graph.vertex_count

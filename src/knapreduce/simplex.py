@@ -1,9 +1,20 @@
-"""Fraction-free bounded-variable simplex over the integers, Bland's rule.
+"""Fraction-free bounded-variable simplex over the integers.
 
 Solves max c.x subject to A.x <= b, 0 <= x <= 1 with b >= 0, which is all
 the knapsack relaxation needs: the all-slack basis with every x at 0 is
-feasible, so there is no phase one, and Bland's pivoting rule guarantees
-termination without any tolerance fiddling.
+feasible, so there is no phase one.
+
+Pivot rule.  A solve starts with Dantzig's rule (the largest positive
+reduced cost enters, ties to the smaller column), which takes far fewer
+pivots than Bland's, and from its first degenerate step on it uses
+Bland's rule, which cannot cycle; nondegenerate steps raise the
+objective, so they cannot cycle either.  At the optimum the basic
+columns have reduced cost 0.  If every other reduced cost is nonzero,
+hence negative, every move off the vertex loses value: the optimum is
+unique, every rule reaches it, and it is returned.  Otherwise (zero
+profits and repeated columns make ties) the program is solved again from
+the all-slack basis by Bland's rule alone.  Either way the point
+returned is the one Bland's rule reaches.
 
 The box is handled implicitly (Dantzig's upper-bounding technique), so the
 tableau has one row per constraint of A.  A structural variable held at
@@ -13,9 +24,9 @@ subtracted from the right-hand side, so every nonbasic variable sits at
 way, without a pivot; a basic variable that rises to 1 is complemented in
 its row and then leaves at 0.  Bland's rule numbers the variables as the
 tableau with explicit x <= 1 rows does: the x_j, then the slacks, then the
-box slacks 1 - x_j, which a complemented column stands for.  So the
-entering and leaving choices, and the optimum returned, are that
-tableau's.
+box slacks 1 - x_j, which a complemented column stands for.  So Bland's
+entering and leaving choices are that tableau's, and so is the optimum
+returned.
 
 The tableau is kept in integers over one positive common denominator D
 (integer-preserving pivoting after Bareiss and Edmonds): a pivot on p
@@ -55,27 +66,45 @@ def _integer_row(values) -> list[int]:
 def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Maximize objective . x over A x <= rhs, 0 <= x <= 1 (all rhs nonnegative).
 
-    Returns (optimal value, primal point).  Entering variable: smallest
-    index with a positive reduced cost; leaving: smallest index among the
-    variables that reach a bound first (see the module docstring for the
-    numbering).  Rows and the objective may be rational; each is scaled to
-    integers by a positive factor, which changes no sign and no ratio, so
-    the pivot sequence is the one over the rationals.
+    Returns (optimal value, primal point): the point Bland's rule reaches
+    (see the module docstring), found by Dantzig's rule whenever the
+    optimum is certified unique.  Rows and the objective may be rational;
+    each is scaled to integers by a positive factor, which changes no sign
+    and no ratio, so Bland's pivot sequence is the one over the rationals.
+    (Dantzig's may differ, a row's factor scaling its slack's reduced
+    cost, but the point returned is Bland's either way.)
     """
     n = len(objective)
-    m = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("constraint rows must match the objective length")
     if any(b < 0 for b in rhs):
         raise ValueError("right-hand sides must be nonnegative")
+    gains = _integer_row(objective)
+    scaled = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    point = _vertex(gains, scaled, False)
+    if point is None:
+        point = _vertex(gains, scaled, True)
+    value = sum((Fraction(c) * x for c, x in zip(objective, point) if x), Fraction(0))
+    return value, point
 
+
+def _vertex(gains, scaled, bland) -> tuple[Fraction, ...] | None:
+    """One run from the all-slack basis on max gains . x over the integer
+    rows [A | b] of scaled and 0 <= x <= 1: by Bland's rule throughout if
+    bland is set, else by Dantzig's until the first degenerate step.  The
+    leaving variable is the smallest Bland index among those that reach a
+    bound first.  Returns the optimal point, or None when a run begun by
+    Dantzig's rule ends at an optimum not certified unique.
+    """
+    n = len(gains)
+    m = len(scaled)
+    certify = not bland
     # Columns: n structurals then m slacks, then the right-hand side; the
     # basis starts as the slacks, whose identity block makes D = 1.
-    tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        scaled = _integer_row([*row, b])
-        tableau.append(scaled[:n] + [int(i == j) for j in range(m)] + scaled[n:])
-    cost = _integer_row(objective) + [0] * m
+    tableau = [
+        row[:n] + [int(i == j) for j in range(m)] + row[n:] for i, row in enumerate(scaled)
+    ]
+    cost = gains + [0] * m
     basis = [n + i for i in range(m)]
     total = n + m
     complemented = [False] * n
@@ -93,7 +122,8 @@ def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ..
         improving = [j for j, c in enumerate(cost) if c > 0]
         if not improving:
             break
-        entering = min(improving, key=index)
+        # max keeps the first of equal reduced costs, the smaller column
+        entering = min(improving, key=index) if bland else max(improving, key=cost.__getitem__)
         # Largest step: the entering structural's own bound 1, else the
         # first basic variable to fall to 0 (a > 0, ratio rhs/a) or rise to
         # 1 (a < 0, ratio (D - rhs)/-a); ratios are compared by
@@ -119,6 +149,9 @@ def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ..
             step, span, least, pivot_row, rises = limit, rate, leaving, i, a < 0
         if step is None:
             raise SimplexError("unbounded direction in a bounded program")
+        if step == 0:
+            # a degenerate step could start a cycle under Dantzig's rule
+            bland = True
         if pivot_row is None:
             # the entering variable reaches its own bound: a flip, no pivot
             _complement_column(tableau, cost, entering)
@@ -138,13 +171,16 @@ def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ..
         basis[pivot_row] = entering
         denominator = pivot
 
+    # the m basic columns have reduced cost 0; a zero on a nonbasic one
+    # allows a tie, and only Bland's rule fixes which optimum is returned
+    if certify and cost.count(0) != m:
+        return None
     point = [Fraction(int(flag)) for flag in complemented]
     for i, var in enumerate(basis):
         if var < n:
             level = Fraction(tableau[i][total], denominator)
             point[var] = 1 - level if complemented[var] else level
-    value = sum((Fraction(c) * x for c, x in zip(objective, point) if x), Fraction(0))
-    return value, tuple(point)
+    return tuple(point)
 
 
 def _complement_column(tableau, cost, j) -> None:

@@ -276,6 +276,23 @@ class TestCombined:
             )
             assert profit(inst, sol) >= best_single
 
+    def test_each_item_tested_once(self, monkeypatch):
+        # the branches trust split_by_boundedness instead of testing again
+        calls = [0]
+        is_bounded = approx._is_bounded
+
+        def counted(inst, i):
+            calls[0] += 1
+            return is_bounded(inst, i)
+
+        monkeypatch.setattr(approx, "_is_bounded", counted)
+        for i in range(20):
+            rng = random.Random(4000 + i)
+            inst = gen_vk_mixed(rng.randint(2, 10), rng.randint(1, 4), 20, 9, rng)
+            calls[0] = 0
+            approx_sqrt_d(inst, seed=i)
+            assert calls[0] == inst.item_count, i
+
     def test_empty_instance(self):
         inst = VkInstance((), (), ())
         assert approx_sqrt_d(inst, seed=0) == Solution()

@@ -502,6 +502,10 @@ def test_solve_approx_lp(tmp_path, capsys):
     assert main(["solve", "approx-lp", "--in", str(src)]) == 2
     assert capsys.readouterr() == (
         "", "error: item 1 exceeds half the budget in some coordinate\n")
+    # ... and item 0 fits half of it, which the enumeration branch refuses
+    assert main(["solve", "approx-unbounded", "--in", str(src)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: item 0 fits half the budget in every coordinate\n")
 
 
 def test_unknown_route_is_usage_error():

@@ -152,8 +152,9 @@ class TestRelaxation:
             for j in range(inst.dimension):
                 assert sum(inst.costs[i][j] * x[i] for i in range(inst.item_count)) <= inst.budget[j]
 
-    def test_matches_fraction_tableau_reference(self):
+    def test_matches_fraction_tableau_reference(self, monkeypatch):
         # small budgets and zero profits make ties and degenerate pivots common
+        runs = counting(monkeypatch, "_vertex")
         degenerate = 0
         for i in range(600):
             rng = random.Random(4100 + i)
@@ -174,16 +175,47 @@ class TestRelaxation:
             assert x == expected[1], i
             degenerate += degenerate_pivots
         assert degenerate >= 50
+        # tied optima are common here, and each one is solved again by Bland's rule
+        assert runs[0] - 600 >= 300, runs
 
-    def test_same_point_as_reference_on_workload_shapes(self):
+    def test_same_point_as_reference_on_workload_shapes(self, monkeypatch):
+        runs = counting(monkeypatch, "_vertex")
         for k, inst in enumerate(workload_shaped(200, 4700)):
             expected, _ = reference_relaxation(inst.profits, inst.costs, inst.budget)
             assert knapsack_relaxation(inst.profits, inst.costs, inst.budget) == expected, k
+        # every optimum is certified unique: no rerun by Bland's rule
+        assert runs[0] == 200, runs
+
+    def test_tied_optima_match_reference(self, monkeypatch):
+        # repeated columns and zero profits leave many optimal points; the
+        # one returned is still the one Bland's rule reaches
+        runs = counting(monkeypatch, "_vertex")
+        rng = random.Random(61)
+        for k in range(150):
+            d = rng.randint(1, 3)
+            kinds = [(rng.choice((0, 0, 1, 4)), tuple(rng.randint(0, 3) for _ in range(d)))
+                     for _ in range(rng.randint(1, 3))]
+            items = [rng.choice(kinds) for _ in range(rng.randint(2, 8))]
+            profits = tuple(p for p, _ in items)
+            costs = tuple(c for _, c in items)
+            budget = tuple(rng.randint(0, 6) for _ in range(d))
+            expected, _ = reference_relaxation(profits, costs, budget)
+            assert knapsack_relaxation(profits, costs, budget) == expected, k
+        assert runs[0] - 150 >= 120, runs
 
     def test_bound_flips_and_upper_leaves_occur(self, monkeypatch):
         flips = counting(monkeypatch, "_complement_column")
         upper_leaves = counting(monkeypatch, "_complement_row")
-        for inst in workload_shaped(40, 4900):
+        instances = workload_shaped(40, 4900)
+        for inst in instances:
+            knapsack_relaxation(inst.profits, inst.costs, inst.budget)
+        # the default run, Dantzig's rule while no step is degenerate
+        assert flips[0] >= 139 and upper_leaves[0] >= 90, (flips, upper_leaves)
+        # Bland's rule throughout, as the rerun of a tied optimum pivots
+        flips[0] = upper_leaves[0] = 0
+        vertex = simplex._vertex
+        monkeypatch.setattr(simplex, "_vertex", lambda gains, rows, _: vertex(gains, rows, True))
+        for inst in instances:
             knapsack_relaxation(inst.profits, inst.costs, inst.budget)
         assert flips[0] >= 100 and upper_leaves[0] >= 100, (flips, upper_leaves)
 

@@ -423,6 +423,17 @@ class TestEmbedTarget:
         with pytest.raises(ValueError):
             extract_partial_assignment(pi, 1, everything, (target, art))
 
+    def test_extract_rejects_mismatched_arguments(self):
+        pi, planted = planted_k4(42)
+        solution = vk_solution_from_assignment(pi, planted)
+        packed = rcsp_to_vk_embed(pi, 2)
+        with pytest.raises(ValueError, match="variant 5 is not the artifacts' chunk size 2"):
+            extract_partial_assignment(pi, 5, solution, packed)
+        with pytest.raises(ValueError, match='"simple" takes the plain target'):
+            extract_partial_assignment(pi, "simple", solution, packed)
+        with pytest.raises(ValueError, match=r"chunk size 2 takes a \(target, artifacts\) pair"):
+            extract_partial_assignment(pi, 2, solution, packed[0])
+
 
 def reference_extract_packed(pi, solution, precomputed):
     """The packed branch of extract_partial_assignment as first written:
