@@ -10,7 +10,6 @@ error, 3 cap exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import re
 import sys
@@ -46,7 +45,7 @@ from .reductions import (
     sat_to_rcsp_disperser_route,
     sat_to_rcsp_embedding_route,
 )
-from .serialize import parse_instance, serialize_artifacts, serialize_instance
+from .serialize import canonical_json, parse_instance, serialize_artifacts, serialize_instance
 from .verify import SUITES, report_csv, report_json_payload, report_text, run_suite
 
 USAGE_EXIT = 2
@@ -259,7 +258,7 @@ def _cmd_solve(args) -> int:
         else:
             record["oracle_value"] = str(opt)
             record["ratio"] = str(Fraction(value, opt)) if opt else None
-    _write_out(json.dumps(record, sort_keys=True, indent=1) + "\n", args.out)
+    _write_out(canonical_json(record), args.out)
     print(f"{args.method}: value {value} in {elapsed:.3f}s", file=sys.stderr)
     return 0
 
@@ -272,7 +271,7 @@ def _cmd_verify(args) -> int:
     count = args.count if args.count is not None else SUITES[args.suite][1]
     report = run_suite(args.suite, count, args.seed)
     if args.format == "json":
-        rendered = json.dumps(report_json_payload(report), sort_keys=True, indent=1) + "\n"
+        rendered = canonical_json(report_json_payload(report))
     elif args.format == "csv":
         rendered = report_csv(report)
     else:

@@ -122,7 +122,10 @@ _tables: dict[tuple[int, int], _FloorTable] = {}
 
 
 def _table(gamma) -> _FloorTable:
-    key = gamma.numerator, gamma.denominator
+    try:
+        key = gamma.numerator, gamma.denominator
+    except AttributeError:
+        raise ValueError(f"scaling factor {gamma!r} is not an int or a Fraction") from None
     table = _tables.get(key)
     if table is None:
         while len(_tables) >= TABLE_COUNT_CAP:

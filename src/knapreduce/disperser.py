@@ -32,11 +32,18 @@ class Disperser:
     epsilon: Fraction
 
 
+def exact_epsilon(epsilon) -> Fraction:
+    """epsilon as a Fraction; a float's binary value would move the threshold."""
+    if isinstance(epsilon, float):
+        raise ValueError(f"epsilon {epsilon!r} is a float; pass an int, a Fraction or 'p/q'")
+    return Fraction(epsilon)
+
+
 def covering_holds(
     universe_size: int, sets, cover_count: int, epsilon: Fraction
 ) -> bool:
     """Exhaustive check that every union of cover_count sets is large enough."""
-    threshold = (1 - epsilon) * universe_size
+    threshold = (1 - exact_epsilon(epsilon)) * universe_size
     for chosen in combinations(sets, cover_count):
         union = frozenset().union(*chosen) if chosen else frozenset()
         if len(union) < threshold:
@@ -53,7 +60,7 @@ def build_disperser(
     seed: int,
 ) -> Disperser:
     """Draw and exhaustively verify a covering family, deterministically per seed."""
-    eps = Fraction(epsilon)
+    eps = exact_epsilon(epsilon)
     if not 0 <= eps <= 1:
         raise ValueError(f"epsilon {eps} outside [0, 1]")
     if set_size > universe_size:

@@ -64,7 +64,8 @@ def _gen_sat_impl(n, m, occurrence_bound, rng, planted):
             clauses.append(tuple(literals))
         if clauses is not None:
             return SatInstance(n, tuple(clauses), occurrence_bound), planted
-    raise ValueError("occurrence bound leaves fewer than 3 usable variables")
+    raise ValueError(f"greedy clause sampler stranded occurrences on fewer than 3 "
+                     f"variables in each of {SAT_RESTART_CAP} restarts")
 
 
 def _random_constraint_graph(

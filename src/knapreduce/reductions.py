@@ -28,7 +28,7 @@ from .csp import (
     clause_variables,
     is_consistent,
 )
-from .disperser import build_disperser
+from .disperser import build_disperser, exact_epsilon
 from .embedding import simple_connected_embedding
 from .errors import CapExceededError
 from .graphs import Edge, Graph, complete_graph, graph_from_edges, line_graph
@@ -235,7 +235,7 @@ def sat_to_rcsp_disperser_route(
     covering family over the clause universe."""
     _check_host_size(k)
     m = phi.clause_count
-    eps = Fraction(epsilon)
+    eps = exact_epsilon(epsilon)
     if m == 0:
         clause_sets = [frozenset() for _ in range(k)]
     else:

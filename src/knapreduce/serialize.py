@@ -85,8 +85,13 @@ def instance_payload(obj) -> dict:
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
+def canonical_json(payload) -> str:
+    """The one JSON layout written: sorted keys, indent 1, a final newline."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 def serialize_instance(obj) -> str:
-    return json.dumps(instance_payload(obj), sort_keys=True, indent=1) + "\n"
+    return canonical_json(instance_payload(obj))
 
 
 def parse_instance(text: str):
@@ -208,4 +213,4 @@ def artifacts_payload(art: EmbedReductionArtifacts) -> dict:
 
 
 def serialize_artifacts(art: EmbedReductionArtifacts) -> str:
-    return json.dumps(artifacts_payload(art), sort_keys=True, indent=1) + "\n"
+    return canonical_json(artifacts_payload(art))

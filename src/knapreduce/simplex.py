@@ -1,8 +1,8 @@
-"""Fraction-free bounded-variable simplex over the integers.
+"""The knapsack LP relaxation, by a fraction-free bounded-variable simplex.
 
-Solves max c.x subject to A.x <= b, 0 <= x <= 1 with b >= 0, which is all
-the knapsack relaxation needs: the all-slack basis with every x at 0 is
-feasible, so there is no phase one.
+Solves max p.x subject to C^T x <= b, 0 <= x <= 1 for the integer profits
+p, cost rows C and budget b >= 0 of a knapsack: the all-slack basis with
+every x at 0 is feasible, so there is no phase one.
 
 Pivot rule.  A solve starts with Dantzig's rule (the largest positive
 reduced cost enters, ties to the smaller column), which takes far fewer
@@ -31,8 +31,8 @@ returned.
 The tableau is kept in integers over one positive common denominator D
 (integer-preserving pivoting after Bareiss and Edmonds): a pivot on p
 replaces every other row entry x by (p*x - f*y) // D, an exact division,
-and then sets D = p.  Entries are subdeterminants of the scaled input,
-so they never outgrow it the way unreduced fractions would, and no gcd
+and then sets D = p.  Entries are subdeterminants of the input, so
+they never outgrow it the way unreduced fractions would, and no gcd
 is taken in the pivot loop.  Complementing negates a column or, for a
 basic variable, its row, which keeps both properties.  Only the returned
 point is rational.
@@ -41,9 +41,10 @@ point is rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 
 from .errors import CapExceededError
+from .knapsack import _integers
 
 # Most structural variables (items) of a knapsack relaxation; its tableau
 # has d rows of n + d + 1 integers.
@@ -54,55 +55,21 @@ class SimplexError(Exception):
     """Internal invariant failure (an unbounded direction, here impossible)."""
 
 
-def _integer_row(values) -> list[int]:
-    """The row scaled by the lcm of its denominators, a positive factor."""
-    if all(type(v) is int for v in values):
-        return list(values)
-    exact = [Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in exact))
-    return [f.numerator * (scale // f.denominator) for f in exact]
-
-
-def simplex_maximize(objective, rows, rhs) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Maximize objective . x over A x <= rhs, 0 <= x <= 1 (all rhs nonnegative).
-
-    Returns (optimal value, primal point): the point Bland's rule reaches
-    (see the module docstring), found by Dantzig's rule whenever the
-    optimum is certified unique.  Rows and the objective may be rational;
-    each is scaled to integers by a positive factor, which changes no sign
-    and no ratio, so Bland's pivot sequence is the one over the rationals.
-    (Dantzig's may differ, a row's factor scaling its slack's reduced
-    cost, but the point returned is Bland's either way.)
-    """
-    n = len(objective)
-    if any(len(row) != n for row in rows):
-        raise ValueError("constraint rows must match the objective length")
-    if any(b < 0 for b in rhs):
-        raise ValueError("right-hand sides must be nonnegative")
-    gains = _integer_row(objective)
-    scaled = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    point = _vertex(gains, scaled, False)
-    if point is None:
-        point = _vertex(gains, scaled, True)
-    value = sum((Fraction(c) * x for c, x in zip(objective, point) if x), Fraction(0))
-    return value, point
-
-
-def _vertex(gains, scaled, bland) -> tuple[Fraction, ...] | None:
+def _vertex(gains, rows, bland) -> tuple[Fraction, ...] | None:
     """One run from the all-slack basis on max gains . x over the integer
-    rows [A | b] of scaled and 0 <= x <= 1: by Bland's rule throughout if
+    rows [A | b] and 0 <= x <= 1: by Bland's rule throughout if
     bland is set, else by Dantzig's until the first degenerate step.  The
     leaving variable is the smallest Bland index among those that reach a
     bound first.  Returns the optimal point, or None when a run begun by
     Dantzig's rule ends at an optimum not certified unique.
     """
     n = len(gains)
-    m = len(scaled)
+    m = len(rows)
     certify = not bland
     # Columns: n structurals then m slacks, then the right-hand side; the
     # basis starts as the slacks, whose identity block makes D = 1.
     tableau = [
-        row[:n] + [int(i == j) for j in range(m)] + row[n:] for i, row in enumerate(scaled)
+        row[:n] + [int(i == j) for j in range(m)] + row[n:] for i, row in enumerate(rows)
     ]
     cost = gains + [0] * m
     basis = [n + i for i in range(m)]
@@ -213,10 +180,25 @@ def _eliminate(row, pivot_values, entering, pivot, denominator) -> list[int]:
 
 
 def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Fractional relaxation: max p.x, cost constraints, 0 <= x <= 1; exact,
-    so never below the integral optimum."""
-    n = len(profits)
+    """(value, point) of max p.x over the cost rows and 0 <= x <= 1, exactly,
+    at the point Bland's rule reaches.  Entries are integers by VkInstance's
+    rule; profits may be negative, budgets may not."""
+    n, d = len(profits), len(budget)
     if n > VARIABLE_CAP:
         raise CapExceededError(f"{n} variables exceeds the LP cap {VARIABLE_CAP}")
-    rows = [[costs[i][j] for i in range(n)] for j in range(len(budget))]
-    return simplex_maximize(list(profits), rows, list(budget))
+    if len(costs) != n:
+        raise ValueError("profits and costs must have one entry per item")
+    for i, c in enumerate(costs):
+        if len(c) != d:
+            raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
+    if not (_integers(profits) and _integers(budget) and _integers(chain.from_iterable(costs))):
+        raise ValueError("profits, costs and budgets must be integers")
+    if min(budget, default=0) < 0:
+        raise ValueError("budgets must be nonnegative")
+    gains = list(profits)
+    rows = [[*column, b] for column, b in zip(zip(*costs), budget)]
+    point = _vertex(gains, rows, False)
+    if point is None:
+        point = _vertex(gains, rows, True)
+    value = sum((c * x for c, x in zip(profits, point) if x), Fraction(0))
+    return value, point

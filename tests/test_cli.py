@@ -8,7 +8,7 @@ import pytest
 
 from knapreduce.approx import split_by_boundedness
 from knapreduce.cli import main
-from knapreduce import reductions
+from knapreduce import generators, graphs, reductions
 from knapreduce.csp import RcspInstance
 from knapreduce.graphs import Graph
 from knapreduce.reductions import HOST_CAP, PROJECTION_CAP
@@ -561,6 +561,27 @@ def test_reduce_is_byte_deterministic(tmp_path):
                      "--out", str(dst)]) == 0
         outs.append(read(dst))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("module, cap, flags, message", [
+    (generators, "SAT_RESTART_CAP", ["sat", "--n", "4", "--m", "4", "--bound", "3"],
+     "greedy clause sampler stranded occurrences on fewer than 3 variables "
+     "in each of 1 restarts"),
+    (graphs, "PAIRING_TRY_CAP", ["rcsp", "--regular3", "--vertices", "8"],
+     "pairing model failed to produce a simple graph in 1 tries"),
+])
+def test_gen_retry_cap_is_usage_error(tmp_path, capsys, monkeypatch, module, cap, flags, message):
+    monkeypatch.setattr(module, cap, 1)
+    out = tmp_path / "out.json"
+    for seed in range(8):
+        out.unlink(missing_ok=True)
+        code = main(["gen", *flags, "--seed", str(seed), "--out", str(out)])
+        if code:
+            break
+    # some seed fails at its one try: one stderr line, and no file
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_gen_rcsp_without_graph_shape_is_usage_error(tmp_path):

@@ -101,6 +101,27 @@ def test_gamma_values():
         gamma_for_dimension(0)
 
 
+@pytest.mark.parametrize("gamma", [1.1, "11/10", None])
+def test_inexact_gamma_is_refused(gamma):
+    message = rf"^scaling factor {gamma!r} is not an int or a Fraction$".replace(".", r"\.")
+    calls = (
+        lambda: digamma((1,), (5,), gamma),
+        lambda: prune_by_discretization([(0, 1, (1,))], (5,), gamma),
+        lambda: varpi_up(3, gamma),
+        lambda: varpi_down(3, gamma),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_int_and_fraction_gammas_still_work():
+    assert varpi_up(3, 2) == 4 and varpi_down(3, 2) == 2
+    assert digamma((3, 0), (8, 8), 2) == (4, 0)
+    assert varpi_up(3, Fraction(2)) == 4
+    assert prune_by_discretization([(0, 1, (3,)), (1, 2, (4,))], (8,), 2) == [1]
+
+
 class TestRounding:
     def test_zero_maps_to_zero(self):
         gamma = gamma_for_dimension(2)

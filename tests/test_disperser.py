@@ -54,3 +54,22 @@ def test_dataclass_fields():
     assert isinstance(family, Disperser)
     assert family.universe_size == 6
     assert family.cover_count == 2
+
+
+def test_float_epsilon_is_refused():
+    sets = (frozenset({0, 1}), frozenset({2, 3}))
+    message = r"^epsilon 0\.25 is a float; pass an int, a Fraction or 'p/q'$"
+    with pytest.raises(ValueError, match=message):
+        covering_holds(4, sets, 2, 0.25)
+    with pytest.raises(ValueError, match=message):
+        build_disperser(12, 6, 6, 3, 0.25, seed=99)
+
+
+def test_int_fraction_and_text_epsilons_agree():
+    sets = (frozenset({0, 1}), frozenset({2, 3}))
+    assert covering_holds(4, sets, 2, 0) and covering_holds(4, sets, 1, "1/2")
+    assert not covering_holds(4, sets, 1, Fraction(1, 3))
+    family = build_disperser(12, 6, 6, 3, Fraction(1, 4), seed=99)
+    assert build_disperser(12, 6, 6, 3, "1/4", seed=99) == family
+    assert family.epsilon == Fraction(1, 4)
+    assert build_disperser(5, 1, 5, 1, 0, seed=1).epsilon == 0

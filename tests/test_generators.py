@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knapreduce import generators
 from knapreduce.csp import count_satisfied, csp_value, is_consistent
 from knapreduce.generators import (
     gen_csp2,
@@ -37,6 +38,24 @@ def test_sat_occurrence_bound_respected():
 def test_sat_infeasible_parameters():
     with pytest.raises(ValueError):
         gen_sat(3, 10, 2, random.Random(1))
+
+
+def test_sat_restart_cap_trips_with_a_message_naming_it(monkeypatch):
+    # 4 variables of bound 3 cover the 12 occurrences of 4 clauses, but the
+    # greedy sampler often strands them on fewer than 3 variables
+    monkeypatch.setattr(generators, "SAT_RESTART_CAP", 1)
+    failed = []
+    for seed in range(50):
+        try:
+            gen_sat(4, 4, 3, random.Random(seed))
+        except ValueError as exc:
+            assert str(exc) == ("greedy clause sampler stranded occurrences on fewer "
+                                "than 3 variables in each of 1 restarts")
+            failed.append(seed)
+    assert 0 < len(failed) < 50, failed
+    monkeypatch.undo()
+    for seed in failed:
+        assert gen_sat(4, 4, 3, random.Random(seed)).clause_count == 4
 
 
 def test_planted_sat_is_satisfied_by_the_hidden_assignment():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from knapreduce import graphs
 from knapreduce.errors import ConstructionError
 from knapreduce.graphs import (
     Graph,
@@ -100,6 +101,21 @@ def test_random_regular3_is_simple_cubic_and_deterministic():
 def test_random_regular3_rejects_odd():
     with pytest.raises(ConstructionError):
         random_regular3_graph(5, random.Random(0))
+
+
+def test_pairing_try_cap_trips_with_a_message_naming_it(monkeypatch):
+    monkeypatch.setattr(graphs, "PAIRING_TRY_CAP", 1)
+    failed = []
+    for seed in range(50):
+        try:
+            random_regular3_graph(8, random.Random(seed))
+        except ConstructionError as exc:
+            assert str(exc) == "pairing model failed to produce a simple graph in 1 tries"
+            failed.append(seed)
+    assert 0 < len(failed) < 50, failed
+    monkeypatch.undo()
+    for seed in failed:
+        assert random_regular3_graph(8, random.Random(seed)).is_regular(3)
 
 
 def test_random_graph_edge_count():

@@ -342,6 +342,22 @@ class TestAgainstReferenceBuilds:
                     phi, k, cover, eps, 40 + i
                 ) == reference_sat_to_rcsp(phi, complete_graph(k), family.sets)
 
+    def test_disperser_route_refuses_a_float_epsilon(self):
+        # Fraction(0.7) lies below 7/10, which would give 6-clause sets
+        # where 7/10 gives ceil(21 / (7/10 * 6)) = 5
+        phi, _ = gen_sat_satisfiable(8, 7, 3, random.Random(5))
+        with pytest.raises(ValueError, match=r"^epsilon 0\.7 is a float; pass an int, "
+                                             r"a Fraction or 'p/q'$"):
+            sat_to_rcsp_disperser_route(phi, 6, 6, 0.7, seed=3)
+        family = build_disperser(7, 6, 5, 6, Fraction(7, 10), 3)
+        expected = reference_sat_to_rcsp(phi, complete_graph(6), family.sets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # unsatisfiable clause sets warn
+            for epsilon in (Fraction(7, 10), "7/10", "0.7"):
+                assert sat_to_rcsp_disperser_route(phi, 6, 6, epsilon, seed=3) == expected
+            assert sat_to_rcsp_disperser_route(phi, 6, 6, 0, seed=3) == reference_sat_to_rcsp(
+                phi, complete_graph(6), build_disperser(7, 6, 7, 6, 0, 3).sets)
+
     def test_projection_passes_match_the_bitwise_loop_on_both_routes(self):
         hosts = []
         for i, (phi, rng) in enumerate(seeded_formulas(8400, 16)):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,7 +8,7 @@ from knapreduce import simplex
 from knapreduce.errors import CapExceededError
 from knapreduce.generators import gen_vk, gen_vk_2bounded
 from knapreduce.knapsack import VkInstance, solve_bruteforce
-from knapreduce.simplex import knapsack_relaxation, simplex_maximize
+from knapreduce.simplex import knapsack_relaxation
 
 
 def relaxation_vertex_oracle(profits, costs, budget):
@@ -229,29 +230,77 @@ class TestRelaxation:
             knapsack_relaxation((1,) * 6, ((1,),) * 6, (5,))
 
 
+def integer_program(objective, rows, rhs):
+    """The rational program max objective . x, rows x <= rhs as knapsack
+    integers: each row [A_j | b_j] times the lcm of its denominators, and
+    the objective times its own, which is returned as the scale.  Positive
+    factors change no sign and no ratio, so Bland's point is unchanged."""
+
+    def scaled(values):
+        factor = lcm(*(Fraction(v).denominator for v in values))
+        return [int(v * factor) for v in values], factor
+
+    profits, scale = scaled(objective)
+    integer_rows = [scaled([*row, b])[0] for row, b in zip(rows, rhs)]
+    costs = tuple(zip(*(row[:-1] for row in integer_rows)))
+    budget = tuple(row[-1] for row in integer_rows)
+    return profits, costs, budget, scale
+
+
+def refusal(*program):
+    """The one-line ValueError message of knapsack_relaxation on program."""
+    with pytest.raises(ValueError) as caught:
+        knapsack_relaxation(*program)
+    message = str(caught.value)
+    assert "\n" not in message
+    return message
+
+
 class TestSimplexCore:
     def test_degenerate_program_terminates(self):
         # multiple tight rows at the origin exercise the anti-cycling rule
-        value, x = simplex_maximize(
-            [1, 1],
-            [[1, 0], [1, 0], [0, 1], [1, 1]],
-            [0, 0, 1, 1],
-        )
+        value, x = knapsack_relaxation((1, 1), ((1, 1, 0, 1), (0, 0, 1, 1)), (0, 0, 1, 1))
         assert value == 1
         assert x == (0, 1)
 
     def test_rejects_negative_rhs(self):
-        with pytest.raises(ValueError):
-            simplex_maximize([1], [[1]], [-1])
+        assert refusal((1,), ((1,),), (-1,)) == "budgets must be nonnegative"
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            simplex_maximize([1, 2], [[1]], [1])
+        # the row [1] under a two-term objective, transposed: item 1 has no cost
+        assert refusal((1, 2), ((1,), ()), (1,)) == "cost vector of item 1 has length 0, expected 1"
+
+    def test_rejects_cost_rows_of_the_wrong_length(self):
+        # the 5 has no budget to be charged against
+        assert refusal((1,), ((1, 5),), (2,)) == "cost vector of item 0 has length 2, expected 1"
+        assert refusal((1,), ((),), (2,)) == "cost vector of item 0 has length 0, expected 1"
+
+    @pytest.mark.parametrize("program", [
+        ((1, 2), ((1,),), (1,)),
+        ((1,), ((1,), (1,)), (1,)),
+        ((), ((1,),), (1,)),
+    ])
+    def test_rejects_a_cost_row_count_unlike_the_profits(self, program):
+        assert refusal(*program) == "profits and costs must have one entry per item"
+
+    @pytest.mark.parametrize("program", [
+        ((1.0,), ((1,),), (1,)),
+        ((Fraction(1, 2),), ((1,),), (1,)),
+        ((1,), ((0.5,),), (1,)),
+        ((1,), ((Fraction(2),),), (1,)),
+        ((1,), ((1,),), (1.0,)),
+        ((1,), ((1,),), ("1",)),
+    ])
+    def test_rejects_non_integer_entries(self, program):
+        assert refusal(*program) == "profits, costs and budgets must be integers"
+
+    def test_accepts_what_vk_instance_accepts_and_negative_profits(self):
+        inst = VkInstance((True, 3), ((2, False), (1, 1)), (3, 1))
+        assert knapsack_relaxation(inst.profits, inst.costs, inst.budget) == (4, (1, 1))
+        assert knapsack_relaxation((-1, 2), ((1,), (1,)), (1,)) == (2, (0, 1))
 
     def test_exactness_no_floats(self):
-        value, x = simplex_maximize(
-            [7, 9], [[13, 17], [19, 23]], [29, 31]
-        )
+        value, x = knapsack_relaxation((7, 9), ((13, 19), (17, 23)), (29, 31))
         assert isinstance(value, Fraction)
         assert all(isinstance(v, Fraction) for v in x)
         # both constraints hold exactly
@@ -266,7 +315,9 @@ class TestSimplexCore:
             [0, Fraction(3, 2), Fraction(9, 4)],
         ]
         rhs = [Fraction(1, 2), 2, Fraction(7, 5)]
-        value, x = simplex_maximize(objective, rows, rhs)
+        profits, costs, budget, scale = integer_program(objective, rows, rhs)
+        value, x = knapsack_relaxation(profits, costs, budget)
+        value /= scale
         assert (value, x) == reference_box(objective, rows, rhs)[0]
         assert value == Fraction(101, 90)
         assert all(0 <= xi <= 1 for xi in x)
@@ -281,4 +332,6 @@ class TestSimplexCore:
             rows = [[Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(n)]
                     for _ in range(m)]
             rhs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)]
-            assert simplex_maximize(objective, rows, rhs) == reference_box(objective, rows, rhs)[0]
+            profits, costs, budget, scale = integer_program(objective, rows, rhs)
+            value, x = knapsack_relaxation(profits, costs, budget)
+            assert (value / scale, x) == reference_box(objective, rows, rhs)[0]
