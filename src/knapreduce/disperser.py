@@ -67,6 +67,13 @@ def build_disperser(
         raise ValueError(f"set size {set_size} exceeds universe size {universe_size}")
     if not 0 <= cover_count <= set_count:
         raise ValueError("cover count must be between 0 and the number of sets")
+    # the one union of no sets is empty, so no draw can pass
+    threshold = (1 - eps) * universe_size
+    if cover_count == 0 and threshold > 0:
+        raise ValueError(
+            f"cover count r = 0 covers no element, but epsilon {eps} needs "
+            f"(1 - epsilon) * {universe_size} = {threshold} covered"
+        )
     if comb(set_count, cover_count) > VERIFY_CAP:
         raise CapExceededError(
             f"{comb(set_count, cover_count)} unions exceed verification cap {VERIFY_CAP}"

@@ -233,6 +233,8 @@ def sat_to_rcsp_disperser_route(
 ) -> RcspInstance:
     """Complete host graph on k vertices; clause sets drawn from a verified
     covering family over the clause universe."""
+    if k < 0:
+        raise ValueError(f"host size k must be nonnegative, got {k}")
     _check_host_size(k)
     m = phi.clause_count
     eps = exact_epsilon(epsilon)
@@ -356,32 +358,14 @@ def item_of(pi: RcspInstance, index: int) -> tuple[int, int]:
     return divmod(index, pi.sigma_size)
 
 
-def _symbol_classes(pi: RcspInstance, v: int):
-    """Group vertex v's symbols by their projections on its incident edges.
-
-    An item's cost row depends on its symbol only through v's side of the
-    projection on each edge in pi.graph.incident[v], so symbols with one
-    key (the tuple of those projections) have equal rows.  Returns
-    (columns, width, keys): columns holds v's side on each incident edge
-    over the width distinct keys in first-occurrence order, and keys lists
-    each symbol's key.  When no key repeats, columns are the projection
-    tuples themselves, width is sigma and keys is None.
-    """
-    sides = [pi.projections[e][e.index(v)] for e in pi.graph.incident[v]]
-    keys = list(zip(*sides)) if sides else [()] * pi.sigma_size
-    distinct = dict.fromkeys(keys)
-    if len(distinct) == pi.sigma_size:
-        return sides, pi.sigma_size, None
-    return list(zip(*distinct)), len(distinct), keys
-
-
-def _rows(columns, keys):
-    """Each symbol's row from columns over the distinct keys: one tuple
-    object per key, put at every symbol with that key."""
-    if keys is None:
-        return zip(*columns)
-    row_of = dict(zip(dict.fromkeys(keys), zip(*columns)))
-    return map(row_of.__getitem__, keys)
+def _rows(columns, classes):
+    """Each symbol's row from its vertex's columns over the distinct keys
+    (RcspInstance.symbol_classes): one tuple object per key, put at every
+    symbol of that key's class."""
+    rows = zip(*columns)
+    if classes is None:
+        return rows
+    return map(list(rows).__getitem__, classes)
 
 
 def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
@@ -392,28 +376,27 @@ def rcsp_to_vk_simple(pi: RcspInstance) -> VkInstance:
     project equally, so feasible solutions are consistent partial
     assignments and vice versa.  Symbols of a vertex with equal projections
     on all its edges have equal rows, and the target holds one tuple for
-    them (_symbol_classes).
+    them (pi.symbol_classes).
     """
     n = pi.graph.vertex_count
     sigma = pi.sigma_size
     d = n + 2 * len(pi.graph.edges)
     _check_target_shape("plain", n * sigma, d)
     m = pi.upsilon_size
-    index = {e: t for t, e in enumerate(pi.graph.edge_list)}
+    first_dim = dict(zip(pi.graph.edge_list, range(n, d, 2)))
     costs = []
-    for v in range(n):
-        sides, width, keys = _symbol_classes(pi, v)
+    for v, (sides, width, classes) in enumerate(pi.symbol_classes):
         # vertex v's rows, built column by column from its own constraints
         columns = [(0,) * width] * d
         columns[v] = (m,) * width
         for e, side in zip(pi.graph.incident[v], sides):
-            dim = n + 2 * index[e]
-            complement = [m - p for p in side]
+            dim = first_dim[e]
+            complement = map(m.__sub__, side)
             if v == e[0]:
                 columns[dim], columns[dim + 1] = side, complement
             else:
                 columns[dim], columns[dim + 1] = complement, side
-        costs += _rows(columns, keys)
+        costs += _rows(columns, classes)
     return VkInstance(
         profits=(1,) * (n * sigma),
         costs=tuple(costs),
@@ -540,7 +523,7 @@ def rcsp_to_vk_embed(
     most four chunks holding them get nonzero entries.  The rows come out
     column by column, one packed column per touched chunk, and symbols of
     a vertex with equal projections on its three edges share one row tuple
-    (_symbol_classes).  Every item takes part in four constraints, its
+    (pi.symbol_classes).  Every item takes part in four constraints, its
     vertex's and its three edges', which is its profit.
     """
     if not pi.graph.is_regular(3):
@@ -560,12 +543,11 @@ def rcsp_to_vk_embed(
     place = art.placement
 
     costs = []
-    for v in range(n):
-        sides, width, keys = _symbol_classes(pi, v)
+    for v, (sides, width, classes) in enumerate(pi.symbol_classes):
         l, power = place[v]
         packed = {l: [m * power] * width}  # chunk -> packed digits, key by key
         for j, side in zip(pi.graph.incident[v], sides):
-            weights = side if v == j[0] else [m - p for p in side]
+            weights = side if v == j[0] else map(m.__sub__, side)
             l, power = place[j]
             column = packed.get(l)
             packed[l] = (
@@ -577,7 +559,7 @@ def rcsp_to_vk_embed(
             cap = big * art.coverage[l][v]
             columns[2 * l] = column
             columns[2 * l + 1] = [cap - x for x in column]
-        costs += _rows(columns, keys)
+        costs += _rows(columns, classes)
 
     # a chunk's packed budget, m in each of its digits, depends on its length alone
     q = art.base_q

@@ -105,6 +105,31 @@ def test_reduce_bad_epsilon_is_usage_error(tmp_path, capsys, epsilon):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "6", "--r", "0"],
+     "cover count r = 0 covers no element, but epsilon 1/4 needs (1 - epsilon) * 5 = 15/4 covered"),
+    (["--k", "-1", "--r", "0"], "host size k must be nonnegative, got -1"),
+    (["--k", "-1", "--r", "2"], "host size k must be nonnegative, got -1"),
+], ids=["r-0", "k-negative-r-0", "k-negative-r-2"])
+def test_degenerate_disperser_parameters_are_refused_up_front(tmp_path, capsys, flags, message):
+    src, out = tmp_path / "phi.json", tmp_path / "pi.json"
+    assert main(["gen", "sat", "--n", "8", "--m", "5", "--bound", "3", "--planted",
+                 "--seed", "1", "--out", str(src)]) == 0
+    assert main(["reduce", "sat2rcsp-disperser", "--in", str(src), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m, epsilon", [(5, "1"), (0, "1/4")])
+def test_disperser_route_with_nothing_to_cover_takes_cover_count_zero(tmp_path, m, epsilon):
+    src, out = tmp_path / "phi.json", tmp_path / "pi.json"
+    assert main(["gen", "sat", "--n", "8", "--m", str(m), "--bound", "3", "--planted",
+                 "--seed", "1", "--out", str(src)]) == 0
+    assert main(["reduce", "sat2rcsp-disperser", "--in", str(src), "--k", "6", "--r", "0",
+                 "--epsilon", epsilon, "--out", str(out)]) == 0
+    assert parse_instance(read(out)).graph.vertex_count == 6
+
+
 def test_sat_clause_set_past_the_alphabet_cap_is_refused(tmp_path, capsys):
     # a host vertex of the 8-vertex embedding collects clauses over 20
     # variables, and 2^20 candidate assignments exceed the 2^16 cap

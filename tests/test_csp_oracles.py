@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -16,8 +17,13 @@ from knapreduce.csp import (
     sat_opt_bruteforce,
 )
 from knapreduce.errors import DEFAULT_NODE_CAP, CapExceededError
-from knapreduce.generators import gen_csp2, gen_rcsp, gen_rcsp_planted
+from knapreduce.generators import gen_csp2, gen_rcsp, gen_rcsp_planted, gen_sat_satisfiable
 from knapreduce.graphs import Graph, graph_from_edges
+from knapreduce.reductions import (
+    csp2_to_rcsp,
+    sat_to_rcsp_disperser_route,
+    sat_to_rcsp_embedding_route,
+)
 
 
 def sat(n, clauses, bound=8):
@@ -320,6 +326,84 @@ class TestRcsp:
 # The two CSP searches as they were when each counted its own nodes and
 # every leaf and bound-pruned child was a generator of its own, kept
 # verbatim as references, with the one-argument stack driver of their day.
+
+
+def reference_symbol_classes(pi: RcspInstance, v: int):
+    """Group vertex v's symbols by their projections on its incident edges.
+
+    An item's cost row depends on its symbol only through v's side of the
+    projection on each edge in pi.graph.incident[v], so symbols with one
+    key (the tuple of those projections) have equal rows.  Returns
+    (columns, width, keys): columns holds v's side on each incident edge
+    over the width distinct keys in first-occurrence order, and keys lists
+    each symbol's key.  When no key repeats, columns are the projection
+    tuples themselves, width is sigma and keys is None.
+    """
+    sides = [pi.projections[e][e.index(v)] for e in pi.graph.incident[v]]
+    keys = list(zip(*sides)) if sides else [()] * pi.sigma_size
+    distinct = dict.fromkeys(keys)
+    if len(distinct) == pi.sigma_size:
+        return sides, pi.sigma_size, None
+    return list(zip(*distinct)), len(distinct), keys
+
+
+def table_hosts():
+    """Rectangular CSPs of every shape the knapsack targets are built from:
+    cubic random ones, both 3-SAT routes' hosts, binary-CSP line graphs,
+    alphabets of sizes 0 and 1, and vertices with no incident edge."""
+    for seed in range(6):
+        rng = random.Random(7600 + seed)
+        yield gen_rcsp(rng.choice((4, 6, 8)), rng.randint(1, 4), rng.randint(1, 5), rng,
+                       regular3=True)
+    for seed in range(3):
+        rng = random.Random(7610 + seed)
+        phi, _ = gen_sat_satisfiable(rng.randint(5, 8), rng.randint(3, 6), 3, rng)
+        yield sat_to_rcsp_embedding_route(phi, 8)
+        yield sat_to_rcsp_disperser_route(phi, 5, 2, "1/4", seed=seed)
+    for seed in range(3):
+        rng = random.Random(7620 + seed)
+        yield csp2_to_rcsp(gen_csp2(rng.choice((4, 6)), rng.randint(1, 3), rng, regular3=True))
+    path = graph_from_edges(4, [(0, 1), (1, 2)])  # vertex 3 has no edge
+    yield RcspInstance(path, 0, 1, {(0, 1): ((), ()), (1, 2): ((), ())})
+    yield RcspInstance(path, 1, 2, {(0, 1): ((1,), (0,)), (1, 2): ((0,), (1,))})
+    yield RcspInstance(path, 3, 2, {(0, 1): ((0, 1, 0), (1, 1, 0)), (1, 2): ((0, 0, 1), (1, 0, 1))})
+    for sigma in (0, 1, 3):
+        yield RcspInstance(Graph(2), sigma, 1, {})
+
+
+class TestSymbolClasses:
+    def test_table_matches_the_reference_grouping(self):
+        repeats = set()
+        for pi in table_hosts():
+            table = pi.symbol_classes
+            assert len(table) == pi.graph.vertex_count
+            for v, (columns, width, classes) in enumerate(table):
+                ref_columns, ref_width, keys = reference_symbol_classes(pi, v)
+                assert width == ref_width
+                assert list(map(tuple, columns)) == list(map(tuple, ref_columns))
+                if keys is None:
+                    assert classes is None
+                    # the columns are the projection tuples themselves
+                    assert all(c is r for c, r in zip(columns, ref_columns))
+                else:
+                    position = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+                    assert list(classes) == [position[key] for key in keys]
+                repeats.add(keys is not None)
+        assert repeats == {False, True}
+
+    def test_the_table_is_built_once(self):
+        pi = swap_instance()
+        assert "symbol_classes" not in vars(pi)
+        table = pi.symbol_classes
+        assert vars(pi)["symbol_classes"] is table and pi.symbol_classes is table
+
+    def test_equality_ignores_the_built_table(self):
+        built, fresh = swap_instance(), swap_instance()
+        assert built.symbol_classes  # builds the table
+        assert "symbol_classes" in vars(built) and "symbol_classes" not in vars(fresh)
+        assert built == fresh and repr(built) == repr(fresh)
+        copy = dataclasses.replace(built)
+        assert copy == built and "symbol_classes" not in vars(copy)
 
 
 def run_depth_first(root) -> None:

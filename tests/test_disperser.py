@@ -49,6 +49,15 @@ def test_parameter_validation():
         build_disperser(4, 2, 2, 1, Fraction(3, 2), seed=0)
 
 
+def test_zero_cover_count_is_refused_unless_nothing_must_be_covered():
+    # the one union of no sets is empty, so a nonempty threshold fails every draw
+    with pytest.raises(ValueError, match=r"^cover count r = 0 covers no element, but epsilon "
+                                         r"1/4 needs \(1 - epsilon\) \* 5 = 15/4 covered$"):
+        build_disperser(5, 6, 5, 0, Fraction(1, 4), seed=1)
+    assert build_disperser(5, 6, 5, 0, 1, seed=1).sets == (frozenset(range(5)),) * 6
+    assert build_disperser(0, 3, 0, 0, 0, seed=1).sets == (frozenset(),) * 3
+
+
 def test_dataclass_fields():
     family = build_disperser(6, 3, 4, 2, Fraction(1, 3), seed=2)
     assert isinstance(family, Disperser)

@@ -290,6 +290,27 @@ class TestRoutes:
             size, _ = par_bruteforce(pi)
             assert size == pi.graph.vertex_count
 
+    def test_disperser_route_refuses_degenerate_parameters_up_front(self):
+        phi, _ = gen_sat_satisfiable(8, 5, 3, random.Random(1))
+        # the union of no sets covers none of the 5 clauses, which no draw mends
+        with pytest.raises(ValueError, match=r"^cover count r = 0 covers no element, but epsilon "
+                                             r"1/4 needs \(1 - epsilon\) \* 5 = 15/4 covered$"):
+            sat_to_rcsp_disperser_route(phi, 6, 0, "1/4", seed=1)
+        for cover_count in (0, 2):
+            with pytest.raises(ValueError, match=r"^host size k must be nonnegative, got -1$"):
+                sat_to_rcsp_disperser_route(phi, -1, cover_count, "1/4", seed=1)
+            with pytest.raises(ValueError, match=r"^host size k must be nonnegative, got -1$"):
+                sat_to_rcsp_disperser_route(sat(3, []), -1, cover_count, "1/4", seed=1)
+
+    def test_disperser_route_with_nothing_to_cover_needs_no_cover_count(self):
+        # epsilon = 1 asks for no clause covered, and a clauseless formula has none
+        phi, _ = gen_sat_satisfiable(8, 5, 3, random.Random(1))
+        pi = sat_to_rcsp_disperser_route(phi, 6, 0, 1, seed=1)
+        assert pi == sat_to_rcsp(phi, complete_graph(6), [range(5)] * 6)
+        for k in (0, 4):
+            pi = sat_to_rcsp_disperser_route(sat(3, []), k, 0, "1/4", seed=1)
+            assert pi.graph.vertex_count == k
+
     def test_routes_are_deterministic(self):
         rng = random.Random(80)
         phi, _ = gen_sat_satisfiable(6, 3, 4, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import product
 
@@ -514,6 +515,80 @@ class TestPackedExtraction:
         everything = Solution(frozenset(range(target.item_count)))
         with pytest.raises(ValueError, match="infeasible in the packed target"):
             extract_partial_assignment(pi, art.chunk_size, everything, (target, art))
+
+
+def row_sharing(target):
+    """Each cost row's first index among the rows that are the same object."""
+    first = {}
+    return [first.setdefault(id(row), i) for i, row in enumerate(target.costs)]
+
+
+def count_table_builds(monkeypatch):
+    """The instances whose symbol table is built from now on, one entry a build."""
+    builds = []
+    getter = RcspInstance.symbol_classes.fget
+
+    def counting(pi):
+        if "symbol_classes" not in vars(pi):
+            builds.append(pi)
+        return getter(pi)
+
+    monkeypatch.setattr(RcspInstance, "symbol_classes", property(counting))
+    return builds
+
+
+class TestOneTablePerInstance:
+    def test_targets_in_any_order_equal_fresh_builds(self):
+        def build(pi, plan):
+            """The target of a plan, "plain" or a chunk size, and its row sharing."""
+            target = rcsp_to_vk_simple(pi) if plan == "plain" else rcsp_to_vk_embed(pi, plan)[0]
+            return target, row_sharing(target)
+
+        for pi in cubic_hosts():
+            constraints = pi.graph.vertex_count + len(pi.graph.edges)
+            plans = ["plain", *range(1, constraints + 1)]
+            fresh = {plan: build(dataclasses.replace(pi), plan) for plan in plans}
+            # plain first, packed first, chunk sizes down, and every target twice
+            for order in (plans, plans[1:] + plans[:1], plans[::-1], plans + plans):
+                shared = dataclasses.replace(pi)
+                for plan in order:
+                    assert build(shared, plan) == fresh[plan], plan
+
+    def test_a_second_target_reuses_the_table(self, monkeypatch):
+        builds = count_table_builds(monkeypatch)
+        pi = next(sat_route_hosts())
+        rcsp_to_vk_simple(pi)
+        assert len(builds) == 1 and builds[0] is pi
+        table = vars(pi)["symbol_classes"]
+        for chunk_size in (1, 4, 1):
+            rcsp_to_vk_embed(pi, chunk_size)
+        rcsp_to_vk_simple(pi)
+        assert len(builds) == 1 and vars(pi)["symbol_classes"] is table
+        # a copy is a new instance, with a table of its own
+        rcsp_to_vk_embed(dataclasses.replace(pi), 2)
+        assert len(builds) == 2
+
+    def test_refusals_come_before_the_table(self, monkeypatch):
+        # the README caps table promises these are checked before any row is built
+        def refused(error, build, pi, *args, match=None):
+            with pytest.raises(error, match=match):
+                build(pi, *args)
+            assert "symbol_classes" not in vars(pi)
+
+        for pi in (RcspInstance(Graph(TARGET_CAP + 1), 0, 1, {}),
+                   RcspInstance(Graph(TARGET_CAP // 2), 3, 1, {})):
+            refused(CapExceededError, rcsp_to_vk_simple, pi, match="^plain target")
+        refused(ValueError, rcsp_to_vk_embed, swap_instance(), 1, match="3-regular")
+        for chunk_size in (0, 11):
+            refused(ValueError, rcsp_to_vk_embed, planted_k4(7)[0], chunk_size,
+                    match="^chunk size")
+        monkeypatch.setattr(reductions, "TARGET_CAP", 8 * 20 - 1)
+        refused(CapExceededError, rcsp_to_vk_embed, planted_k4(7)[0], 1,
+                match="^packed target of 8 items")
+        monkeypatch.undo()
+        monkeypatch.setattr(reductions, "TARGET_DIGITS_CAP", 3)  # entries reach 4,608
+        refused(CapExceededError, rcsp_to_vk_embed, planted_k4(7)[0], 1,
+                match="^packed target entries")
 
 
 class TestDigitSums:
