@@ -51,6 +51,16 @@ def covering_holds(
     return True
 
 
+def checked_cover_parameters(set_count: int, cover_count: int, epsilon) -> Fraction:
+    """epsilon as a Fraction, once it lies in [0, 1] and 0 <= cover_count <= set_count."""
+    eps = exact_epsilon(epsilon)
+    if not 0 <= eps <= 1:
+        raise ValueError(f"epsilon {eps} outside [0, 1]")
+    if not 0 <= cover_count <= set_count:
+        raise ValueError("cover count must be between 0 and the number of sets")
+    return eps
+
+
 def build_disperser(
     universe_size: int,
     set_count: int,
@@ -60,13 +70,9 @@ def build_disperser(
     seed: int,
 ) -> Disperser:
     """Draw and exhaustively verify a covering family, deterministically per seed."""
-    eps = exact_epsilon(epsilon)
-    if not 0 <= eps <= 1:
-        raise ValueError(f"epsilon {eps} outside [0, 1]")
+    eps = checked_cover_parameters(set_count, cover_count, epsilon)
     if set_size > universe_size:
         raise ValueError(f"set size {set_size} exceeds universe size {universe_size}")
-    if not 0 <= cover_count <= set_count:
-        raise ValueError("cover count must be between 0 and the number of sets")
     # the one union of no sets is empty, so no draw can pass
     threshold = (1 - eps) * universe_size
     if cover_count == 0 and threshold > 0:

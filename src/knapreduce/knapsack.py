@@ -4,6 +4,11 @@ Profits, costs and budgets are nonnegative Python integers and may be
 arbitrarily large.  One pruned subset search serves both brute forces,
 the exact one and the bounded-size one that the approximation's over-half
 branch uses; both are capped by the number of sets the search visits.
+Besides the profit of the items still to come, the search bounds what a
+set can gain by an item count: summed over its coordinates, the budget
+fits at most as many items as its smallest row sums fill.  On the
+digit-packed targets of cubic CSPs that bound is |V| + 2|E| at the root,
+the value of every planted optimum, so the search stops once it finds one.
 The dynamic program is capped by the number of distinct reachable cost
 vectors, so budget magnitude limits no oracle; digit-packed targets of
 the dimension-embedding reduction are solved by the search and the DP.
@@ -27,6 +32,7 @@ so golden outputs are stable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import le
@@ -160,48 +166,68 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     Each set is extended by one larger index at a time, so sets are visited
     in lexicographic order and the search stack is as deep as the largest
     set.  Since a later set never wins a tie, only a strictly larger profit
-    replaces the incumbent.  A branch carries its residual budget, so an
-    item that does not fit is skipped in one test (costs are nonnegative,
-    so no superset can fit either), and the index loop stops once the
-    remaining profit cannot beat the incumbent.  The residual budget is one
-    packed int, so that test and the child's residual are one subtraction.
+    replaces the incumbent, so any subtree whose profits are bounded by the
+    incumbent's can be skipped without changing the answer.  A branch
+    carries its residual budget, so an item that does not fit is skipped in
+    one test (costs are nonnegative, so no superset can fit either).  The
+    residual budget is one packed int, so that test and the child's
+    residual are one subtraction.
+
+    Two bounds stop a node's index loop: the profit of the items still to
+    come, and a count.  Summing the budget inequality over its coordinates
+    (a surrogate constraint, after Glover, Operations Research 1968) gives
+    sum_{i in S} |c_i| <= |b| for every feasible S, |.| summing a vector's
+    coordinates.  Any |S| row sums add up to at least the |S| smallest, so
+    no feasible set holds more than `size` items, the largest k whose k
+    smallest row sums fit in |b|.  A node of k items gains at most
+    top[size - k], the sum of the size - k largest profits; its `ceiling`
+    is its profit plus that.  At depth size, top[0] = 0 stops the loop, so
+    this one test also enforces max_size.
+
+    On a cubic digit-packed target, a chunk's two coordinates add up to the
+    sentinel times the item's coverage of the chunk, and each item takes
+    part in four constraints, so every row sums to 4 * sentinel and |b| to
+    sentinel * (|V| + 2|E|) = sentinel * 4|V|.  So size = |V|, and the
+    root's ceiling is |V| + 2|E|, the value of every planted optimum: the
+    search stops once it finds one.
 
     The search is one loop: the current set is `path`, and the stack holds
-    one (next index, room, profit) frame per item of it, the parent's
-    state to resume once the child's subtree ends.  A child's end index is
-    n, or 0 once the set holds max_size items.  Each visited set is one
-    node, the empty root included; refuses with CapExceededError once the
-    search visits more than max_nodes of them.
+    one (next index, room, profit, ceiling) frame per item of it, the
+    parent's state to resume once the child's subtree ends.  Each visited
+    set is one node, the empty root included; refuses with
+    CapExceededError once the search visits more than max_nodes of them.
     """
-    profits, n = inst.profits, inst.item_count
+    profits = inst.profits
     room, costs, guards = _packed(inst)
     suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
+    fill = list(accumulate(sorted(map(sum, inst.costs))))
+    size = min(max_size, bisect_right(fill, sum(inst.budget)))
+    top = list(accumulate(sorted(profits, reverse=True)[:size], initial=0))
     best_prof, best_items = 0, ()
     if max_nodes < 1:
         raise search_budget_exceeded(max_nodes)
     nodes, path, stack = 1, [], []
-    i, end, prof = 0, n if max_size else 0, 0
+    i, prof, ceiling = 0, 0, top[size]
     while True:
-        if i < end and prof + suffix_profit[i] > best_prof:
+        # best_prof >= prof at every node, so suffix_profit[n] = 0 stops i at n
+        if ceiling > best_prof and prof + suffix_profit[i] > best_prof:
             rest = room - costs[i]
             i += 1
             if rest & guards == guards:
                 nodes += 1
                 if nodes > max_nodes:
                     raise search_budget_exceeded(max_nodes)
-                stack.append((i, room, prof))
+                stack.append((i, room, prof, ceiling))
                 path.append(i - 1)
                 room, prof = rest, prof + profits[i - 1]
+                ceiling = prof + top[size - len(path)]
                 if prof > best_prof:
                     best_prof, best_items = prof, tuple(path)
-                if len(path) == max_size:
-                    end = 0
             continue
         if not stack:
             return best_prof, Solution(frozenset(best_items))
-        i, room, prof = stack.pop()
+        i, room, prof, ceiling = stack.pop()
         path.pop()
-        end = n
 
 
 def solve_bruteforce(inst: VkInstance, max_nodes: int = DEFAULT_NODE_CAP) -> tuple[int, Solution]:

@@ -28,7 +28,7 @@ from .csp import (
     clause_variables,
     is_consistent,
 )
-from .disperser import build_disperser, exact_epsilon
+from .disperser import build_disperser, checked_cover_parameters
 from .embedding import simple_connected_embedding
 from .errors import CapExceededError
 from .graphs import Edge, Graph, complete_graph, graph_from_edges, line_graph
@@ -232,12 +232,14 @@ def sat_to_rcsp_disperser_route(
     phi: SatInstance, k: int, cover_count: int, epsilon, seed: int
 ) -> RcspInstance:
     """Complete host graph on k vertices; clause sets drawn from a verified
-    covering family over the clause universe."""
+    covering family over the clause universe.  epsilon and the cover count
+    are checked as build_disperser checks them, also on a formula with no
+    clauses, where no family is drawn."""
     if k < 0:
         raise ValueError(f"host size k must be nonnegative, got {k}")
     _check_host_size(k)
     m = phi.clause_count
-    eps = exact_epsilon(epsilon)
+    eps = checked_cover_parameters(k, cover_count, epsilon)
     if m == 0:
         clause_sets = [frozenset() for _ in range(k)]
     else:

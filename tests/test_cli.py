@@ -120,6 +120,24 @@ def test_degenerate_disperser_parameters_are_refused_up_front(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--r", "-1"], "cover count must be between 0 and the number of sets"),
+    (["--r", "9"], "cover count must be between 0 and the number of sets"),
+    (["--epsilon", "2"], "epsilon 2 outside [0, 1]"),
+], ids=["r-negative", "r-past-k", "epsilon-2"])
+@pytest.mark.parametrize("n, m", [(0, 0), (8, 5)], ids=["no-clauses", "clauses"])
+def test_out_of_range_disperser_parameters_are_refused_with_or_without_clauses(
+    tmp_path, capsys, flags, message, n, m
+):
+    src, out = tmp_path / "phi.json", tmp_path / "pi.json"
+    assert main(["gen", "sat", "--n", str(n), "--m", str(m), "--bound", "3",
+                 "--seed", "1", "--out", str(src)]) == 0
+    assert main(["reduce", "sat2rcsp-disperser", "--in", str(src), "--k", "6",
+                 "--out", str(out)] + flags) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("m, epsilon", [(5, "1"), (0, "1/4")])
 def test_disperser_route_with_nothing_to_cover_takes_cover_count_zero(tmp_path, m, epsilon):
     src, out = tmp_path / "phi.json", tmp_path / "pi.json"
@@ -227,6 +245,19 @@ def test_solve_cap_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "error: search exceeded node budget 6\n"
     assert main(["solve", "brute", "--in", str(src), "--cap-nodes", "7"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "6"
+
+
+def test_solve_cap_on_a_planted_packed_target(tmp_path, capsys):
+    # the optimum |V| + 2|E| = 32 is the root's item count bound, so the
+    # search stops at node 56, where it reaches it
+    pi, vk = tmp_path / "pi.json", tmp_path / "vk.json"
+    assert main(["gen", "rcsp", "--planted", "--regular3", "--vertices", "8", "--sigma", "2",
+                 "--upsilon", "2", "--seed", "1", "--out", str(pi)]) == 0
+    assert main(["reduce", "rcsp2vk-embed", "--in", str(pi), "--F", "1", "--out", str(vk)]) == 0
+    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "55"]) == 3
+    assert capsys.readouterr() == ("", "error: search exceeded node budget 55\n")
+    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "56"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "32"
 
 
 @pytest.mark.parametrize("document", ['{"kind":"vk"}', "[1,2]", '{"kind":"rcsp","vertices":2}',

@@ -61,10 +61,13 @@ def combinations_reference(inst, s_max):
     return best_prof, Solution(frozenset(best_items))
 
 
-# The tuple-room oracles that the packed-int ones replaced, kept verbatim
-# as references: the search carries its residual budget as a d-list, the
-# DP keys its states by the reached cost tuple.  The search runs on the
+# The tuple-room oracles that the packed-int ones replaced, kept as
+# references: the search carries its residual budget as a d-list, the DP
+# keys its states by the reached cost tuple.  The search runs on the
 # one-argument stack driver of its day, which left node counting to it.
+# It shares one bound with _best_subset, the item count bound, so that both
+# searches visit the same nodes and trip at the same cap;
+# combinations_reference checks the answers independently of either.
 
 
 def run_depth_first(root) -> None:
@@ -81,9 +84,18 @@ def _better(prof: int, items: tuple, best_prof: int, best_items: tuple) -> bool:
     return prof > best_prof or (prof == best_prof and items < best_items)
 
 
+def item_count_bound(inst: VkInstance) -> int:
+    """How many of the smallest row sums fit in the summed budget: no
+    feasible set holds more items."""
+    fill = accumulate(sorted(sum(c) for c in inst.costs))
+    return sum(1 for used in fill if used <= sum(inst.budget))
+
+
 def tuple_room_best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, Solution]:
     profits, costs, n = inst.profits, inst.costs, inst.item_count
     suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
+    size = min(max_size, item_count_bound(inst))
+    top = list(accumulate(sorted(profits, reverse=True)[:size], initial=0))
     best_prof, best_items = 0, ()
     nodes = 0
 
@@ -97,16 +109,14 @@ def tuple_room_best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> t
             raise CapExceededError(f"search exceeded node budget {max_nodes}")
         if prof > best_prof:
             best_prof, best_items = prof, items
-        if not slots:
-            return
         for i in range(start, n):
-            if prof + suffix_profit[i] <= best_prof:
+            if prof + top[slots] <= best_prof or prof + suffix_profit[i] <= best_prof:
                 return
             ci = costs[i]
             if all(map(le, ci, room)):
                 yield extend(i + 1, list(map(sub, room, ci)), prof + profits[i], items + (i,), slots - 1)
 
-    run_depth_first(extend(0, inst.budget, 0, (), max_size))
+    run_depth_first(extend(0, inst.budget, 0, (), size))
     return best_prof, Solution(frozenset(best_items))
 
 
@@ -345,14 +355,20 @@ class TestBruteForce:
             solve_bruteforce(inst, max_nodes=5)
 
     def test_36_item_packed_targets_at_default_budget(self):
-        # 12 cubic vertices, sigma = 3, F = 1: about 25k nodes each.  The
-        # optimum is |V| + 2|E| iff a full consistent assignment exists.
+        # 12 cubic vertices, sigma = 3, F = 1.  The optimum is |V| + 2|E|
+        # iff a full consistent assignment exists.  That is also the item
+        # count bound at the root, so the planted search stops once it finds
+        # the optimum; the unplanted one never reaches it, and the bound
+        # cuts none of its nodes.
         planted, _ = gen_rcsp_planted(12, 3, 3, random.Random(0), regular3=True)
         unplanted = gen_rcsp(12, 3, 3, random.Random(1), regular3=True)
-        for pi, full_exists in ((planted, True), (unplanted, False)):
+        for pi, full_exists, nodes in ((planted, True, 9_254), (unplanted, False, 25_788)):
             target, _ = rcsp_to_vk_embed(pi, 1)
             assert target.item_count == 36
             value, sol = solve_bruteforce(target)
+            assert solve_bruteforce(target, max_nodes=nodes) == (value, sol)
+            with pytest.raises(CapExceededError, match=f"node budget {nodes - 1}$"):
+                solve_bruteforce(target, max_nodes=nodes - 1)
             assert check_feasible(target, sol) and profit(target, sol) == value
             full = pi.graph.vertex_count + 2 * len(pi.graph.edge_list)
             assert (par_bruteforce(pi)[0] == pi.graph.vertex_count) == full_exists
@@ -422,6 +438,36 @@ class TestBoundedSize:
                 expected = combinations_reference(inst, s_max)
                 assert solve_bruteforce_bounded_size(inst, s_max) == expected, (i, s_max)
             assert solve_bruteforce(inst) == combinations_reference(inst, inst.item_count), i
+
+    def test_item_count_bound_below_n_and_s_max(self):
+        # every row takes a quarter to a half of each budget coordinate, so
+        # the item count bound cuts well below n; equal profits, zero-profit
+        # and zero-cost items put ties and free items at the cut.  At d = 0
+        # every row sums to 0 and the bound is n.
+        for i in range(160):
+            rng = random.Random(2400 + i)
+            n, d, kind = rng.randint(8, 11), rng.randint(1, 3), i % 4
+            budget = tuple(rng.randint(8, 40) for _ in range(d))
+            costs = [tuple(rng.randint(b // 4, b // 2) for b in budget) for _ in range(n)]
+            profits = [5] * n if kind == 0 else [rng.randint(1, 9) for _ in range(n)]
+            for j in rng.sample(range(n), 2):
+                if kind == 1:
+                    profits[j] = 0
+                elif kind == 2:
+                    costs[j] = (0,) * d
+            if kind == 3:
+                budget, costs = (), [()] * n
+            inst = VkInstance(tuple(profits), tuple(costs), budget)
+            bound = item_count_bound(inst)
+            s_max = rng.randint(bound + 1, n + 1)
+            if kind == 3:
+                assert bound == n, i
+            else:
+                assert bound < min(n, s_max), i
+            expected = combinations_reference(inst, n)
+            assert solve_bruteforce(inst) == expected, i
+            assert solve_bruteforce_bounded_size(inst, s_max) == combinations_reference(inst, s_max), i
+            assert solve_bruteforce_bounded_size(inst, bound) == expected, i
 
     def test_not_item_capped(self):
         # the budget bounds visited sets, not items: 40 items pass a budget
