@@ -206,14 +206,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> int:
-    own_floors, build = GEN[args.kind]
-    floors = (("dims", 1), ("n", 0), ("m", 0), ("vertices", 0)) + own_floors(args)
+def _check_floors(args, floors) -> None:
+    """Refuse, with one line, the first (flag, least, *context) below its floor."""
     for flag, least, *context in floors:
         value = getattr(args, flag.replace("-", "_"))
         if value < least:
             bound = f"at least {least}" if least else "nonnegative"
             raise ValueError(f"--{flag} must be {bound}{''.join(context)}, got {value}")
+
+
+def _cmd_gen(args) -> int:
+    own_floors, build = GEN[args.kind]
+    _check_floors(args, (("dims", 1), ("n", 0), ("m", 0), ("vertices", 0)) + own_floors(args))
     _write_out(serialize_instance(build(args, random.Random(args.seed))), args.out)
     return 0
 
@@ -236,6 +240,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_floors(args, (("cap-nodes", 0), ("cap-states", 0)))
     inst = _read_instance(args.input)
     if not isinstance(inst, VkInstance):
         raise ValueError("solve expects a vk instance")

@@ -8,13 +8,12 @@ Pivot rule.  A solve starts with Dantzig's rule (the largest positive
 reduced cost enters, ties to the smaller column), which takes far fewer
 pivots than Bland's, and from its first degenerate step on it uses
 Bland's rule, which cannot cycle; nondegenerate steps raise the
-objective, so they cannot cycle either.  At the optimum the basic
-columns have reduced cost 0.  If every other reduced cost is nonzero,
-hence negative, every move off the vertex loses value: the optimum is
-unique, every rule reaches it, and it is returned.  Otherwise (zero
-profits and repeated columns make ties) the program is solved again from
-the all-slack basis by Bland's rule alone.  Either way the point
-returned is the one Bland's rule reaches.
+objective, so they cannot cycle either.  The optimal vertex this one run
+reaches is returned.  Where the optimum is tied (zero profits and
+repeated columns make ties) that need not be the point Bland's rule
+alone would reach, but any optimal vertex is exact and has at most d
+fractional entries, the basic structurals, which is all the rounding in
+approx needs.
 
 The box is handled implicitly (Dantzig's upper-bounding technique), so the
 tableau has one row per constraint of A.  A structural variable held at
@@ -25,8 +24,7 @@ way, without a pivot; a basic variable that rises to 1 is complemented in
 its row and then leaves at 0.  Bland's rule numbers the variables as the
 tableau with explicit x <= 1 rows does: the x_j, then the slacks, then the
 box slacks 1 - x_j, which a complemented column stands for.  So Bland's
-entering and leaving choices are that tableau's, and so is the optimum
-returned.
+entering and leaving choices are that tableau's.
 
 The tableau is kept in integers over one positive common denominator D
 (integer-preserving pivoting after Bareiss and Edmonds): a pivot on p
@@ -55,17 +53,16 @@ class SimplexError(Exception):
     """Internal invariant failure (an unbounded direction, here impossible)."""
 
 
-def _vertex(gains, rows, bland) -> tuple[Fraction, ...] | None:
+def _vertex(gains, rows) -> tuple[Fraction, ...]:
     """One run from the all-slack basis on max gains . x over the integer
-    rows [A | b] and 0 <= x <= 1: by Bland's rule throughout if
-    bland is set, else by Dantzig's until the first degenerate step.  The
-    leaving variable is the smallest Bland index among those that reach a
-    bound first.  Returns the optimal point, or None when a run begun by
-    Dantzig's rule ends at an optimum not certified unique.
+    rows [A | b] and 0 <= x <= 1, by Dantzig's rule until the first
+    degenerate step and by Bland's rule from then on.  The leaving
+    variable is the smallest Bland index among those that reach a bound
+    first.  Returns the optimal point reached.
     """
     n = len(gains)
     m = len(rows)
-    certify = not bland
+    bland = False
     # Columns: n structurals then m slacks, then the right-hand side; the
     # basis starts as the slacks, whose identity block makes D = 1.
     tableau = [
@@ -138,10 +135,6 @@ def _vertex(gains, rows, bland) -> tuple[Fraction, ...] | None:
         basis[pivot_row] = entering
         denominator = pivot
 
-    # the m basic columns have reduced cost 0; a zero on a nonbasic one
-    # allows a tie, and only Bland's rule fixes which optimum is returned
-    if certify and cost.count(0) != m:
-        return None
     point = [Fraction(int(flag)) for flag in complemented]
     for i, var in enumerate(basis):
         if var < n:
@@ -181,8 +174,8 @@ def _eliminate(row, pivot_values, entering, pivot, denominator) -> list[int]:
 
 def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, point) of max p.x over the cost rows and 0 <= x <= 1, exactly,
-    at the point Bland's rule reaches.  Entries are integers by VkInstance's
-    rule; profits may be negative, budgets may not."""
+    at the optimal vertex one run of _vertex reaches.  Entries are integers
+    by VkInstance's rule; profits may be negative, budgets may not."""
     n, d = len(profits), len(budget)
     if n > VARIABLE_CAP:
         raise CapExceededError(f"{n} variables exceeds the LP cap {VARIABLE_CAP}")
@@ -197,8 +190,6 @@ def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fractio
         raise ValueError("budgets must be nonnegative")
     gains = list(profits)
     rows = [[*column, b] for column, b in zip(zip(*costs), budget)]
-    point = _vertex(gains, rows, False)
-    if point is None:
-        point = _vertex(gains, rows, True)
+    point = _vertex(gains, rows)
     value = sum((c * x for c, x in zip(profits, point) if x), Fraction(0))
     return value, point

@@ -241,10 +241,25 @@ def test_solve_cap_exit_code(tmp_path, capsys):
     src = tmp_path / "vk.json"
     src.write_text(json.dumps({"kind": "vk", "profits": [1] * 6, "costs": [[0]] * 6,
                                "budget": [0]}), encoding="utf-8")
-    assert main(["solve", "brute", "--in", str(src), "--cap-nodes", "6"]) == 3
-    assert capsys.readouterr().err == "error: search exceeded node budget 6\n"
+    for cap in ("0", "6"):
+        assert main(["solve", "brute", "--in", str(src), "--cap-nodes", cap]) == 3
+        assert capsys.readouterr().err == f"error: search exceeded node budget {cap}\n"
     assert main(["solve", "brute", "--in", str(src), "--cap-nodes", "7"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "6"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["brute", "--cap-nodes", "-1"], "--cap-nodes must be nonnegative, got -1"),
+    (["dp", "--cap-states", "-1"], "--cap-states must be nonnegative, got -1"),
+    (["approx", "--oracle", "--cap-nodes", "-3"], "--cap-nodes must be nonnegative, got -3"),
+])
+def test_negative_solver_cap_is_usage_error(tmp_path, capsys, flags, message):
+    src, out = tmp_path / "vk.json", tmp_path / "solution.json"
+    src.write_text(json.dumps({"kind": "vk", "profits": [1, 2], "costs": [[1], [1]],
+                               "budget": [1]}), encoding="utf-8")
+    assert main(["solve", flags[0], "--in", str(src), "--out", str(out)] + flags[1:]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_solve_cap_on_a_planted_packed_target(tmp_path, capsys):

@@ -37,29 +37,46 @@ def relaxation_vertex_oracle(profits, costs, budget):
     return best
 
 
-def reference_simplex(objective, rows, rhs):
-    """Textbook Bland's-rule tableau over Fractions with every row written
-    out (no implicit bounds): each pivot divides the pivot row by the pivot
-    and eliminates the entering column elsewhere (zeros are skipped, for
-    speed only).  Returns ((value, point), degenerate pivot count)."""
-    n, m = len(objective), len(rows)
+def reference_relaxation(profits, costs, budget):
+    """Textbook tableau over Fractions for the knapsack LP with its n rows
+    x_k <= 1 written out (no implicit bounds): each pivot divides the pivot
+    row by the pivot and eliminates the entering column elsewhere (zeros
+    are skipped, for speed only).  The code's entering rule: the largest
+    reduced cost, ties to the smaller implicit column (x_k and its box
+    slack 1 - x_k are column k, budget slack i is column n + i), until the
+    first pivot of ratio 0, then Bland's rule (the first positive reduced
+    cost).  The leaving row has the least ratio, ties to the smaller basic
+    variable.  Returns ((value, point), degenerate pivot count)."""
+    n, d = len(profits), len(budget)
+    rows = [[c[j] for c in costs] for j in range(d)]
+    rows += [[int(i == k) for i in range(n)] for k in range(n)]
+    rhs = [*budget, *[1] * n]
+    m = d + n
     tableau = [
         [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b)]
         for i, (row, b) in enumerate(zip(rows, rhs))
     ]
-    cost = [Fraction(x) for x in objective] + [Fraction(0)] * (m + 1)
+    cost = [Fraction(x) for x in profits] + [Fraction(0)] * (m + 1)
     basis = [n + i for i in range(m)]
+    column = [*range(n + d), *range(n)]
+    bland = False
     degenerate = 0
     while True:
-        entering = next((j for j in range(n + m) if cost[j] > 0), None)
-        if entering is None:
+        improving = [j for j in range(n + m) if cost[j] > 0]
+        if not improving:
             break
+        if bland:
+            entering = improving[0]
+        else:
+            entering = max(improving, key=lambda j: (cost[j], -column[j]))
         ratio, _, r = min(
             (tableau[i][-1] / tableau[i][entering], basis[i], i)
             for i in range(m)
             if tableau[i][entering] > 0
         )
-        degenerate += ratio == 0
+        if ratio == 0:
+            degenerate += 1
+            bland = True
         pivot = tableau[r][entering]
         tableau[r] = [x / pivot for x in tableau[r]]
         for i in range(m):
@@ -73,21 +90,8 @@ def reference_simplex(objective, rows, rhs):
     for i, var in enumerate(basis):
         if var < n:
             point[var] = tableau[i][-1]
-    value = sum(Fraction(c) * x for c, x in zip(objective, point))
+    value = sum(Fraction(c) * x for c, x in zip(profits, point))
     return (value, tuple(point)), degenerate
-
-
-def reference_box(objective, rows, rhs):
-    """The reference on the same program with its n rows x_k <= 1 appended."""
-    n = len(objective)
-    box = [[int(i == k) for i in range(n)] for k in range(n)]
-    return reference_simplex(objective, [*rows, *box], [*rhs, *[1] * n])
-
-
-def reference_relaxation(profits, costs, budget):
-    n = len(profits)
-    rows = [[costs[i][j] for i in range(n)] for j in range(len(budget))]
-    return reference_box(list(profits), rows, list(budget))
 
 
 def workload_shaped(count, seed):
@@ -153,11 +157,10 @@ class TestRelaxation:
             for j in range(inst.dimension):
                 assert sum(inst.costs[i][j] * x[i] for i in range(inst.item_count)) <= inst.budget[j]
 
-    def test_matches_fraction_tableau_reference(self, monkeypatch):
+    def test_matches_fraction_tableau_reference(self):
         # small budgets and zero profits make ties and degenerate pivots common
-        runs = counting(monkeypatch, "_vertex")
         degenerate = 0
-        for i in range(600):
+        for i in range(1200):
             rng = random.Random(4100 + i)
             maker = gen_vk if i % 2 == 0 else gen_vk_2bounded
             max_budget = rng.choice((2, 3, 5, 8, 8, 40))
@@ -172,25 +175,23 @@ class TestRelaxation:
                 assert sum(c[j] * xi for c, xi in zip(inst.costs, x)) <= inst.budget[j], i
             assert sum(p * xi for p, xi in zip(inst.profits, x)) == expected[0], i
             assert sum(xi.denominator > 1 for xi in x) <= inst.dimension, i
-            # ... and, Bland's indices being those of the explicit rows, the same one
+            # ... and, the rule and Bland's indices being those of the explicit
+            # rows, the same one
             assert x == expected[1], i
             degenerate += degenerate_pivots
         assert degenerate >= 50
-        # tied optima are common here, and each one is solved again by Bland's rule
-        assert runs[0] - 600 >= 300, runs
 
     def test_same_point_as_reference_on_workload_shapes(self, monkeypatch):
         runs = counting(monkeypatch, "_vertex")
         for k, inst in enumerate(workload_shaped(200, 4700)):
             expected, _ = reference_relaxation(inst.profits, inst.costs, inst.budget)
             assert knapsack_relaxation(inst.profits, inst.costs, inst.budget) == expected, k
-        # every optimum is certified unique: no rerun by Bland's rule
+        # one simplex run per program
         assert runs[0] == 200, runs
 
-    def test_tied_optima_match_reference(self, monkeypatch):
+    def test_tied_optima_match_reference(self):
         # repeated columns and zero profits leave many optimal points; the
-        # one returned is still the one Bland's rule reaches
-        runs = counting(monkeypatch, "_vertex")
+        # one returned is the one the reference's rule reaches
         rng = random.Random(61)
         for k in range(150):
             d = rng.randint(1, 3)
@@ -202,23 +203,20 @@ class TestRelaxation:
             budget = tuple(rng.randint(0, 6) for _ in range(d))
             expected, _ = reference_relaxation(profits, costs, budget)
             assert knapsack_relaxation(profits, costs, budget) == expected, k
-        assert runs[0] - 150 >= 120, runs
+
+    def test_tied_optimum_is_the_single_runs_vertex(self):
+        # items 1 and 3 both earn 1/2 per unit of cost, so the optimum 9/2 is
+        # tied.  Dantzig's rule, then Bland's, ends at (1, 0, 0, 1/2); a run
+        # by Bland's rule alone would end at (1, 1, 0, 1/6).
+        value, x = knapsack_relaxation((3, 1, 0, 3), ((5,), (2,), (5,), (6,)), (8,))
+        assert (value, x) == (Fraction(9, 2), (1, 0, 0, Fraction(1, 2)))
 
     def test_bound_flips_and_upper_leaves_occur(self, monkeypatch):
         flips = counting(monkeypatch, "_complement_column")
         upper_leaves = counting(monkeypatch, "_complement_row")
-        instances = workload_shaped(40, 4900)
-        for inst in instances:
+        for inst in workload_shaped(40, 4900):
             knapsack_relaxation(inst.profits, inst.costs, inst.budget)
-        # the default run, Dantzig's rule while no step is degenerate
         assert flips[0] >= 139 and upper_leaves[0] >= 90, (flips, upper_leaves)
-        # Bland's rule throughout, as the rerun of a tied optimum pivots
-        flips[0] = upper_leaves[0] = 0
-        vertex = simplex._vertex
-        monkeypatch.setattr(simplex, "_vertex", lambda gains, rows, _: vertex(gains, rows, True))
-        for inst in instances:
-            knapsack_relaxation(inst.profits, inst.costs, inst.budget)
-        assert flips[0] >= 100 and upper_leaves[0] >= 100, (flips, upper_leaves)
 
     def test_variable_cap(self, monkeypatch):
         n = simplex.VARIABLE_CAP + 1
@@ -234,7 +232,10 @@ def integer_program(objective, rows, rhs):
     """The rational program max objective . x, rows x <= rhs as knapsack
     integers: each row [A_j | b_j] times the lcm of its denominators, and
     the objective times its own, which is returned as the scale.  Positive
-    factors change no sign and no ratio, so Bland's point is unchanged."""
+    factors change no sign and no ratio, so the value and the feasible points
+    are unchanged.  Row scaling rescales slack reduced costs, which can change
+    Dantzig's entering choice, so the point is compared with the reference
+    on this scaled program, the one the code solves."""
 
     def scaled(values):
         factor = lcm(*(Fraction(v).denominator for v in values))
@@ -317,8 +318,8 @@ class TestSimplexCore:
         rhs = [Fraction(1, 2), 2, Fraction(7, 5)]
         profits, costs, budget, scale = integer_program(objective, rows, rhs)
         value, x = knapsack_relaxation(profits, costs, budget)
+        assert (value, x) == reference_relaxation(profits, costs, budget)[0]
         value /= scale
-        assert (value, x) == reference_box(objective, rows, rhs)[0]
         assert value == Fraction(101, 90)
         assert all(0 <= xi <= 1 for xi in x)
         for row, b in zip(rows, rhs):
@@ -332,6 +333,5 @@ class TestSimplexCore:
             rows = [[Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(n)]
                     for _ in range(m)]
             rhs = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(m)]
-            profits, costs, budget, scale = integer_program(objective, rows, rhs)
-            value, x = knapsack_relaxation(profits, costs, budget)
-            assert (value / scale, x) == reference_box(objective, rows, rhs)[0]
+            program = integer_program(objective, rows, rhs)[:3]
+            assert knapsack_relaxation(*program) == reference_relaxation(*program)[0]
