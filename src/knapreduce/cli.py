@@ -10,6 +10,7 @@ error, 3 cap exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import re
 import sys
@@ -45,7 +46,7 @@ from .reductions import (
     sat_to_rcsp_disperser_route,
     sat_to_rcsp_embedding_route,
 )
-from .serialize import canonical_json, parse_instance, serialize_artifacts, serialize_instance
+from .serialize import canonical_json, parse_instance, write_instance
 from .verify import SUITES, report_csv, report_json_payload, report_text, run_suite
 
 USAGE_EXIT = 2
@@ -57,12 +58,9 @@ VERIFY_EXIT = 4
 RATIONAL = re.compile(r"[+-]?(?:[0-9]+/0*[1-9][0-9]*|[0-9]*\.?[0-9]+)")
 
 
-def _write_out(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(out: str | None):
+    """The text stream for --out: the named file, or stdout when absent."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _read_instance(path: str):
@@ -218,7 +216,9 @@ def _check_floors(args, floors) -> None:
 def _cmd_gen(args) -> int:
     own_floors, build = GEN[args.kind]
     _check_floors(args, (("dims", 1), ("n", 0), ("m", 0), ("vertices", 0)) + own_floors(args))
-    _write_out(serialize_instance(build(args, random.Random(args.seed))), args.out)
+    inst = build(args, random.Random(args.seed))
+    with _open_out(args.out) as handle:
+        write_instance(inst, handle)
     return 0
 
 
@@ -229,13 +229,14 @@ def _cmd_reduce(args) -> int:
     inst = _read_instance(args.input)
     if not isinstance(inst, expects):
         raise ValueError(f"route {args.route} expects {kind} instance")
-    out, audit = build(inst, args), None
+    target = build(inst, args)
     if args.route == AUDITED_ROUTE:
-        out, artifacts = out
-        audit = serialize_artifacts(artifacts)
-    _write_out(serialize_instance(out), args.out)
+        target, artifacts = target
+    with _open_out(args.out) as handle:
+        write_instance(target, handle)
     if args.artifacts:
-        _write_out(audit, args.artifacts)
+        with open(args.artifacts, "w", encoding="utf-8") as handle:
+            write_instance(artifacts, handle)
     return 0
 
 
@@ -263,7 +264,8 @@ def _cmd_solve(args) -> int:
         else:
             record["oracle_value"] = str(opt)
             record["ratio"] = str(Fraction(value, opt)) if opt else None
-    _write_out(canonical_json(record), args.out)
+    with _open_out(args.out) as handle:
+        handle.write(canonical_json(record))
     print(f"{args.method}: value {value} in {elapsed:.3f}s", file=sys.stderr)
     return 0
 
@@ -285,7 +287,8 @@ def _cmd_verify(args) -> int:
     if rendered is None or args.out:
         sys.stdout.write(report_text(report))
     if rendered is not None:
-        _write_out(rendered, args.out)
+        with _open_out(args.out) as handle:
+            handle.write(rendered)
     return 0 if report.passed else VERIFY_EXIT
 
 

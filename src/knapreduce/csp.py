@@ -107,6 +107,8 @@ class Csp2Instance:
     constraints: dict[Edge, frozenset[tuple[int, int]]]
 
     def __post_init__(self):
+        if self.sigma_size < 0:
+            raise ValueError("sigma_size must be nonnegative")
         if set(self.constraints) != set(self.graph.edges):
             raise ValueError("constraints must be keyed exactly by the edge set")
         for e, allowed in self.constraints.items():
@@ -213,6 +215,8 @@ class RcspInstance:
     projections: dict[Edge, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def __post_init__(self):
+        if self.sigma_size < 0:
+            raise ValueError("sigma_size must be nonnegative")
         if self.upsilon_size < 1:
             raise ValueError("upsilon_size must be at least 1")
         if set(self.projections) != set(self.graph.edges):

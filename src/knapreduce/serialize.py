@@ -7,7 +7,9 @@ Layout notes:
   - knapsack costs and budgets are decimal strings, since the packed
     reduction produces integers far beyond 64 bits;
   - output is canonical (sorted keys, fixed indentation, trailing
-    newline), so identical instances serialize byte for byte.
+    newline), so identical instances serialize byte for byte;
+  - each document kind has one writer that yields that text a table row
+    at a time, so writing, joining and hashing never hold a payload.
 """
 
 from __future__ import annotations
@@ -24,18 +26,11 @@ from .reductions import EmbedReductionArtifacts
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _graph_payload(graph: Graph) -> dict:
-    return {
-        "vertices": graph.vertex_count,
-        "edges": [list(e) for e in graph.edge_list],
-    }
-
-
 def _graph_from_payload(kind: str, payload: dict) -> Graph:
     """The document's graph.  Per-edge entries bind to edge_list, the
     sorted edges, so a document whose edges are not strictly ascending is
     refused rather than having its entries land on other edges."""
-    edges = [tuple(e) for e in payload["edges"]]
+    edges = _pairs(kind, "edges", payload["edges"])
     for before, after in zip(edges, edges[1:]):
         if before >= after:
             raise ValueError(f"malformed {kind} instance: edges are not strictly ascending: "
@@ -43,55 +38,147 @@ def _graph_from_payload(kind: str, payload: dict) -> Graph:
     return Graph(payload["vertices"], frozenset(edges))
 
 
-def instance_payload(obj) -> dict:
-    if isinstance(obj, SatInstance):
-        return {
-            "kind": "sat",
-            "variables": obj.variable_count,
-            "occurrence_bound": obj.occurrence_bound,
-            "clauses": [list(c) for c in obj.clauses],
-        }
-    if isinstance(obj, Csp2Instance):
-        return {
-            "kind": "csp2",
-            **_graph_payload(obj.graph),
-            "sigma_size": obj.sigma_size,
-            "constraints": [
-                sorted([a, b] for (a, b) in obj.constraints[e]) for e in obj.graph.edge_list
-            ],
-        }
-    if isinstance(obj, RcspInstance):
-        return {
-            "kind": "rcsp",
-            **_graph_payload(obj.graph),
-            "sigma_size": obj.sigma_size,
-            "upsilon_size": obj.upsilon_size,
-            "projections": [
-                {
-                    "u": [t + 1 for t in obj.projections[e][0]],
-                    "v": [t + 1 for t in obj.projections[e][1]],
-                }
-                for e in obj.graph.edge_list
-            ],
-        }
-    if isinstance(obj, VkInstance):
-        return {
-            "kind": "vk",
-            "dimension": obj.dimension,
-            "profits": list(obj.profits),
-            "costs": [[str(x) for x in row] for row in obj.costs],
-            "budget": [str(b) for b in obj.budget],
-        }
-    raise ValueError(f"cannot serialize {type(obj).__name__}")
+def _pairs(kind: str, field: str, entries) -> list:
+    """entries as 2-tuples; an entry of any other length is refused by name."""
+    pairs = [tuple(p) for p in entries]
+    for p in pairs:
+        if len(p) != 2:
+            raise ValueError(f"malformed {kind} instance: {field} entry {list(p)} is not a pair")
+    return pairs
 
 
 def canonical_json(payload) -> str:
-    """The one JSON layout written: sorted keys, indent 1, a final newline."""
+    """The one JSON layout written: sorted keys, indent 1, a final newline.
+    The document writers below emit the same text without a payload."""
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+def _array(items, level: int) -> str:
+    """A canonical JSON array of rendered items, each on its own line at
+    indent level.  Every item is nonempty text, so an empty join is []."""
+    pad = "\n" + " " * level
+    body = ("," + pad).join(items)
+    return "[" + pad + body + pad[:-1] + "]" if body else "[]"
+
+
+def _stream(items, level: int):
+    """The same array as chunks, one item per chunk, so a table is never
+    held as text."""
+    pad = "\n" + " " * level
+    head = "[" + pad
+    for item in items:
+        yield head + item
+        head = "," + pad
+    yield "[]" if head[0] == "[" else pad[:-1] + "]"
+
+
+_quoted = '"{}"'.format
+
+
+def _edges(graph: Graph):
+    return _stream((_array(map(str, e), 3) for e in graph.edge_list), 2)
+
+
+def _sat_chunks(phi: SatInstance):
+    yield '{\n "clauses": '
+    yield from _stream((_array(map(str, c), 3) for c in phi.clauses), 2)
+    yield (f',\n "kind": "sat",\n "occurrence_bound": {phi.occurrence_bound},'
+           f'\n "variables": {phi.variable_count}\n}}\n')
+
+
+def _csp2_chunks(gamma: Csp2Instance):
+    graph = gamma.graph
+    yield '{\n "constraints": '
+    yield from _stream(
+        (_array([_array(map(str, p), 4) for p in sorted(gamma.constraints[e])], 3)
+         for e in graph.edge_list),
+        2,
+    )
+    yield ',\n "edges": '
+    yield from _edges(graph)
+    yield (f',\n "kind": "csp2",\n "sigma_size": {gamma.sigma_size},'
+           f'\n "vertices": {graph.vertex_count}\n}}\n')
+
+
+def _projection(pu, pv) -> str:
+    """One edge's projections, written 1-based."""
+    return ('{\n   "u": ' + _array([str(t + 1) for t in pu], 4)
+            + ',\n   "v": ' + _array([str(t + 1) for t in pv], 4) + "\n  }")
+
+
+def _rcsp_chunks(pi: RcspInstance):
+    graph = pi.graph
+    yield '{\n "edges": '
+    yield from _edges(graph)
+    yield ',\n "kind": "rcsp",\n "projections": '
+    yield from _stream((_projection(*pi.projections[e]) for e in graph.edge_list), 2)
+    yield (f',\n "sigma_size": {pi.sigma_size},\n "upsilon_size": {pi.upsilon_size},'
+           f'\n "vertices": {graph.vertex_count}\n}}\n')
+
+
+def _vk_chunks(inst: VkInstance):
+    yield '{\n "budget": ' + _array(map(_quoted, inst.budget), 2) + ',\n "costs": '
+    yield from _stream((_array(map(_quoted, row), 3) for row in inst.costs), 2)
+    yield f',\n "dimension": {inst.dimension},\n "kind": "vk",\n "profits": '
+    yield from _stream(map(str, inst.profits), 2)
+    yield "\n}\n"
+
+
+def _constraint(j) -> str:
+    """A partition entry: ["v", j] for vertex j, ["e", a, b] for edge (a, b)."""
+    return _array(('"v"', str(j)) if isinstance(j, int) else ('"e"', str(j[0]), str(j[1])), 4)
+
+
+def _artifacts_chunks(art: EmbedReductionArtifacts):
+    """Audit record for the packed reduction: the partition (digit exponents
+    are the 1-based positions within each chunk), coverage counts, and the
+    derived big constants as decimal strings."""
+    yield f'{{\n "base_q": "{art.base_q}",\n "chunk_size": {art.chunk_size},\n "chunk_totals": '
+    yield from _stream(map(str, art.chunk_totals), 2)
+    yield ',\n "coverage": '
+    yield from _stream((_array(map(str, row), 3) for row in art.coverage), 2)
+    yield ',\n "kind": "embed-artifacts",\n "partition": '
+    yield from _stream((_array(map(_constraint, chunk), 3) for chunk in art.partition), 2)
+    yield f',\n "sentinel": "{art.sentinel}"\n}}\n'
+
+
+# Each document kind's chunk writer.  Its chunks joined are the document's
+# canonical_json text; a writer reads the object itself, so no payload is
+# built and the largest chunk is one row of a table.
+_WRITERS = {
+    SatInstance: _sat_chunks,
+    Csp2Instance: _csp2_chunks,
+    RcspInstance: _rcsp_chunks,
+    VkInstance: _vk_chunks,
+    EmbedReductionArtifacts: _artifacts_chunks,
+}
+
+
+def _chunks(obj):
+    writer = _WRITERS.get(type(obj))
+    if writer is None:
+        raise ValueError(f"cannot serialize {type(obj).__name__}")
+    return writer(obj)
+
+
+def write_instance(obj, out) -> None:
+    """Write the canonical document of an instance or of the packed
+    reduction's artifacts to the text stream out, chunk by chunk."""
+    for chunk in _chunks(obj):
+        out.write(chunk)
+
+
 def serialize_instance(obj) -> str:
-    return canonical_json(instance_payload(obj))
+    return "".join(_chunks(obj))
+
+
+def instance_digest(obj) -> str:
+    """Short stable digest used by verification records: the sha256 of the
+    canonical document, fed chunk by chunk."""
+    digest = hashlib.sha256()
+    for chunk in _chunks(obj):
+        digest.update(chunk.encode())
+    return digest.hexdigest()[:12]
 
 
 def parse_instance(text: str):
@@ -135,7 +222,7 @@ def _instance_from_payload(kind, payload: dict):
     if kind == "csp2":
         graph = _graph_from_payload(kind, payload)
         constraints = {
-            e: frozenset(tuple(p) for p in pairs)
+            e: frozenset(_pairs(kind, "constraints", pairs))
             for e, pairs in _per_edge(kind, "constraints", graph, payload["constraints"])
         }
         return Csp2Instance(graph, payload["sigma_size"], constraints)
@@ -153,14 +240,16 @@ def _instance_from_payload(kind, payload: dict):
         )
     if kind == "vk":
         # optional on input, since the budget fixes it; refused if it disagrees
-        dimension = payload.get("dimension", len(payload["budget"]))
-        if type(dimension) is not int or dimension != len(payload["budget"]):
+        profits, costs, budget = (_vk_array(payload[f], f) for f in ("profits", "costs", "budget"))
+        dimension = payload.get("dimension", len(budget))
+        if type(dimension) is not int or dimension != len(budget):
             raise ValueError(f"malformed vk instance: dimension {dimension!r} is not "
-                             f"the budget length {len(payload['budget'])}")
+                             f"the budget length {len(budget)}")
         return VkInstance(
-            tuple(_vk_integer(p, "profits", False) for p in payload["profits"]),
-            tuple(tuple(_vk_integer(x, "costs", True) for x in row) for row in payload["costs"]),
-            tuple(_vk_integer(b, "budget", True) for b in payload["budget"]),
+            tuple(_vk_integer(p, "profits", False) for p in profits),
+            tuple(tuple(_vk_integer(x, "costs", True) for x in _vk_array(row, "cost row"))
+                  for row in costs),
+            tuple(_vk_integer(b, "budget", True) for b in budget),
         )
     raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -178,6 +267,15 @@ def _require_integers(kind: str, field: str, value):
             _require_integers(kind, field, item)
 
 
+def _vk_array(value, field: str) -> list:
+    """A JSON array of a vk document; a string would otherwise be read
+    character by character, so "55" as a budget would be (5, 5)."""
+    if type(value) is not list:
+        raise ValueError(f"malformed vk instance: {field} must be a JSON array, "
+                         f"not {type(value).__name__}")
+    return value
+
+
 def _vk_integer(value, field: str, decimal_text: bool) -> int:
     """An exact integer entry: a JSON integer (never a bool or a float) or,
     for costs and budgets, whose canonical form is text, a decimal string."""
@@ -186,31 +284,3 @@ def _vk_integer(value, field: str, decimal_text: bool) -> int:
     if decimal_text and isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise ValueError(f"malformed vk instance: {field} entry {value!r} is not an integer")
-
-
-def instance_digest(obj) -> str:
-    """Short stable digest used by verification records."""
-    return hashlib.sha256(serialize_instance(obj).encode()).hexdigest()[:12]
-
-
-def artifacts_payload(art: EmbedReductionArtifacts) -> dict:
-    """Audit record for the packed reduction: the partition (digit exponents
-    are the 1-based positions within each chunk), coverage counts, and the
-    derived big constants as decimal strings."""
-    partition = [
-        [["v", j] if isinstance(j, int) else ["e", j[0], j[1]] for j in chunk]
-        for chunk in art.partition
-    ]
-    return {
-        "kind": "embed-artifacts",
-        "chunk_size": art.chunk_size,
-        "partition": partition,
-        "coverage": [list(row) for row in art.coverage],
-        "chunk_totals": list(art.chunk_totals),
-        "base_q": str(art.base_q),
-        "sentinel": str(art.sentinel),
-    }
-
-
-def serialize_artifacts(art: EmbedReductionArtifacts) -> str:
-    return canonical_json(artifacts_payload(art))
