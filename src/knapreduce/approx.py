@@ -88,14 +88,16 @@ def _repair(inst: VkInstance, chosen: set[int]) -> set[int]:
     Items are ranked by profit / load over the violated coordinates,
     compared by integer cross-multiplication; ties go to the smaller index.
     """
+    costs, budget = inst.costs, inst.budget
     while True:
-        totals = [sum(inst.costs[i][j] for i in chosen) for j in range(inst.dimension)]
-        violated = [j for j in range(inst.dimension) if totals[j] > inst.budget[j]]
+        # no column totals when chosen is empty, and nothing is violated
+        totals = map(sum, zip(*(costs[i] for i in chosen)))
+        violated = [j for j, (total, b) in enumerate(zip(totals, budget)) if total > b]
         if not violated:
             return chosen
         worst, worst_profit, worst_load = None, 0, 0
         for i in chosen:
-            load = sum(inst.costs[i][j] for j in violated)
+            load = sum(costs[i][j] for j in violated)
             if load == 0:
                 continue
             excess = inst.profits[i] * worst_load - worst_profit * load
@@ -115,13 +117,17 @@ def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> 
 
     Every item must pass the half-budget test; that is checked unless
     _split says approx_sqrt_d has already sorted the items.  Each trial
-    includes item i with probability theta * x_i, theta = 1/ceil(4 sqrt(d))
-    exactly, drawn as rng.randrange(den) < num on one random.Random(seed)
-    stream; only items with x_i > 0 take a draw.  Infeasible draws are
-    repaired by discarding low profit-per-violation items, and a draw equal
-    to an earlier one is skipped, its repair being the same.  The best
-    feasible single item is always a candidate, as is the empty set, so the
-    result is never worse than the best singleton.
+    includes item i with probability theta * x_i = num/den in lowest
+    terms, theta = 1/ceil(4 sqrt(d)), worked out in integers; only items
+    with x_i > 0 take a draw.  The draw is r < num, with r =
+    getrandbits(den.bit_length()) redrawn while r >= den on one
+    random.Random(seed) stream: randrange(den)'s own rejection sampler,
+    so the stream is the one randrange(den) gives.  Infeasible draws are
+    repaired by discarding low profit-per-violation items, and a draw
+    equal to an earlier one is skipped, its repair being the same.  The
+    empty set and the first item of largest positive profit, which fits
+    alone as every item here does, are candidates too, so the result is
+    never worse than the best singleton.
     """
     if not _split:
         for i in range(inst.item_count):
@@ -133,16 +139,30 @@ def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> 
     if d == 0:
         return Solution(frozenset(range(inst.item_count)))
     _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
-    theta = _rounding_theta(d)
-    odds = [(i, *(theta * w).as_integer_ratio()) for i, w in enumerate(weights) if w > 0]
+    c = _rounding_theta(d).denominator
+    odds = []
+    for i, w in enumerate(weights):
+        if w:  # an LP point has no negative entry
+            # theta * w = w.numerator / (c * w.denominator), which shares
+            # with its denominator only the factors w.numerator shares with c
+            g = math.gcd(w.numerator, c)
+            den = c // g * w.denominator
+            odds.append((i, w.numerator // g, den, den.bit_length()))
 
-    _, best = solve_bruteforce_bounded_size(inst, 1)
-    best_profit = profit(inst, best)
+    best_profit = max(inst.profits)
+    best = Solution(frozenset({inst.profits.index(best_profit)})) if best_profit > 0 else Solution()
     best_items = best.sorted_items()
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     seen = set()
     for _ in range(ROUNDING_TRIALS):
-        drawn = frozenset(i for i, num, den in odds if rng.randrange(den) < num)
+        drawn = []
+        for i, num, den, k in odds:
+            r = getrandbits(k)
+            while r >= den:
+                r = getrandbits(k)
+            if r < num:
+                drawn.append(i)
+        drawn = frozenset(drawn)
         if drawn in seen:
             continue
         seen.add(drawn)

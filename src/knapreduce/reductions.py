@@ -277,7 +277,9 @@ def csp2_to_rcsp(gamma: Csp2Instance) -> RcspInstance:
     the symbol range, which no neighbor can match.  Both steps happen at
     once here: line vertex z projects a code whose pair z allows onto that
     pair's entry at the shared endpoint, and any other code onto
-    sigma + z.  The line graph of a cubic graph is 4-regular.
+    sigma + z.  The line graph of a cubic graph is 4-regular.  The range
+    sigma + |E| is raised to 1 when both are 0, the least an RcspInstance
+    takes; with no edges there is no projection to use it.
     """
     order = _shared_alphabet(gamma)
     sigma = gamma.sigma_size
@@ -300,7 +302,7 @@ def csp2_to_rcsp(gamma: Csp2Instance) -> RcspInstance:
     return RcspInstance(
         graph=lgraph,
         sigma_size=len(order),
-        upsilon_size=sigma + len(base_edges),
+        upsilon_size=max(1, sigma + len(base_edges)),
         projections=projections,
     )
 

@@ -33,13 +33,16 @@ and then sets D = p.  Entries are subdeterminants of the input, so
 they never outgrow it the way unreduced fractions would, and no gcd
 is taken in the pivot loop.  Complementing negates a column or, for a
 basic variable, its row, which keeps both properties.  Only the returned
-point is rational.
+value and point are rational: the value is formed once over D, and the
+point takes one Fraction per basic structural strictly between its
+bounds, every other entry being a shared 0 or 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .errors import CapExceededError
 from .knapsack import _integers
@@ -48,17 +51,24 @@ from .knapsack import _integers
 # has d rows of n + d + 1 integers.
 VARIABLE_CAP = 400
 
+# The entries of a returned point at a bound, shared (a Fraction is immutable)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 class SimplexError(Exception):
     """Internal invariant failure (an unbounded direction, here impossible)."""
 
 
-def _vertex(gains, rows) -> tuple[Fraction, ...]:
+def _vertex(gains, rows) -> tuple[list[int], int]:
     """One run from the all-slack basis on max gains . x over the integer
     rows [A | b] and 0 <= x <= 1, by Dantzig's rule until the first
     degenerate step and by Bland's rule from then on.  The leaving
     variable is the smallest Bland index among those that reach a bound
-    first.  Returns the optimal point reached.
+    first.  Returns the optimal point reached as (levels, D): x_j is
+    levels[j] / D over the tableau's common denominator D, so a nonbasic
+    x_j is 0 or D and a basic one is its row's rhs, or D - rhs when
+    complemented.
     """
     n = len(gains)
     m = len(rows)
@@ -135,12 +145,12 @@ def _vertex(gains, rows) -> tuple[Fraction, ...]:
         basis[pivot_row] = entering
         denominator = pivot
 
-    point = [Fraction(int(flag)) for flag in complemented]
+    levels = [denominator if flag else 0 for flag in complemented]
     for i, var in enumerate(basis):
         if var < n:
-            level = Fraction(tableau[i][total], denominator)
-            point[var] = 1 - level if complemented[var] else level
-    return tuple(point)
+            rhs = tableau[i][total]
+            levels[var] = denominator - rhs if complemented[var] else rhs
+    return levels, denominator
 
 
 def _complement_column(tableau, cost, j) -> None:
@@ -190,6 +200,10 @@ def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fractio
         raise ValueError("budgets must be nonnegative")
     gains = list(profits)
     rows = [[*column, b] for column, b in zip(zip(*costs), budget)]
-    point = _vertex(gains, rows)
-    value = sum((c * x for c, x in zip(profits, point) if x), Fraction(0))
+    levels, denominator = _vertex(gains, rows)
+    value = Fraction(sum(map(mul, profits, levels)), denominator)
+    point = tuple(
+        _ZERO if x == 0 else _ONE if x == denominator else Fraction(x, denominator)
+        for x in levels
+    )
     return value, point

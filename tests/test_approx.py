@@ -187,26 +187,55 @@ class TestExactRounding:
             assert check_feasible(inst, approx_lp_rounding(inst, seed=k))
 
     def test_zero_weight_items_take_no_draw(self, monkeypatch):
-        calls = []
-
+        # the draws, redraws included, are call for call those of a twin
+        # stream drawing randrange(den) for each positive-weight item
         class Recording(random.Random):
-            def randrange(self, *args):
-                calls.append(args)
-                return super().randrange(*args)
+            def __init__(self, seed, calls):
+                self.calls = calls
+                super().__init__(seed)
 
-        monkeypatch.setattr(approx.random, "Random", Recording)
-        zero_weights_seen = 0
+            def getrandbits(self, k):
+                r = super().getrandbits(k)
+                self.calls.append((k, r))
+                return r
+
+        calls = []
+        monkeypatch.setattr(approx.random, "Random", lambda seed: Recording(seed, calls))
+        zero_weights_seen = redraws_seen = 0
         for k in range(30):
             rng = random.Random(4300 + k)
             inst = gen_vk_2bounded(rng.randint(2, 14), rng.randint(1, 4), 20, 9, rng)
             _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
             theta = _rounding_theta(inst.dimension)
-            dens = [((theta * w).denominator,) for w in weights if w > 0]
+            dens = [(theta * w).denominator for w in weights if w > 0]
             zero_weights_seen += len(dens) < len(weights)
+            expected = []
+            twin = Recording(k, expected)
+            for _ in range(ROUNDING_TRIALS):
+                for den in dens:
+                    twin.randrange(den)
             calls.clear()
             approx_lp_rounding(inst, seed=k)
-            assert calls == dens * ROUNDING_TRIALS, k
-        assert zero_weights_seen >= 10
+            assert calls == expected, k
+            redraws_seen += len(expected) > len(dens) * ROUNDING_TRIALS
+        assert zero_weights_seen >= 10 and redraws_seen >= 10
+
+    @pytest.mark.parametrize("dens", [range(1, 300), [(1 << 40) + 1, (1 << 41) - 1, 3 ** 40,
+                                                      10 ** 30 + 7, (1 << 100) - (1 << 99) + 1]],
+                             ids=["den-1-299", "den-40-bits-and-wider"])
+    def test_sampler_is_randranges_stream(self, dens):
+        # r = getrandbits(den.bit_length()), redrawn while r >= den, as
+        # approx_lp_rounding draws: the same values as randrange(den) from
+        # the same stream, so the rounding's draws are randrange's
+        for seed in range(200):
+            sampler, reference = random.Random(seed), random.Random(seed)
+            for den in dens:
+                k = den.bit_length()
+                r = sampler.getrandbits(k)
+                while r >= den:
+                    r = sampler.getrandbits(k)
+                assert r == reference.randrange(den), (seed, den)
+            assert sampler.getstate() == reference.getstate(), seed
 
     def test_matches_the_plain_loop(self):
         # profits of at most 3 make equal-profit candidates common

@@ -78,6 +78,19 @@ def test_reduce_csp_chain_line_graph_size(tmp_path):
     assert pi.graph.vertex_count == 6
 
 
+def test_reduce_edgeless_csp2_without_symbols(tmp_path):
+    # sigma + |E| = 0: the line instance takes the least range, 1, and
+    # reduces on to an empty knapsack
+    src, pi, vk = tmp_path / "gamma.json", tmp_path / "pi.json", tmp_path / "vk.json"
+    src.write_text(json.dumps({"kind": "csp2", "vertices": 0, "edges": [], "sigma_size": 0,
+                               "constraints": []}), encoding="utf-8")
+    assert main(["reduce", "csp2rcsp", "--in", str(src), "--out", str(pi)]) == 0
+    line = parse_instance(read(pi))
+    assert (line.graph.vertex_count, line.sigma_size, line.upsilon_size) == (0, 0, 1)
+    assert main(["reduce", "rcsp2vk-simple", "--in", str(pi), "--out", str(vk)]) == 0
+    assert parse_instance(read(vk)).item_count == 0
+
+
 def test_reduce_sat_routes(tmp_path):
     src = tmp_path / "phi.json"
     main(["gen", "sat", "--n", "6", "--m", "3", "--bound", "4", "--planted",

@@ -218,6 +218,41 @@ class TestRelaxation:
             knapsack_relaxation(inst.profits, inst.costs, inst.budget)
         assert flips[0] >= 139 and upper_leaves[0] >= 90, (flips, upper_leaves)
 
+    def test_value_and_point_are_exact_at_a_vertex(self):
+        # the value is the point's objective, and every entry but at most d
+        # (the basic structurals) sits exactly at a bound
+        rng = random.Random(71)
+        # per family, the programs with a fractional entry
+        families = {"n=0": 0, "d=0": 0, "all fit": 0, "ties": 0, "random": 0}
+        for k in range(600):
+            family = list(families)[k % len(families)]
+            n = 0 if family == "n=0" else rng.randint(1, 9)
+            d = 0 if family == "d=0" else rng.randint(1, 4)
+            if family == "ties":
+                kinds = [(rng.choice((0, 0, 1, 4)), tuple(rng.randint(0, 3) for _ in range(d)))
+                         for _ in range(rng.randint(1, 3))]
+                profits, costs = map(tuple, zip(*(rng.choice(kinds) for _ in range(n))))
+            else:
+                profits = tuple(rng.randint(0, 9) for _ in range(n))
+                costs = tuple(tuple(rng.randint(0, 6) for _ in range(d)) for _ in range(n))
+            if family == "all fit":
+                budget = tuple(sum(c[j] for c in costs) for j in range(d))
+            else:
+                budget = tuple(rng.randint(0, 12) for _ in range(d))
+            value, x = knapsack_relaxation(profits, costs, budget)
+            assert isinstance(value, Fraction) and all(isinstance(xi, Fraction) for xi in x), k
+            assert value == sum((Fraction(p) * xi for p, xi in zip(profits, x)), Fraction(0)), k
+            assert len(x) == n and sum(xi not in (0, 1) for xi in x) <= d, k
+            if family == "n=0":
+                assert (value, x) == (0, ()), k
+            if family in ("d=0", "all fit"):
+                # nothing binds, so every item of positive profit is taken whole
+                assert all(xi == 1 for p, xi in zip(profits, x) if p > 0), k
+            families[family] += any(xi not in (0, 1) for xi in x)
+        # fractional entries are common where budgets bind, and absent elsewhere
+        assert families["ties"] >= 10 and families["random"] >= 40, families
+        assert families["n=0"] == families["d=0"] == families["all fit"] == 0, families
+
     def test_variable_cap(self, monkeypatch):
         n = simplex.VARIABLE_CAP + 1
         with pytest.raises(CapExceededError, match=f"{n} variables"):

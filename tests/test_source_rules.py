@@ -13,6 +13,9 @@ INEXACT_CALLS = {"float", "sqrt", "log", "exp", "random"}
 # rng.random() < 0.5; they shape instances and decide no guarantee
 FLOAT_EXEMPT = {"generators.py"}
 
+# Draws that approx.py makes only through its getrandbits rejection sampler
+SAMPLER_CALLS = {"randrange", "randint", "choice", "shuffle", "sample"}
+
 CAP_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| ([0-9,]+) \|", re.MULTILINE)
 UNCAPPED_BOUNDS = {"ROW_SLICE", "ROUNDING_TRIALS"}
 
@@ -21,17 +24,21 @@ def modules():
     return sorted(PACKAGE.glob("*.py"))
 
 
+def called_names(path):
+    """(line, name) of each call in path, by its function's name or attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node.lineno, getattr(func, "id", None) or getattr(func, "attr", None)
+
+
 def float_uses(path):
     """(line, what) for each float literal and inexact call in path."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             found.append((node.lineno, f"literal {node.value!r}"))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in INEXACT_CALLS:
-                found.append((node.lineno, f"call {name}"))
+    found += [(line, f"call {name}") for line, name in called_names(path) if name in INEXACT_CALLS]
     return found
 
 
@@ -43,6 +50,12 @@ def test_no_floating_point_in_the_package():
     # the exemption is still needed, and covers only the coin flips
     coin_flips = float_uses(PACKAGE / "generators.py")
     assert sorted(what for _, what in coin_flips) == ["call random"] * 3 + ["literal 0.5"] * 3
+
+
+def test_approx_draws_only_through_getrandbits():
+    calls = list(called_names(PACKAGE / "approx.py"))
+    assert any(name == "getrandbits" for _, name in calls)
+    assert [(line, name) for line, name in calls if name in SAMPLER_CALLS] == []
 
 
 def module_bounds():
