@@ -4,11 +4,15 @@ Profits, costs and budgets are nonnegative Python integers and may be
 arbitrarily large.  One pruned subset search serves both brute forces,
 the exact one and the bounded-size one that the approximation's over-half
 branch uses; both are capped by the number of sets the search visits.
-Besides the profit of the items still to come, the search bounds what a
-set can gain by an item count: summed over its coordinates, the budget
-fits at most as many items as its smallest row sums fill.  On the
-digit-packed targets of cubic CSPs that bound is |V| + 2|E| at the root,
-the value of every planted optimum, so the search stops once it finds one.
+Two bounds prune it.  Runs of consecutive items that pairwise conflict
+(two items conflict when together they exceed the budget) bound what the
+items still to come can add: a feasible set holds at most one item of a
+run.  An item count bounds what a set can gain: summed over its
+coordinates, the budget fits at most as many items as its smallest row
+sums fill.  On the digit-packed targets of cubic CSPs the count bound is
+|V| + 2|E| at the root, the value of every planted optimum, so the search
+stops once it finds one; at chunk sizes 1 and 2 the sigma items of a
+vertex pairwise conflict, so the run bound counts about one per vertex.
 The dynamic program is capped by the number of distinct reachable cost
 vectors, so budget magnitude limits no oracle; digit-packed targets of
 the dimension-embedding reduction are solved by the search and the DP.
@@ -60,6 +64,42 @@ def _integers(row) -> bool:
         return False
 
 
+def check_shape(profits, costs, budget, integers_fault: str | None = None) -> None:
+    """The shape rule of VkInstance and the LP relaxation: a cost row per
+    profit, each as long as the budget, integer entries and nonnegative
+    costs (the signs of profits and budgets are each caller's rule).  The
+    first fault raises ValueError, worded integers_fault if that is given
+    and the fault is a non-integer entry.  Slice by slice, one pass over
+    the flattened distinct rows accepts a valid table; any doubt goes to
+    the per-row loop, which words the first fault.  Each row object is
+    checked once (the reductions share one tuple among equal rows), deduped
+    by identity, never by equality: (1.0, 2) == (1, 2) would pass a float."""
+    d = len(budget)
+    if len(costs) != len(profits):
+        raise ValueError("profits and costs must have one entry per item")
+    for name, row in (("profits", profits), ("budgets", budget)):
+        if not _integers(row):
+            raise ValueError(integers_fault or f"{name} must be integers")
+    entries = chain.from_iterable
+    for start in range(0, len(costs), ROW_SLICE):
+        part = costs[start: start + ROW_SLICE]
+        rows = dict(zip(map(id, part), part)).values()
+        try:
+            shaped = set(map(len, rows)) <= {d} and _integers(entries(rows))
+            if shaped and min(entries(rows), default=0) >= 0:
+                continue
+        except TypeError:
+            pass
+        for i, c in enumerate(part, start):
+            if len(c) != d:
+                raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
+            if not _integers(c):
+                raise ValueError(
+                    integers_fault or f"cost vector of item {i} has a non-integer coordinate")
+            if min(c, default=0) < 0:
+                raise ValueError(f"cost vector of item {i} has a negative coordinate")
+
+
 @dataclass(frozen=True)
 class VkInstance:
     """Items with profits and d-coordinate integer costs against a budget vector."""
@@ -69,41 +109,10 @@ class VkInstance:
     budget: tuple[int, ...]
 
     def __post_init__(self):
-        d = len(self.budget)
-        if len(self.costs) != len(self.profits):
-            raise ValueError("profits and costs must have one entry per item")
+        check_shape(self.profits, self.costs, self.budget)
         for name, row in (("profits", self.profits), ("budgets", self.budget)):
-            if not _integers(row):
-                raise ValueError(f"{name} must be integers")
             if min(row, default=0) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        # Slice by slice, one pass over the flattened distinct rows accepts a
-        # valid table; any doubt goes to the per-row loop over the slice,
-        # which finds and words the first fault.  The reductions put one
-        # tuple object at every index whose row is equal, so each distinct
-        # object is checked once: deduped by identity, never by equality,
-        # as (1.0, 2) == (1, 2) would let a float row pass as an int row.
-        entries = chain.from_iterable
-        costs = self.costs
-        for start in range(0, len(costs), ROW_SLICE):
-            part = costs[start: start + ROW_SLICE]
-            rows = dict(zip(map(id, part), part)).values()
-            try:
-                if (
-                    set(map(len, rows)) <= {d}
-                    and _integers(entries(rows))
-                    and min(entries(rows), default=0) >= 0
-                ):
-                    continue
-            except TypeError:
-                pass
-            for i, c in enumerate(part, start):
-                if len(c) != d:
-                    raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
-                if not _integers(c):
-                    raise ValueError(f"cost vector of item {i} has a non-integer coordinate")
-                if min(c, default=0) < 0:
-                    raise ValueError(f"cost vector of item {i} has a negative coordinate")
 
     @property
     def item_count(self) -> int:
@@ -173,8 +182,28 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     residual budget is one packed int, so that test and the child's
     residual are one subtraction.
 
-    Two bounds stop a node's index loop: the profit of the items still to
-    come, and a count.  Summing the budget inequality over its coordinates
+    Two bounds stop a node's index loop: runs of conflicting items, and a
+    count.  Items i and k conflict when c_i + c_k exceeds b in some
+    coordinate; costs are nonnegative, so no feasible set holds both.  One
+    pass from the last index down splits the items that fit alone into
+    runs of consecutive indices: an item joins the run of the items after
+    it iff it conflicts with each of them, and else starts a new run; an
+    item that does not fit alone is in no feasible set, and joins none.  A
+    run's members pairwise conflict, so a feasible set holds at most one of
+    them, and items i, ..., n - 1 add at most bound[i], the largest profit
+    left in i's run plus the largest profit of each later run.  Profits are
+    nonnegative, so bound[i] is at most their plain sum: the search visits
+    no node that summing every profit still to come would skip, and finds
+    the same set.  bound never rises with i, so the first index where it
+    fails ends the loop.  With packed rooms the pair test is exact and
+    costs one subtraction and one mask: rest = room - c_i is a valid room,
+    and i and k conflict iff rest - c_k loses a guard bit.  On a
+    digit-packed target item v * sigma + s gives vertex v symbol s; at chunk
+    sizes 1 and 2 the sigma items of a vertex pairwise conflict, so the
+    bound counts about one item per vertex, the bound of a multiple-choice
+    knapsack (after Sinha and Zoltners, Operations Research 1979).
+
+    Summing the budget inequality over its coordinates
     (a surrogate constraint, after Glover, Operations Research 1968) gives
     sum_{i in S} |c_i| <= |b| for every feasible S, |.| summing a vector's
     coordinates.  Any |S| row sums add up to at least the |S| smallest, so
@@ -199,7 +228,22 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     """
     profits = inst.profits
     room, costs, guards = _packed(inst)
-    suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
+    # the runs, from the last index down: `members` holds the current run's
+    # costs, `left` its largest profit so far, `total` the bound at the index
+    bound, members, left, total = [0], [], 0, 0
+    for cost, gain in zip(reversed(costs), reversed(profits)):
+        rest = room - cost
+        if rest & guards == guards:
+            for member in members:
+                if (rest - member) & guards == guards:
+                    members, left = [], 0
+                    break
+            members.append(cost)
+            if gain > left:
+                total += gain - left
+                left = gain
+        bound.append(total)
+    bound.reverse()
     fill = list(accumulate(sorted(map(sum, inst.costs))))
     size = min(max_size, bisect_right(fill, sum(inst.budget)))
     top = list(accumulate(sorted(profits, reverse=True)[:size], initial=0))
@@ -209,8 +253,8 @@ def _best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, 
     nodes, path, stack = 1, [], []
     i, prof, ceiling = 0, 0, top[size]
     while True:
-        # best_prof >= prof at every node, so suffix_profit[n] = 0 stops i at n
-        if ceiling > best_prof and prof + suffix_profit[i] > best_prof:
+        # best_prof >= prof at every node, so bound[n] = 0 stops i at n
+        if ceiling > best_prof and prof + bound[i] > best_prof:
             rest = room - costs[i]
             i += 1
             if rest & guards == guards:

@@ -23,7 +23,8 @@ from .graphs import Graph
 from .knapsack import VkInstance
 from .reductions import EmbedReductionArtifacts
 
-_DECIMAL = re.compile(r"-?[0-9]+")
+# decimal text as str(int) writes it: no leading zeros, and 0 unsigned
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _graph_from_payload(kind: str, payload: dict) -> Graph:
@@ -278,9 +279,13 @@ def _vk_array(value, field: str) -> list:
 
 def _vk_integer(value, field: str, decimal_text: bool) -> int:
     """An exact integer entry: a JSON integer (never a bool or a float) or,
-    for costs and budgets, whose canonical form is text, a decimal string."""
+    for costs and budgets, whose canonical form is text, a decimal string
+    in that form, so that what parses is what the writer writes."""
     if type(value) is int:
         return value
-    if decimal_text and isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+    if decimal_text and isinstance(value, str):
+        if _DECIMAL.fullmatch(value):
+            return int(value)
+        raise ValueError(f"malformed vk instance: {field} entry {value!r} "
+                         "is not canonical decimal text")
     raise ValueError(f"malformed vk instance: {field} entry {value!r} is not an integer")

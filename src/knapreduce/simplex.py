@@ -41,11 +41,10 @@ bounds, every other entry being a shared 0 or 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 from .errors import CapExceededError
-from .knapsack import _integers
+from .knapsack import check_shape
 
 # Most structural variables (items) of a knapsack relaxation; its tableau
 # has d rows of n + d + 1 integers.
@@ -184,18 +183,12 @@ def _eliminate(row, pivot_values, entering, pivot, denominator) -> list[int]:
 
 def knapsack_relaxation(profits, costs, budget) -> tuple[Fraction, tuple[Fraction, ...]]:
     """(value, point) of max p.x over the cost rows and 0 <= x <= 1, exactly,
-    at the optimal vertex one run of _vertex reaches.  Entries are integers
-    by VkInstance's rule; profits may be negative, budgets may not."""
-    n, d = len(profits), len(budget)
+    at the optimal vertex one run of _vertex reaches.  The program has
+    VkInstance's shape (check_shape), but profits may be negative."""
+    n = len(profits)
     if n > VARIABLE_CAP:
         raise CapExceededError(f"{n} variables exceeds the LP cap {VARIABLE_CAP}")
-    if len(costs) != n:
-        raise ValueError("profits and costs must have one entry per item")
-    for i, c in enumerate(costs):
-        if len(c) != d:
-            raise ValueError(f"cost vector of item {i} has length {len(c)}, expected {d}")
-    if not (_integers(profits) and _integers(budget) and _integers(chain.from_iterable(costs))):
-        raise ValueError("profits, costs and budgets must be integers")
+    check_shape(profits, costs, budget, "profits, costs and budgets must be integers")
     if min(budget, default=0) < 0:
         raise ValueError("budgets must be nonnegative")
     gains = list(profits)

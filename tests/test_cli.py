@@ -277,15 +277,30 @@ def test_negative_solver_cap_is_usage_error(tmp_path, capsys, flags, message):
 
 def test_solve_cap_on_a_planted_packed_target(tmp_path, capsys):
     # the optimum |V| + 2|E| = 32 is the root's item count bound, so the
-    # search stops at node 56, where it reaches it
+    # search stops at node 20, where it reaches it
     pi, vk = tmp_path / "pi.json", tmp_path / "vk.json"
     assert main(["gen", "rcsp", "--planted", "--regular3", "--vertices", "8", "--sigma", "2",
                  "--upsilon", "2", "--seed", "1", "--out", str(pi)]) == 0
     assert main(["reduce", "rcsp2vk-embed", "--in", str(pi), "--F", "1", "--out", str(vk)]) == 0
-    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "55"]) == 3
-    assert capsys.readouterr() == ("", "error: search exceeded node budget 55\n")
-    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "56"]) == 0
+    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "19"]) == 3
+    assert capsys.readouterr() == ("", "error: search exceeded node budget 19\n")
+    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "20"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "32"
+
+
+def test_solve_cap_on_an_unplanted_packed_target(tmp_path, capsys):
+    # 12 cubic vertices, sigma = 3, F = 2: no full assignment exists, so the
+    # item count bound never stops the search.  The run bound counts one
+    # item per vertex and stops it at node 872; summing the profit of every
+    # item still to come took 183,511.
+    pi, vk = tmp_path / "pi.json", tmp_path / "vk.json"
+    assert main(["gen", "rcsp", "--regular3", "--vertices", "12", "--sigma", "3",
+                 "--upsilon", "3", "--seed", "1", "--out", str(pi)]) == 0
+    assert main(["reduce", "rcsp2vk-embed", "--in", str(pi), "--F", "2", "--out", str(vk)]) == 0
+    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "871"]) == 3
+    assert capsys.readouterr() == ("", "error: search exceeded node budget 871\n")
+    assert main(["solve", "brute", "--in", str(vk), "--cap-nodes", "872"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "44"
 
 
 @pytest.mark.parametrize("document", ['{"kind":"vk"}', "[1,2]", '{"kind":"rcsp","vertices":2}',

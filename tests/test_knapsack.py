@@ -65,9 +65,9 @@ def combinations_reference(inst, s_max):
 # references: the search carries its residual budget as a d-list, the DP
 # keys its states by the reached cost tuple.  The search runs on the
 # one-argument stack driver of its day, which left node counting to it.
-# It shares one bound with _best_subset, the item count bound, so that both
-# searches visit the same nodes and trip at the same cap;
-# combinations_reference checks the answers independently of either.
+# It shares two bounds with _best_subset, the item count bound and the run
+# bound, so that both searches visit the same nodes and trip at the same
+# cap; combinations_reference checks the answers independently of either.
 
 
 def run_depth_first(root) -> None:
@@ -91,9 +91,40 @@ def item_count_bound(inst: VkInstance) -> int:
     return sum(1 for used in fill if used <= sum(inst.budget))
 
 
-def tuple_room_best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> tuple[int, Solution]:
+def run_bound(inst: VkInstance) -> list[int]:
+    """bound[i] = the sum over runs of each run's largest profit at an
+    index >= i.  Runs are built from the last index down: an item that fits
+    alone joins the latest run iff it conflicts with each of its members,
+    coordinatewise, else it starts a new run; an item that does not fit
+    alone joins none.  A feasible set holds at most one item of a run."""
+    profits, costs, budget = inst.profits, inst.costs, inst.budget
+
+    def conflict(j, k):
+        return any(map(gt, map(add, costs[j], costs[k]), budget))
+
+    runs = []
+    for j in reversed(range(inst.item_count)):
+        if any(map(gt, costs[j], budget)):
+            continue
+        if not runs or not all(conflict(j, k) for k in runs[-1]):
+            runs.append([])
+        runs[-1].append(j)
+    return [
+        sum(max((profits[k] for k in run if k >= i), default=0) for run in runs)
+        for i in range(inst.item_count + 1)
+    ]
+
+
+def suffix_sum_bound(inst: VkInstance) -> list[int]:
+    """The bound run_bound replaced: every item still to come adds its profit."""
+    return list(accumulate(reversed(inst.profits), initial=0))[::-1]
+
+
+def tuple_room_best_subset(
+    inst: VkInstance, max_size: int, max_nodes: int, remaining=run_bound
+) -> tuple[int, Solution]:
     profits, costs, n = inst.profits, inst.costs, inst.item_count
-    suffix_profit = list(accumulate(reversed(profits), initial=0))[::-1]
+    bound = remaining(inst)
     size = min(max_size, item_count_bound(inst))
     top = list(accumulate(sorted(profits, reverse=True)[:size], initial=0))
     best_prof, best_items = 0, ()
@@ -110,7 +141,7 @@ def tuple_room_best_subset(inst: VkInstance, max_size: int, max_nodes: int) -> t
         if prof > best_prof:
             best_prof, best_items = prof, items
         for i in range(start, n):
-            if prof + top[slots] <= best_prof or prof + suffix_profit[i] <= best_prof:
+            if prof + top[slots] <= best_prof or prof + bound[i] <= best_prof:
                 return
             ci = costs[i]
             if all(map(le, ci, room)):
@@ -358,11 +389,13 @@ class TestBruteForce:
         # 12 cubic vertices, sigma = 3, F = 1.  The optimum is |V| + 2|E|
         # iff a full consistent assignment exists.  That is also the item
         # count bound at the root, so the planted search stops once it finds
-        # the optimum; the unplanted one never reaches it, and the bound
-        # cuts none of its nodes.
+        # the optimum; the unplanted one never reaches it.  A vertex's three
+        # items pairwise conflict, so the run bound counts one per vertex:
+        # 202 and 565 nodes, where the profit sum of every item to come
+        # took 9,254 and 25,788.
         planted, _ = gen_rcsp_planted(12, 3, 3, random.Random(0), regular3=True)
         unplanted = gen_rcsp(12, 3, 3, random.Random(1), regular3=True)
-        for pi, full_exists, nodes in ((planted, True, 9_254), (unplanted, False, 25_788)):
+        for pi, full_exists, nodes in ((planted, True, 202), (unplanted, False, 565)):
             target, _ = rcsp_to_vk_embed(pi, 1)
             assert target.item_count == 36
             value, sol = solve_bruteforce(target)
@@ -618,6 +651,72 @@ class TestPackedOracles:
             for size in range(n + 1):
                 sol = Solution(frozenset(rng.sample(range(n), size)))
                 assert check_feasible(inst, sol) == per_dimension_check_feasible(inst, sol), (i, sol)
+
+
+class TestRunBound:
+    """The run bound against the profit sum it replaced and against
+    exhaustive enumeration."""
+
+    def test_never_more_nodes_than_the_profit_sum_bound(self):
+        generators = (gen_vk, gen_vk_mixed, gen_vk_2bounded, gen_vk_2unbounded)
+        fewer = 0
+        for i in range(320):
+            rng = random.Random(5100 + i)
+            if i % 5 == 4:
+                vertices, sigma = rng.choice(((4, 2), (4, 3), (6, 2)))
+                pi = gen_rcsp(vertices, sigma, 2, rng, regular3=True)
+                inst, _ = rcsp_to_vk_embed(pi, rng.randint(1, 3))
+            else:
+                max_budget = rng.choice((2, 9, 100, 1 << 40))
+                inst = generators[i % 4](rng.randint(0, 10), rng.randint(1, 4), max_budget,
+                                         rng.randint(0, 6), rng)
+            s = rng.choice((0, 1, 2, inst.dimension, inst.item_count))
+            nodes = trip_point(lambda cap: solve_bruteforce_bounded_size(inst, s, max_nodes=cap))
+            before = trip_point(lambda cap: tuple_room_best_subset(inst, s, cap, suffix_sum_bound))
+            assert nodes <= before, i
+            fewer += nodes < before
+            assert solve_bruteforce_bounded_size(inst, s) == tuple_room_best_subset(
+                inst, s, before, suffix_sum_bound), i
+        # it cuts nodes on 56 of them
+        assert fewer >= 50, fewer
+
+    def test_items_that_fit_together_stay_in_separate_runs(self):
+        # items 1 and 2 fit together, so they start separate runs, and item
+        # 0, which conflicts with item 1, joins item 1's run.  One run of all
+        # three would bound the root's later items by 4 once {0} holds 5,
+        # and lose the optimum {1, 2}.
+        inst = inst_1d([10, 5, 5], [5, 4, 4], 10)
+        assert run_bound(inst) == [9, 8, 4, 0]
+        assert solve_bruteforce(inst) == combinations_reference(inst, 3) == (8, Solution({1, 2}))
+        assert_oracles_match_references(inst, "separate runs")
+
+        def one_run(inst):
+            return [max(inst.profits[i:], default=0) for i in range(inst.item_count + 1)]
+
+        assert tuple_room_best_subset(inst, 3, 100, one_run) == (5, Solution({0}))
+
+    @pytest.mark.parametrize(
+        "profits, costs, budget, bound",
+        [
+            pytest.param((), (), (3,), [0], id="n-0"),
+            # item 1 ties {1} with {1, 2}; item 0 conflicts with item 1 and
+            # joins its run, so its zero profit adds nothing
+            pytest.param((0, 3, 0), ((5,), (5,), (0,)), (6,), [3, 3, 0, 0], id="zero-profits"),
+            # item 1 fits in no set: it joins no run and adds nothing, so
+            # items 0 and 2 share a run across it
+            pytest.param((4, 9, 3), ((4, 1), (7, 0), (3, 1)), (6, 6), [4, 3, 3, 0],
+                         id="never-fits-alone"),
+            # item 2 fits in no set, so the root stops at item 1 once {0}
+            # holds 2; were its profit counted, the search would visit {1}
+            pytest.param((2, 1, 9), ((2,), (1,), (3,)), (2,), [2, 1, 0, 0],
+                         id="never-fits-alone-last"),
+        ],
+    )
+    def test_edge_cases(self, profits, costs, budget, bound):
+        inst = VkInstance(profits, costs, budget)
+        assert run_bound(inst) == bound
+        assert solve_bruteforce(inst) == combinations_reference(inst, inst.item_count)
+        assert_oracles_match_references(inst, budget)
 
 
 class TestProperties:

@@ -190,6 +190,19 @@ def test_vk_text_where_an_array_belongs_is_usage_error(tmp_path, capsys, field, 
         "", f"error: malformed vk instance: {field} must be a JSON array, not {found}\n")
 
 
+@pytest.mark.parametrize("field, text", [
+    ("costs", "00"), ("costs", "007"), ("budget", "-0"), ("budget", "+5"), ("costs", " 1"),
+])
+def test_vk_non_canonical_decimal_text_is_usage_error(tmp_path, capsys, field, text):
+    # int() reads each of these, but the writer writes none of them
+    document = {**VK_ARRAYS, field: [[text, "2"], ["2", "1"]] if field == "costs" else [text, "5"]}
+    src = tmp_path / "vk.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["solve", "brute", "--in", str(src)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: malformed vk instance: {field} entry {text!r} is not canonical decimal text\n")
+
+
 EDGELESS_RCSP = {"kind": "rcsp", "vertices": 0, "edges": [], "sigma_size": 0,
                  "upsilon_size": 1, "projections": []}
 EDGELESS_CSP2 = {"kind": "csp2", "vertices": 0, "edges": [], "sigma_size": 0, "constraints": []}

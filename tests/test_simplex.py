@@ -302,6 +302,10 @@ class TestSimplexCore:
     def test_rejects_negative_rhs(self):
         assert refusal((1,), ((1,),), (-1,)) == "budgets must be nonnegative"
 
+    def test_rejects_negative_costs(self):
+        # the knapsack shape rule: costs are nonnegative, as in VkInstance
+        assert refusal((1, 1), ((1,), (-1,)), (1,)) == "cost vector of item 1 has a negative coordinate"
+
     def test_rejects_ragged_rows(self):
         # the row [1] under a two-term objective, transposed: item 1 has no cost
         assert refusal((1, 2), ((1,), ()), (1,)) == "cost vector of item 1 has length 0, expected 1"
