@@ -473,7 +473,9 @@ def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifact
     """Deterministic partition and derived counts for the packed reduction.
 
     Constraints are ordered vertices-first then edges lexicographically and
-    chunked into consecutive blocks; the last block may be smaller.
+    chunked into consecutive blocks; the last block may be smaller.  The
+    target caps read the chunk count alone, so they refuse before the
+    partition is built, however many vertices the instance has.
     """
     n = pi.graph.vertex_count
     edges = pi.graph.edge_list
@@ -481,17 +483,18 @@ def embed_artifacts(pi: RcspInstance, chunk_size: int) -> EmbedReductionArtifact
         raise ValueError(
             f"chunk size {chunk_size} outside [1, {n + len(edges)}]"
         )
+    chunk_count = -(-(n + len(edges)) // chunk_size)
+    _check_target_shape("packed", n * pi.sigma_size, 2 * chunk_count)
+    # the cost-table check bounds this table only when sigma >= 1
+    if n * chunk_count > TARGET_CAP:
+        raise CapExceededError(
+            f"packed target's coverage table of {n} vertices by {chunk_count} chunks "
+            f"exceeds the cap {TARGET_CAP}"
+        )
     ordered: list[Constraint] = list(range(n)) + list(edges)
     partition = tuple(
         tuple(ordered[i: i + chunk_size]) for i in range(0, len(ordered), chunk_size)
     )
-    _check_target_shape("packed", n * pi.sigma_size, 2 * len(partition))
-    # the cost-table check bounds this table only when sigma >= 1
-    if n * len(partition) > TARGET_CAP:
-        raise CapExceededError(
-            f"packed target's coverage table of {n} vertices by {len(partition)} chunks "
-            f"exceeds the cap {TARGET_CAP}"
-        )
     coverage = []
     for chunk in partition:
         row = [0] * n
@@ -519,19 +522,32 @@ def rcsp_to_vk_embed(
     separate digits; the second holds the complement against a high
     multiple of the sentinel, which caps how many covered items a feasible
     solution may select and forces every digit to its target once that cap
-    is met.  Requires a 3-regular constraint graph.
+    is met.  Any constraint graph will do.
 
-    Each vertex's rows are built from its own four constraints (the vertex
-    and its three edges), placed by art.placement: every other constraint
-    weighs zero on the vertex's items (constraint_weight), so only the at
-    most four chunks holding them get nonzero entries.  The rows come out
-    column by column, one packed column per touched chunk, and symbols of
-    a vertex with equal projections on its three edges share one row tuple
-    (pi.symbol_classes).  Every item takes part in four constraints, its
-    vertex's and its three edges', which is its profit.
+    Each vertex's rows are built from its own constraints (the vertex and
+    its incident edges), placed by art.placement: every other constraint
+    weighs zero on the vertex's items (constraint_weight), so only the
+    chunks holding them get nonzero entries.  The rows come out column by
+    column, one packed column per touched chunk, and symbols of a vertex
+    with equal projections on its edges share one row tuple
+    (pi.symbol_classes).  Item (v, s) takes part in 1 + deg(v)
+    constraints, v's and its edges', which is its profit: 4 on a cubic
+    graph.
+
+    Soundness for any degree.  An item's profit is its coverage summed
+    over the chunks, so a set's profit is the sum of its chunk loads, and
+    over a total assignment the profits sum to |V| + 2|E|.  The digit
+    base, the sentinel and the caps read F, the range, |V|, sigma and the
+    chunk totals, never a degree.  A chunk's second dimension keeps a
+    feasible set's load within the chunk total, at most 2F because a
+    constraint covers one vertex or two; so each digit sums to at most
+    2F * m, below the base, and never carries.  A saturated chunk (load
+    equal to total) then has every digit at its target, so each of its
+    vertex constraints holds exactly one copy and each of its edges is
+    consistent.  Every unsaturated chunk costs at least one unit of
+    deficit and touches at most 2F vertices, so extraction still assigns
+    at least |V| - 2 * F * deficit vertices.
     """
-    if not pi.graph.is_regular(3):
-        raise ValueError("constraint graph must be 3-regular")
     art = embed_artifacts(pi, chunk_size)
     entry = art.sentinel * max(art.chunk_totals)  # no entry of the target exceeds it
     if entry.bit_length() > TARGET_DIGITS_CAP * 332 // 100 and entry >= 10 ** TARGET_DIGITS_CAP:
@@ -539,15 +555,16 @@ def rcsp_to_vk_embed(
             f"packed target entries of up to {entry.bit_length()} bits exceed the cap of "
             f"{TARGET_DIGITS_CAP} decimal digits"
         )
-    n = pi.graph.vertex_count
     sigma = pi.sigma_size
     m = pi.upsilon_size
     big = art.sentinel
     d = 2 * art.chunk_count
     place = art.placement
 
+    profits = []
     costs = []
     for v, (sides, width, classes) in enumerate(pi.symbol_classes):
+        profits += (1 + len(sides),) * sigma
         l, power = place[v]
         packed = {l: [m * power] * width}  # chunk -> packed digits, key by key
         for j, side in zip(pi.graph.incident[v], sides):
@@ -575,9 +592,7 @@ def rcsp_to_vk_embed(
         packed_budget = packed_budgets[len(chunk)]
         budget += (packed_budget, big * total - packed_budget)
 
-    inst = VkInstance(
-        profits=(4,) * (n * sigma), costs=tuple(costs), budget=tuple(budget)
-    )
+    inst = VkInstance(profits=tuple(profits), costs=tuple(costs), budget=tuple(budget))
     return inst, art
 
 

@@ -222,10 +222,15 @@ def _instance_from_payload(kind, payload: dict):
         )
     if kind == "csp2":
         graph = _graph_from_payload(kind, payload)
-        constraints = {
-            e: frozenset(_pairs(kind, "constraints", pairs))
-            for e, pairs in _per_edge(kind, "constraints", graph, payload["constraints"])
-        }
+        constraints = {}
+        for e, entries in _per_edge(kind, "constraints", graph, payload["constraints"]):
+            pairs = _pairs(kind, "constraints", entries)
+            constraints[e] = frozenset(pairs)
+            if len(constraints[e]) < len(pairs):
+                # a set would drop the repeat, and the writer would not write it
+                repeat = next(p for i, p in enumerate(pairs) if p in pairs[:i])
+                raise ValueError(f"malformed csp2 instance: constraints entry {list(repeat)} "
+                                 f"repeats on edge {list(e)}")
         return Csp2Instance(graph, payload["sigma_size"], constraints)
     if kind == "rcsp":
         graph = _graph_from_payload(kind, payload)

@@ -499,16 +499,34 @@ def test_sat_negative_variable_count_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("document, route", [
-    ({"kind": "rcsp", "vertices": 10**27, "edges": [], "sigma_size": 1, "upsilon_size": 1,
-      "projections": []}, ["rcsp2vk-embed", "--F", "1"]),
     ({"kind": "csp2", "vertices": 10**27, "edges": [], "sigma_size": 1, "constraints": []},
      ["csp2rcsp"]),
-], ids=["rcsp-embed", "csp2"])
+], ids=["csp2"])
 def test_huge_vertex_count_fails_the_cubic_check(tmp_path, capsys, document, route):
     src, out = tmp_path / "in.json", tmp_path / "out.json"
     src.write_text(json.dumps(document), encoding="utf-8")
     assert main(["reduce"] + route + ["--in", str(src), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: constraint graph must be 3-regular\n"
+
+
+@pytest.mark.parametrize("sigma", [1, 0])
+def test_huge_packed_target_is_refused_at_the_cap(tmp_path, capsys, monkeypatch, sigma):
+    # the packed caps read the chunk count alone, so they refuse before the
+    # partition of 10**27 constraints or the symbol table is built
+    getter = RcspInstance.symbol_classes.fget
+    built = []
+    monkeypatch.setattr(RcspInstance, "symbol_classes",
+                        property(lambda pi: built.append(pi) or getter(pi)))
+    document = {"kind": "rcsp", "vertices": 10**27, "edges": [], "sigma_size": sigma,
+                "upsilon_size": 1, "projections": []}
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["reduce", "rcsp2vk-embed", "--F", "1", "--in", str(src),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: packed target of {sigma * 10**27} items in {2 * 10**27} dimensions "
+        f"exceeds the cap {reductions.TARGET_CAP} on its dimension and cost-table size\n")
+    assert not built and not out.exists()
 
 
 @pytest.mark.parametrize("sigma", [1, 0])
@@ -756,6 +774,14 @@ README_GOLDEN = [
     (["reduce", "sat2rcsp-disperser", "--in", "phi.json", "--k", "5", "--r", "2",
       "--epsilon", "1/4", "--seed", "7", "--out", "pi-disperser.json"],
      {"pi-disperser.json": "668aefa78fbe8517a00cbe44604b79df57119c47a12548529b99c1ea2895aa0d"}),
+    # the csp2 route's line graph is 4-regular and the disperser's host complete
+    (["reduce", "rcsp2vk-embed", "--in", "pi-csp2.json", "--F", "2", "--out", "vk-csp2-f2.json"],
+     {"vk-csp2-f2.json": "33f92cd2b8417eb82cf604dca6e2a1ec084986393ad75724b164a38a2a26f52d"}),
+    (["reduce", "rcsp2vk-embed", "--in", "pi-disperser.json", "--F", "2",
+      "--out", "vk-disperser-f2.json"],
+     {"vk-disperser-f2.json": "5be697e12977842044b1df9bf77cbe899543ad31fa95b14f025c769db5a73f5c"}),
+    (["solve", "brute", "--in", "vk-csp2-f2.json", "--out", "brute-csp2.json"],
+     {"brute-csp2.json": "ac9cf9729a6efe787c96fd6f918b44fcb064d00843e394715105cafe2b086df2"}),
     (["solve", "brute", "--in", "vk.json", "--out", "brute.json"],
      {"brute.json": "873aa6064361b95aaa56be257382df1c81724d925ac4d33f48704f8b894d4b09"}),
     (["solve", "brute", "--in", "inst.json", "--out", "brute-inst.json"],

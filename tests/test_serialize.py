@@ -232,6 +232,18 @@ def test_wrong_length_pair_is_named(tmp_path, capsys, document, route, message):
     assert refused_by_reduce(tmp_path, capsys, document, route) == (2, f"error: {message}\n")
 
 
+def test_repeated_csp2_pair_is_named(tmp_path, capsys):
+    # a set of pairs would keep the repeat once, and csp2rcsp would write the
+    # bytes of the document without it
+    text = serialize_instance(gen_csp2(4, 2, random.Random(7), regular3=True))
+    payload = json.loads(text)
+    edge, allowed = payload["edges"][2], payload["constraints"][2]
+    payload["constraints"][2] = allowed + [allowed[0]]
+    assert refused_by_reduce(tmp_path, capsys, payload, "csp2rcsp") == (
+        2, f"error: malformed csp2 instance: constraints entry {allowed[0]} repeats on edge {edge}\n")
+    assert serialize_instance(parse_instance(text)) == text
+
+
 def test_artifacts_payload_shape():
     pi = gen_rcsp(4, 2, 2, random.Random(7), regular3=True)
     art = embed_artifacts(pi, 3)

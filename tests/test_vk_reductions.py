@@ -12,8 +12,8 @@ from knapreduce.csp import (
     par_bruteforce,
 )
 from knapreduce.errors import CapExceededError
-from knapreduce.generators import gen_rcsp, gen_rcsp_planted, gen_sat_satisfiable
-from knapreduce.graphs import Graph, graph_from_edges
+from knapreduce.generators import gen_csp2, gen_rcsp, gen_rcsp_planted, gen_sat_satisfiable
+from knapreduce.graphs import Graph, complete_graph, graph_from_edges
 from knapreduce.knapsack import (
     Solution,
     VkInstance,
@@ -22,8 +22,11 @@ from knapreduce.knapsack import (
     solve_bruteforce,
 )
 from knapreduce.reductions import (
+    HOST_CAP,
     TARGET_CAP,
+    TARGET_DIGITS_CAP,
     constraint_weight,
+    csp2_to_rcsp,
     embed_artifacts,
     extract_partial_assignment,
     item_index,
@@ -274,9 +277,20 @@ class TestEmbedArtifacts:
             with pytest.raises(CapExceededError, match="^packed target entries of up to"):
                 rcsp_to_vk_embed(pi, chunk_size)
 
-    def test_requires_cubic_graph(self):
-        with pytest.raises(ValueError):
-            rcsp_to_vk_embed(swap_instance(), 1)
+    def test_complete_host_at_the_host_cap_is_refused(self):
+        # K128, the disperser route's largest host, is refused before the
+        # symbol table: at F = 1 by its 640 x 16512 cost table, and in one
+        # chunk of all 8256 constraints by its 571,452-bit entries
+        host = complete_graph(HOST_CAP)
+        for sigma, chunk_size, message in (
+            (5, 1, f"^packed target of 640 items in 16512 dimensions exceeds the cap {TARGET_CAP} "),
+            (1, 8256, f"^packed target entries of up to 571452 bits exceed the cap of "
+                      f"{TARGET_DIGITS_CAP} decimal digits$"),
+        ):
+            pi = RcspInstance(host, sigma, 1, {e: ((0,) * sigma, (0,) * sigma) for e in host.edges})
+            with pytest.raises(CapExceededError, match=message):
+                rcsp_to_vk_embed(pi, chunk_size)
+            assert "symbol_classes" not in vars(pi)
 
 
 class TestEmbedTarget:
@@ -287,9 +301,13 @@ class TestEmbedTarget:
             assert target.dimension == expected
 
     def test_profits_are_degree_plus_one(self):
-        pi, _ = planted_k4(6)
-        target, _ = rcsp_to_vk_embed(pi, 2)
-        assert set(target.profits) == {4}
+        # K4 is cubic; the swap instance's vertices have one edge each, and
+        # vertex 2 beside that edge has none
+        beside = RcspInstance(graph_from_edges(3, [(0, 1)]), 2, 2, {(0, 1): ((0, 1), (1, 0))})
+        for pi, profits in ((planted_k4(6)[0], (4,) * 8), (swap_instance(), (2,) * 4),
+                            (beside, (2, 2, 2, 2, 1, 1))):
+            target, _ = rcsp_to_vk_embed(pi, 2)
+            assert target.profits == profits
 
     def test_completeness_full_profit_and_tight_weights(self):
         for seed in range(8):
@@ -436,6 +454,65 @@ class TestEmbedTarget:
             extract_partial_assignment(pi, 2, solution, packed[0])
 
 
+def any_degree_hosts(seed):
+    """(instance, chunk sizes) off the cubic family: random graphs of any
+    edge count, planted or not, and complete graphs, up to one chunk of
+    every constraint; and csp2 line graphs, which are 4-regular, in chunks
+    of at most 3 constraints: in one chunk of all 18 the exhaustive walk
+    visits some 50,000 feasible sets."""
+    rng = random.Random(seed)
+    hosts = []
+    for n in range(2, 6):
+        edge_count = rng.randint(0, n * (n - 1) // 2)
+        hosts.append(gen_rcsp(n, rng.randint(1, 2), rng.randint(1, 3), rng, edge_count=edge_count))
+        hosts.append(gen_rcsp_planted(n, rng.randint(1, 2), rng.randint(1, 3), rng,
+                                      edge_count=edge_count)[0])
+    for k in (2, 3, 4):
+        hosts.append(gen_rcsp(k, 2, 2, rng, edge_count=k * (k - 1) // 2))
+    for pi in hosts:
+        yield pi, sorted({1, 2, pi.graph.vertex_count + len(pi.graph.edges)})
+    for planted in (False, True):
+        yield csp2_to_rcsp(gen_csp2(4, 2, rng, planted=planted)), (1, 2, 3)
+
+
+class TestAnyConstraintGraph:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_verify_checks_hold_at_any_degree(self, seed):
+        degrees = set()
+        for pi, chunk_sizes in any_degree_hosts(seed):
+            n = pi.graph.vertex_count
+            full = n + 2 * len(pi.graph.edges)
+            degrees.update(map(len, pi.graph.incident))
+            par, witness = par_bruteforce(pi)
+            for chunk_size in chunk_sizes:
+                target, art = rcsp_to_vk_embed(pi, chunk_size)
+                assert (target, art) == reference_rcsp_to_vk_embed(pi, chunk_size)
+                records = [verify.check_embed_soundness_exhaustive(pi, target, art),
+                           *verify.check_digit_identities(pi, chunk_size)]
+                if par == n:
+                    solution = vk_solution_from_assignment(pi, witness)
+                    records.append(verify.check_embed_completeness(pi, solution, chunk_size, target))
+                assert all(passed for *_, passed in records), records
+                opt, _ = solve_bruteforce(target)
+                assert opt <= full and (opt == full) == (par == n), (chunk_size, opt, par)
+        assert {0, 1, 2, 3, 4} <= degrees
+
+    def test_profits_forced_to_four_fail_the_coverage_record(self, monkeypatch):
+        # a path on three vertices, degrees 1, 2 and 1: profit 4 is a cubic
+        # graph's, and the coverage record must catch it
+        pi, _ = gen_rcsp_planted(3, 2, 2, random.Random(1), edge_count=2)
+        build = verify.rcsp_to_vk_embed
+
+        def cubic_profits(pi, chunk_size):
+            target, art = build(pi, chunk_size)
+            return dataclasses.replace(target, profits=(4,) * target.item_count), art
+
+        monkeypatch.setattr(verify, "rcsp_to_vk_embed", cubic_profits)
+        records = {check: passed for check, _, _, passed in verify.check_digit_identities(pi, 2)}
+        assert records == {"packed-first-dimension-F2": True, "packed-second-dimension-F2": True,
+                           "profit-equals-coverage-F2": False}
+
+
 def reference_extract_packed(pi, solution, precomputed):
     """The packed branch of extract_partial_assignment as first written:
     chunks x selected saturation sums, vertices x selected symbol scans."""
@@ -578,7 +655,6 @@ class TestOneTablePerInstance:
         for pi in (RcspInstance(Graph(TARGET_CAP + 1), 0, 1, {}),
                    RcspInstance(Graph(TARGET_CAP // 2), 3, 1, {})):
             refused(CapExceededError, rcsp_to_vk_simple, pi, match="^plain target")
-        refused(ValueError, rcsp_to_vk_embed, swap_instance(), 1, match="3-regular")
         for chunk_size in (0, 11):
             refused(ValueError, rcsp_to_vk_embed, planted_k4(7)[0], chunk_size,
                     match="^chunk size")
