@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from typing import Optional, Union
 
 from .csp import (
@@ -34,9 +34,12 @@ from .errors import CapExceededError
 from .graphs import Edge, Graph, complete_graph, graph_from_edges, line_graph
 from .knapsack import Solution, VkInstance, check_feasible
 
-# Largest number of candidate assignments, 2^(variables), that
-# _satisfying_codes enumerates for one host vertex's clause set.
+# Largest number of candidate assignments, 2^(variables), of one host
+# vertex's clause set: the bit length of the truth table _truth_table builds.
 ALPHABET_CAP = 1 << 16
+
+# bytes.translate table from the characters "0" and "1" to the bytes 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 # Largest dimension, and largest cost-table size (items times dimensions),
 # of the plain or the packed target; each cost entry takes at least a
@@ -80,40 +83,54 @@ def build_clause_conflict_graph(phi: SatInstance) -> Graph:
     return graph_from_edges(phi.clause_count, pairs)
 
 
-def _satisfying_codes(
-    phi: SatInstance, clause_indices
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(ascending variables, codes of assignments satisfying all the clauses).
+def _truth_table(phi: SatInstance, clause_indices) -> tuple[tuple[int, ...], int]:
+    """(ascending variables, truth table of the clauses over them).
 
     A code packs an assignment to the variables first variable in the most
     significant bit, so ascending codes enumerate assignment vectors in
-    lexicographic order.  Each clause becomes a pair (mask, falsifying):
-    mask holds the bits of its three distinct variables and falsifying the
-    bits set by the one assignment of them that makes every literal false
-    (the negated variables).  A code satisfies the clause iff
-    code & mask != falsifying.
+    lexicographic order.  The table is a 2^t-bit int whose bit c is set iff
+    code c satisfies every clause.  Variable i's column has bit c set iff
+    code c sets the variable's bit h = 2^(t-1-i): runs of h clear then h set
+    bits, which is full // (2^h + 1) << h.  A clause's column is the OR of
+    its literals' columns (a negated literal's is the complement), and the
+    table is the AND of the clause columns.  The cap is checked before any
+    column is built.
     """
-    used: set[int] = set()
-    for c in clause_indices:
-        used |= clause_variables(phi.clauses[c])
-    variables = tuple(sorted(used))
+    variables = tuple(sorted({abs(lit) for c in clause_indices for lit in phi.clauses[c]}))
     t = len(variables)
     if 1 << t > ALPHABET_CAP:
         raise CapExceededError(
             f"2^{t} candidate assignments exceed the alphabet cap {ALPHABET_CAP}"
         )
-    bit = {v: 1 << (t - 1 - i) for i, v in enumerate(variables)}
-    good = range(1 << t)
+    full = (1 << (1 << t)) - 1
+    column = {v: full // ((1 << (1 << j)) + 1) << (1 << j)
+              for j, v in enumerate(reversed(variables))}
+    table = full
     for c in clause_indices:
-        clause = phi.clauses[c]
-        mask = sum(bit[abs(lit)] for lit in clause)
-        falsifying = sum(bit[-lit] for lit in clause if lit < 0)
-        good = [code for code in good if code & mask != falsifying]
-    return variables, tuple(good)
+        satisfied = 0
+        for lit in phi.clauses[c]:
+            satisfied |= column[lit] if lit > 0 else full ^ column[-lit]
+        table &= satisfied
+    return variables, table
 
 
-def _host_codes(phi: SatInstance, host: Graph, clause_sets) -> list:
-    """Each host vertex's (variables, satisfying codes), after checking that
+def _codes(table: int) -> tuple[int, ...]:
+    """The ascending codes whose bit is set in a truth table: bit c is
+    character c of the reversed binary text, listed by compress."""
+    return tuple(compress(count(), f"{table:b}"[::-1].encode().translate(_BIT_VALUES)))
+
+
+def _satisfying_codes(
+    phi: SatInstance, clause_indices
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(ascending variables, codes of assignments satisfying all the
+    clauses), listed from the clauses' truth table."""
+    variables, table = _truth_table(phi, clause_indices)
+    return variables, _codes(table)
+
+
+def _host_tables(phi: SatInstance, host: Graph, clause_sets) -> list:
+    """Each host vertex's (variables, truth table), after checking that
     there is one clause set per host vertex and each index names a clause."""
     if len(clause_sets) != host.vertex_count:
         raise ValueError("one clause set per host vertex required")
@@ -122,15 +139,22 @@ def _host_codes(phi: SatInstance, host: Graph, clause_sets) -> list:
         for c in indices:
             if not 0 <= c < phi.clause_count:
                 raise ValueError(f"clause index {c} out of range")
-    return [_satisfying_codes(phi, indices) for indices in chosen]
+    return [_truth_table(phi, indices) for indices in chosen]
+
+
+def _host_codes(phi: SatInstance, host: Graph, clause_sets) -> list:
+    """Each host vertex's (variables, satisfying codes)."""
+    return [(variables, _codes(table))
+            for variables, table in _host_tables(phi, host, clause_sets)]
 
 
 def sat_to_rcsp(phi: SatInstance, host: Graph, clause_sets) -> RcspInstance:
     """Rectangular CSP whose vertices carry the satisfying assignments of
     their clause set and whose edges force agreement on shared variables.
 
-    One global alphabet of size max_x |Phi_x| indexes each vertex's
-    satisfying assignments in lexicographic order; indices beyond a
+    Each vertex's satisfying assignments are the set bits of its clause
+    set's truth table, listed in ascending (lexicographic) order.  One
+    global alphabet of size max_x |Phi_x| indexes them; indices beyond a
     vertex's own count project to a per-vertex sentinel, which can never
     agree with the opposite endpoint.  The shared range packs restrictions
     to the edge's common variables below all sentinels.
@@ -200,13 +224,13 @@ def rcsp_assignment_from_sat(
             f"assignment length {len(assignment)} != variable count {phi.variable_count}"
         )
     values = []
-    for x, (variables, codes) in enumerate(_host_codes(phi, host, clause_sets)):
+    for x, (variables, table) in enumerate(_host_tables(phi, host, clause_sets)):
         t = len(variables)
         code = sum(1 << (t - 1 - i) for i, v in enumerate(variables) if assignment[v - 1])
-        symbol = bisect_left(codes, code)
-        if symbol == len(codes) or codes[symbol] != code:
+        if not table >> code & 1:
             raise ValueError(f"assignment does not satisfy the clause set of vertex {x}")
-        values.append(symbol)
+        # the symbol is the code's rank among the set bits of the table
+        values.append((table & ((1 << code) - 1)).bit_count())
     return PartialAssignment(tuple(values))
 
 

@@ -222,16 +222,26 @@ def _instance_from_payload(kind, payload: dict):
         )
     if kind == "csp2":
         graph = _graph_from_payload(kind, payload)
-        constraints = {}
+        constraints, listed = {}, []
         for e, entries in _per_edge(kind, "constraints", graph, payload["constraints"]):
             pairs = _pairs(kind, "constraints", entries)
+            listed.append((e, pairs))
             constraints[e] = frozenset(pairs)
             if len(constraints[e]) < len(pairs):
                 # a set would drop the repeat, and the writer would not write it
                 repeat = next(p for i, p in enumerate(pairs) if p in pairs[:i])
                 raise ValueError(f"malformed csp2 instance: constraints entry {list(repeat)} "
                                  f"repeats on edge {list(e)}")
-        return Csp2Instance(graph, payload["sigma_size"], constraints)
+        gamma = Csp2Instance(graph, payload["sigma_size"], constraints)
+        # the writer sorts each edge's pairs, so no other order round-trips;
+        # checked once the instance has found every pair an integer in range
+        for e, pairs in listed:
+            for before, after in zip(pairs, pairs[1:]):
+                if before > after:
+                    raise ValueError(f"malformed csp2 instance: constraints on edge {list(e)} "
+                                     f"are not strictly ascending: {list(before)} comes before "
+                                     f"{list(after)}")
+        return gamma
     if kind == "rcsp":
         graph = _graph_from_payload(kind, payload)
         projections = {

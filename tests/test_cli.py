@@ -447,6 +447,17 @@ def test_non_integer_number_is_usage_error(tmp_path, capsys, kind, edit, route):
     assert not out.exists()
 
 
+def test_unsorted_csp2_pairs_are_usage_error(tmp_path, capsys):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps({"kind": "csp2", "vertices": 2, "edges": [[0, 1]], "sigma_size": 2,
+                               "constraints": [[[1, 0], [0, 1]]]}), encoding="utf-8")
+    assert main(["reduce", "csp2rcsp", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: malformed csp2 instance: constraints on edge "
+                                       "[0, 1] are not strictly ascending: [1, 0] comes before "
+                                       "[0, 1]\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, field, edit, command", [
     ("rcsp", "projections", lambda doc: doc["projections"].append({"u": [9, 9], "v": [1]}),
      ["reduce", "rcsp2vk-simple"]),

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -111,6 +112,22 @@ def seeded_formulas(base, count):
         else:
             phi = gen_sat(n, m, bound, rng)
         yield phi, rng
+
+
+def route_clause_sets(base, count):
+    """(formula, host, clause sets) of both routes on seeded formulas: the
+    embedding route's host, and a disperser family on a complete host."""
+    for i, (phi, rng) in enumerate(seeded_formulas(base, count)):
+        host, emb = simple_connected_embedding(build_clause_conflict_graph(phi), 8)
+        yield phi, host, [
+            frozenset(c for c in range(phi.clause_count) if x in emb.images[c])
+            for x in range(host.vertex_count)
+        ]
+        m = phi.clause_count
+        if m:
+            k, cover, eps = rng.randint(3, 6), 2, Fraction(1, 4)
+            set_size = min(m, math.ceil(Fraction(3 * m) / (eps * cover)))
+            yield phi, complete_graph(k), build_disperser(m, k, set_size, cover, eps, 80 + i).sets
 
 
 class TestConflictGraph:
@@ -224,12 +241,26 @@ class TestCoreReduction:
 
     def test_alphabet_cap(self):
         # six disjoint clauses span 18 variables, and 2^18 candidates exceed
-        # the 2^16 cap; 300 variables show the check precedes enumeration
+        # the 2^16 cap; 300 variables show the check precedes any table
         for clause_count in (6, 100):
             n = 3 * clause_count
             phi = sat(n, [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(clause_count)])
             with pytest.raises(CapExceededError, match=rf"^2\^{n} candidate assignments"):
                 sat_to_rcsp(phi, Graph(1), [frozenset(range(clause_count))])
+
+    def test_alphabet_cap_boundary_is_accepted(self):
+        # 16 variables: 2^16 candidates are exactly the cap.  The triples
+        # 1-3, ..., 10-12 each keep 7 of 8 assignments; on 13-16 the clauses
+        # (13 14 15) and (-14 -15 -16) each falsify 2 of 16 and never both
+        phi = sat(16, [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(5)] + [(-14, -15, -16)])
+        variables, codes = _satisfying_codes(phi, tuple(range(6)))
+        assert variables == tuple(range(1, 17))
+        assert len(codes) == 7 ** 4 * (16 - 2 - 2)
+        # least and greatest satisfying assignments, variable 1 first
+        assert codes[0] == int("001" * 4 + "0010", 2)
+        assert codes[-1] == int("111" * 4 + "1110", 2)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert sat_to_rcsp(phi, Graph(1), [range(6)]).sigma_size == len(codes)
 
     def test_sentinels_never_agree_across_vertices(self):
         phi = sat(3, [(1, 2, 3)])
@@ -408,3 +439,25 @@ class TestAgainstReferenceBuilds:
                     all_common.add(common == variables)
         # vertices whose variables are all common, and vertices with others
         assert all_common == {True, False}
+
+    def test_forward_map_ranks_match_the_reference_on_both_routes(self):
+        # every assignment either projects to each vertex's rank among the
+        # reference codes, or is refused at the first vertex it falsifies
+        outcomes = set()
+        for phi, host, clause_sets in route_clause_sets(8500, 10):
+            per_vertex = [reference_satisfying_codes(phi, tuple(sorted(set(chosen))))
+                          for chosen in clause_sets]
+            for values in product((0, 1), repeat=phi.variable_count):
+                assignment = {v: values[v - 1] for v in range(1, phi.variable_count + 1)}
+                at = [(pack(assignment, variables), codes) for variables, codes in per_vertex]
+                falsified = [x for x, (code, codes) in enumerate(at) if code not in codes]
+                outcomes.add(bool(falsified))
+                if falsified:
+                    first = falsified[0]
+                    with pytest.raises(ValueError, match=f"^assignment does not satisfy "
+                                                         f"the clause set of vertex {first}$"):
+                        rcsp_assignment_from_sat(phi, host, clause_sets, values)
+                else:
+                    ranks = tuple(bisect_left(codes, code) for code, codes in at)
+                    assert rcsp_assignment_from_sat(phi, host, clause_sets, values).values == ranks
+        assert outcomes == {True, False}

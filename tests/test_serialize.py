@@ -244,6 +244,21 @@ def test_repeated_csp2_pair_is_named(tmp_path, capsys):
     assert serialize_instance(parse_instance(text)) == text
 
 
+def test_unsorted_csp2_pairs_are_named():
+    # the writer sorts each edge's pairs, so [[1, 0], [0, 1]] would be
+    # written back as [[0, 1], [1, 0]]
+    document = {"kind": "csp2", "vertices": 3, "edges": [[0, 1], [1, 2]], "sigma_size": 2,
+                "constraints": [[[0, 0]], [[1, 0], [0, 1]]]}
+    with pytest.raises(ValueError, match=r"^malformed csp2 instance: constraints on edge \[1, 2\] "
+                                         r"are not strictly ascending: \[1, 0\] comes before "
+                                         r"\[0, 1\]$"):
+        parse_instance(json.dumps(document))
+    document["constraints"][1].reverse()
+    text = serialize_instance(parse_instance(json.dumps(document)))
+    assert json.loads(text)["constraints"] == document["constraints"]
+    assert serialize_instance(parse_instance(text)) == text
+
+
 def test_artifacts_payload_shape():
     pi = gen_rcsp(4, 2, 2, random.Random(7), regular3=True)
     art = embed_artifacts(pi, 3)

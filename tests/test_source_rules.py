@@ -79,3 +79,72 @@ def test_readme_caps_table_matches_the_code():
         actual = getattr(importlib.import_module(f"knapreduce.{module}"), name)
         assert int(value.replace(",", "")) == actual, (module, name, value)
     assert module_bounds() == listed
+
+
+# Every module-level dict, list or set of the package, with the reason it
+# may live as long as the process.  A cache added without a cap, such as
+# truth tables keyed by clause set, is not on the list and fails below.
+MODULE_CONTAINERS = {
+    ("cli", "VK_CLASSES"): "dispatch table of gen vk --vk-class, fixed at import",
+    ("cli", "GEN"): "dispatch table of gen's instance kinds, fixed at import",
+    ("cli", "REDUCE"): "dispatch table of reduce's routes, fixed at import",
+    ("cli", "SOLVE"): "dispatch table of solve's methods, fixed at import",
+    ("serialize", "_WRITERS"): "dispatch table of the document writers, fixed at import",
+    ("verify", "SUITES"): "the verify suites and their default counts, fixed at import",
+    ("discretize", "_tables"): "floor-table cache, evicted at TABLE_COUNT_CAP entries",
+}
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def module_containers(source):
+    """Names bound to a dict, list or set at the top level of source."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            func = value.func if isinstance(value, ast.Call) else None
+            if isinstance(value, CONTAINER_NODES) or (
+                    getattr(func, "id", None) or getattr(func, "attr", None)) in CONTAINER_CALLS:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return found
+
+
+def cache_uses(source):
+    """(line, name) of each functools cache that source imports, names or
+    applies as a decorator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in CACHE_DECORATORS]
+        elif isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                if getattr(decorator, "id", None) in CACHE_DECORATORS:
+                    found.append((decorator.lineno, decorator.id))
+    return found
+
+
+def test_module_level_state_is_allowlisted_and_uncached():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in modules()}
+    found = {(module, name) for module, source in sources.items()
+             for name in module_containers(source)}
+    assert found == set(MODULE_CONTAINERS)
+    assert {module: cache_uses(source) for module, source in sources.items()
+            if cache_uses(source)} == {}
+    # the one cache is bounded by a cap that the caps table lists
+    assert ("discretize", "TABLE_COUNT_CAP") in module_bounds()
+
+
+def test_module_state_rule_catches_an_uncapped_cache():
+    source = ("import functools\nfrom functools import lru_cache\n_codes: dict = {}\n"
+              "SEEN = set()\n@functools.cache\ndef f(x):\n    return x\n"
+              "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n")
+    assert module_containers(source) == {"_codes", "SEEN"}
+    assert sorted(cache_uses(source)) == [(2, "lru_cache"), (5, "cache"), (8, "lru_cache")]
