@@ -9,7 +9,9 @@ repaired once.  The other side is discretized geometrically,
 duplicate-keyed items are pruned, and subsets of at most d items are
 enumerated (on that side no feasible solution can be larger, one
 coordinate per item being more than half spent).  The combined routine
-returns the better branch.
+runs each branch over its class's indices of the instance it is given
+and returns the better result; only the over-half survivors are copied,
+for the bounded-size enumeration.
 """
 
 from __future__ import annotations
@@ -54,29 +56,28 @@ def _best_solution(inst: VkInstance, *solutions: Solution) -> Solution:
     return min(solutions, key=lambda sol: (-profit(inst, sol), sol.sorted_items()))
 
 
-def approx_2unbounded(inst: VkInstance, *, _split: bool = False) -> Solution:
+def approx_2unbounded(inst: VkInstance) -> Solution:
+    """_over_half on every item; the first item that fits half the budget is refused."""
+    bounded, _ = split_by_boundedness(inst)
+    if bounded:
+        raise ValueError(f"item {bounded[0]} fits half the budget in every coordinate")
+    return _over_half(inst, range(inst.item_count))
+
+
+def _over_half(inst: VkInstance, items) -> Solution:
     """Discretize, prune duplicate cost keys, enumerate subsets of size <= d.
 
-    Every item must fail the half-budget test in some coordinate; that is
-    checked unless _split says approx_sqrt_d has already sorted the items.
-    Items that do not fit the budget alone are dropped up front.  The
-    enumeration runs on the original, undiscretized costs of the
-    survivors, so the output is always feasible.
+    items are ascending indices of inst; those that do not fit the budget
+    alone are dropped up front.  The enumeration runs on a copy of the
+    survivors with their original, undiscretized costs, so the output is
+    always feasible.
     """
-    d = inst.dimension
-    if not _split:
-        for i in range(inst.item_count):
-            if _is_bounded(inst, i):
-                raise ValueError(f"item {i} fits half the budget in every coordinate")
-    fitting = [i for i in range(inst.item_count) if all(map(le, inst.costs[i], inst.budget))]
+    fitting = [i for i in items if all(map(le, inst.costs[i], inst.budget))]
     if not fitting:
         return Solution()
-    gamma = gamma_for_dimension(d)
-    survivors = prune_by_discretization(
-        [(i, inst.profits[i], inst.costs[i]) for i in fitting],
-        inst.budget,
-        gamma,
-    )
+    d = inst.dimension
+    survivors = prune_by_discretization([(i, inst.profits[i], inst.costs[i]) for i in fitting],
+                                        inst.budget, gamma_for_dimension(d))
     sub, order = subinstance(inst, survivors)
     _, sol = solve_bruteforce_bounded_size(sub, d)
     return Solution(frozenset(order[i] for i in sol.chosen))
@@ -112,14 +113,22 @@ def _rounding_theta(d: int) -> Fraction:
     return Fraction(1, c if c * c == 16 * d else c + 1)
 
 
-def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> Solution:
+def approx_lp_rounding(inst: VkInstance, seed: int) -> Solution:
+    """_lp_rounding on every item; the first item over half the budget is refused."""
+    bounded, unbounded = split_by_boundedness(inst)
+    if unbounded:
+        raise ValueError(f"item {unbounded[0]} exceeds half the budget in some coordinate")
+    return _lp_rounding(inst, bounded, seed)
+
+
+def _lp_rounding(inst: VkInstance, items, seed: int) -> Solution:
     """Round the scaled fractional optimum; repair; keep the best of many trials.
 
-    Every item must pass the half-budget test; that is checked unless
-    _split says approx_sqrt_d has already sorted the items.  Each trial
-    includes item i with probability theta * x_i = num/den in lowest
-    terms, theta = 1/ceil(4 sqrt(d)), worked out in integers; only items
-    with x_i > 0 take a draw.  The draw is r < num, with r =
+    items are ascending indices of inst, and the relaxation is taken over
+    them alone.  Each trial includes item i with probability theta * x_i =
+    num/den in lowest terms, theta = 1/ceil(4 sqrt(d)), worked out in
+    integers; only items with x_i > 0 take a draw, in ascending order.
+    The draw is r < num, with r =
     getrandbits(den.bit_length()) redrawn while r >= den on one
     random.Random(seed) stream: randrange(den)'s own rejection sampler,
     so the stream is the one randrange(den) gives.  Infeasible draws are
@@ -129,19 +138,17 @@ def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> 
     alone as every item here does, are candidates too, so the result is
     never worse than the best singleton.
     """
-    if not _split:
-        for i in range(inst.item_count):
-            if not _is_bounded(inst, i):
-                raise ValueError(f"item {i} exceeds half the budget in some coordinate")
-    if inst.item_count == 0:
+    if not items:
         return Solution()
     d = inst.dimension
     if d == 0:
-        return Solution(frozenset(range(inst.item_count)))
-    _, weights = knapsack_relaxation(inst.profits, inst.costs, inst.budget)
+        return Solution(frozenset(items))
+    profits = inst.profits
+    _, weights = knapsack_relaxation([profits[i] for i in items],
+                                     [inst.costs[i] for i in items], inst.budget)
     c = _rounding_theta(d).denominator
     odds = []
-    for i, w in enumerate(weights):
+    for i, w in zip(items, weights):
         if w:  # an LP point has no negative entry
             # theta * w = w.numerator / (c * w.denominator), which shares
             # with its denominator only the factors w.numerator shares with c
@@ -149,8 +156,9 @@ def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> 
             den = c // g * w.denominator
             odds.append((i, w.numerator // g, den, den.bit_length()))
 
-    best_profit = max(inst.profits)
-    best = Solution(frozenset({inst.profits.index(best_profit)})) if best_profit > 0 else Solution()
+    first = max(items, key=profits.__getitem__)  # max keeps the first of equals
+    best_profit = profits[first]
+    best = Solution(frozenset({first})) if best_profit > 0 else Solution()
     best_items = best.sorted_items()
     getrandbits = random.Random(seed).getrandbits
     seen = set()
@@ -167,24 +175,16 @@ def approx_lp_rounding(inst: VkInstance, seed: int, *, _split: bool = False) -> 
             continue
         seen.add(drawn)
         repaired = _repair(inst, set(drawn))
-        value = sum(inst.profits[i] for i in repaired)
+        value = sum(profits[i] for i in repaired)
         if value >= best_profit:  # only a candidate that can win is sorted
-            items = tuple(sorted(repaired))
-            if _better(value, items, best_profit, best_items):
-                best, best_profit, best_items = Solution(frozenset(repaired)), value, items
+            ranked = tuple(sorted(repaired))
+            if _better(value, ranked, best_profit, best_items):
+                best, best_profit, best_items = Solution(frozenset(repaired)), value, ranked
     return best
 
 
 def approx_sqrt_d(inst: VkInstance, seed: int) -> Solution:
-    """Run both branches on their item classes and keep the better solution."""
+    """Run each branch over its item class and keep the better solution."""
     bounded, unbounded = split_by_boundedness(inst)
-    candidates = [Solution()]
-    if bounded:
-        sub, order = subinstance(inst, bounded)
-        sol = approx_lp_rounding(sub, seed, _split=True)
-        candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
-    if unbounded:
-        sub, order = subinstance(inst, unbounded)
-        sol = approx_2unbounded(sub, _split=True)
-        candidates.append(Solution(frozenset(order[i] for i in sol.chosen)))
-    return _best_solution(inst, *candidates)
+    return _best_solution(inst, Solution(), _lp_rounding(inst, bounded, seed),
+                          _over_half(inst, unbounded))

@@ -120,15 +120,6 @@ def _codes(table: int) -> tuple[int, ...]:
     return tuple(compress(count(), f"{table:b}"[::-1].encode().translate(_BIT_VALUES)))
 
 
-def _satisfying_codes(
-    phi: SatInstance, clause_indices
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(ascending variables, codes of assignments satisfying all the
-    clauses), listed from the clauses' truth table."""
-    variables, table = _truth_table(phi, clause_indices)
-    return variables, _codes(table)
-
-
 def _host_tables(phi: SatInstance, host: Graph, clause_sets) -> list:
     """Each host vertex's (variables, truth table), after checking that
     there is one clause set per host vertex and each index names a clause."""

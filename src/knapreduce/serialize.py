@@ -193,7 +193,8 @@ def parse_instance(text: str):
     kind = payload.get("kind")
     if kind in ("sat", "csp2", "rcsp"):
         for field, value in payload.items():
-            _require_integers(kind, field, value)
+            if field != "kind":
+                _require_integers(kind, field, value)
     try:
         return _instance_from_payload(kind, payload)
     except KeyError as exc:
@@ -271,16 +272,16 @@ def _instance_from_payload(kind, payload: dict):
 
 
 def _require_integers(kind: str, field: str, value):
-    """Every number in a sat, csp2 or rcsp document is a JSON integer;
-    a float or a bool would fail deep in a reduction or be written back as
-    another number."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"malformed {kind} instance: {field} entry {value!r} is not an integer")
+    """Every scalar in a sat, csp2 or rcsp document, "kind" aside, is a JSON
+    integer; a float, bool, string or null would fail deep in a reduction
+    or be written back as another value."""
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, list):
         for item in value:
             _require_integers(kind, field, item)
+    elif type(value) is not int:
+        raise ValueError(f"malformed {kind} instance: {field} entry {value!r} is not an integer")
 
 
 def _vk_array(value, field: str) -> list:

@@ -26,6 +26,7 @@ from knapreduce.knapsack import (
     profit,
     solve_bruteforce,
     solve_bruteforce_bounded_size,
+    subinstance,
 )
 from knapreduce.simplex import knapsack_relaxation
 
@@ -57,9 +58,13 @@ class TestUnboundedBranch:
         assert sol.chosen == {0}
 
     def test_rejects_bounded_items(self):
-        inst = VkInstance((1,), ((1,),), (4,))
-        with pytest.raises(ValueError):
-            approx_2unbounded(inst)
+        # the first half-fitting item is named, whichever others follow it
+        for costs, first in [(((1,),), 0), (((3,), (4,), (1,)), 2),
+                             (((3,), (1,), (4,), (2,), (0,)), 1)]:
+            inst = VkInstance((1,) * len(costs), costs, (4,))
+            with pytest.raises(ValueError, match=rf"^item {first} fits half the budget "
+                                                 r"in every coordinate$"):
+                approx_2unbounded(inst)
 
     def test_oversized_items_are_dropped(self):
         inst = VkInstance((9, 2), ((9,), (3,)), (4,))
@@ -100,9 +105,13 @@ class TestLpRoundingBranch:
         assert sol.chosen == {0}
 
     def test_rejects_unbounded_items(self):
-        inst = VkInstance((5,), ((4,),), (4,))
-        with pytest.raises(ValueError):
-            approx_lp_rounding(inst, seed=1)
+        # the first over-half item is named, whichever others follow it
+        for costs, first in [(((4, 0),), 0), (((1, 2), (2, 1), (0, 3)), 2),
+                             (((2, 2), (1, 4), (0, 0), (3, 0), (4, 4)), 1)]:
+            inst = VkInstance((5,) * len(costs), costs, (4, 4))
+            with pytest.raises(ValueError, match=rf"^item {first} exceeds half the budget "
+                                                 r"in some coordinate$"):
+                approx_lp_rounding(inst, seed=1)
 
     def test_always_feasible_and_at_least_best_singleton(self):
         for i in range(25):
@@ -278,7 +287,57 @@ class TestRepair:
             assert check_feasible(inst, Solution(frozenset(expected)))
 
 
+def composed_candidates(inst, seed):
+    """The combined algorithm's candidates composed from the public
+    branches: the empty set, then each nonempty class's branch run on a
+    subinstance copy of the class, its indices mapped back."""
+    candidates = [Solution()]
+    for items, branch in zip(split_by_boundedness(inst),
+                             (lambda sub: approx_lp_rounding(sub, seed), approx_2unbounded)):
+        if items:
+            sub, order = subinstance(inst, items)
+            candidates.append(Solution(frozenset(order[i] for i in branch(sub).chosen)))
+    return candidates
+
+
 class TestCombined:
+    def test_mixed_instances_match_the_composed_branches(self):
+        # profits of at most 3 make ties between the branches common
+        mixed = ties = 0
+        for k in range(200):
+            rng = random.Random(4500 + k)
+            inst = gen_vk_mixed(rng.randint(1, 12), rng.randint(1, 4), rng.choice((4, 8, 20)),
+                                3, rng)
+            candidates = composed_candidates(inst, k)
+            if len(candidates) == 3:
+                mixed += 1
+                ties += profit(inst, candidates[1]) == profit(inst, candidates[2]) > 0
+            assert approx_sqrt_d(inst, seed=k) == _best_solution(inst, *candidates), k
+        assert mixed >= 100 and ties >= 10, (mixed, ties)
+
+    def test_singleton_candidate_comes_from_the_half_fitting_class(self):
+        # item 0 has the same profit but does not even fit the budget alone
+        inst = VkInstance((3, 3), ((5,), (2,)), (4,))
+        assert approx_sqrt_d(inst, seed=0) == Solution(frozenset({1}))
+
+    def test_only_over_half_survivors_are_copied(self, monkeypatch):
+        calls = [0]
+        copy = approx.subinstance
+
+        def counted(inst, items):
+            calls[0] += 1
+            return copy(inst, items)
+
+        monkeypatch.setattr(approx, "subinstance", counted)
+        for k in range(10):
+            rng = random.Random(4600 + k)
+            n, d = rng.randint(1, 12), rng.randint(1, 4)
+            for gen, most in ((gen_vk_2bounded, 0), (gen_vk_2unbounded, 1)):
+                inst = gen(n, d, 20, 9, rng)
+                calls[0] = 0
+                approx_sqrt_d(inst, seed=k)
+                assert calls[0] <= most, (k, gen.__name__)
+
     def test_all_unbounded_matches_that_branch(self):
         rng = random.Random(7)
         inst = gen_vk_2unbounded(8, 2, 10, 9, rng)

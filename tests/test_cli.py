@@ -424,6 +424,26 @@ def _set_bound(doc):
     doc["occurrence_bound"] = True
 
 
+def _set_literal_text(doc):
+    doc["clauses"][0][0] = str(doc["clauses"][0][0])
+
+
+def _set_projection_null(doc):
+    doc["projections"][0]["u"][0] = None
+
+
+def _set_constraint_text(doc):
+    doc["constraints"][0][0] = ["a", 1]
+
+
+def _set_vertices_null(doc):
+    doc["vertices"] = None
+
+
+def _add_text_key(doc):
+    doc["note"] = "text"
+
+
 @pytest.mark.parametrize("kind, edit, route", [
     ("rcsp", _set_vertices, ["rcsp2vk-simple"]),
     ("rcsp", _set_upsilon, ["rcsp2vk-simple"]),
@@ -431,8 +451,14 @@ def _set_bound(doc):
     ("csp2", _set_constraint, ["csp2rcsp"]),
     ("sat", _set_literal, ["sat2rcsp-embed", "--k", "7"]),
     ("sat", _set_bound, ["sat2rcsp-embed", "--k", "7"]),
+    ("sat", _set_literal_text, ["sat2rcsp-embed", "--k", "7"]),
+    ("rcsp", _set_projection_null, ["rcsp2vk-simple"]),
+    ("csp2", _set_constraint_text, ["csp2rcsp"]),
+    ("csp2", _set_vertices_null, ["csp2rcsp"]),
+    ("sat", _add_text_key, ["sat2rcsp-embed", "--k", "7"]),
 ], ids=["rcsp-vertices", "rcsp-upsilon", "rcsp-projection", "csp2-pair", "sat-literal",
-        "sat-bound"])
+        "sat-bound", "sat-literal-text", "rcsp-projection-null", "csp2-pair-text",
+        "csp2-vertices-null", "sat-unknown-key-text"])
 def test_non_integer_number_is_usage_error(tmp_path, capsys, kind, edit, route):
     src = tmp_path / "in.json"
     out = tmp_path / "out.json"

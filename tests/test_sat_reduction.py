@@ -21,8 +21,9 @@ from knapreduce.errors import CapExceededError
 from knapreduce.generators import gen_sat, gen_sat_satisfiable
 from knapreduce.graphs import Graph, complete_graph, graph_from_edges
 from knapreduce.reductions import (
+    _codes,
     _host_codes,
-    _satisfying_codes,
+    _truth_table,
     build_clause_conflict_graph,
     rcsp_assignment_from_sat,
     sat_to_rcsp,
@@ -253,7 +254,8 @@ class TestCoreReduction:
         # 1-3, ..., 10-12 each keep 7 of 8 assignments; on 13-16 the clauses
         # (13 14 15) and (-14 -15 -16) each falsify 2 of 16 and never both
         phi = sat(16, [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(5)] + [(-14, -15, -16)])
-        variables, codes = _satisfying_codes(phi, tuple(range(6)))
+        variables, table = _truth_table(phi, tuple(range(6)))
+        codes = _codes(table)
         assert variables == tuple(range(1, 17))
         assert len(codes) == 7 ** 4 * (16 - 2 - 2)
         # least and greatest satisfying assignments, variable 1 first
@@ -358,7 +360,8 @@ class TestAgainstReferenceBuilds:
             subsets += [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(3)
                         if m]
             for chosen in subsets:
-                variables, codes = _satisfying_codes(phi, chosen)
+                variables, table = _truth_table(phi, chosen)
+                codes = _codes(table)
                 assert (variables, codes) == reference_satisfying_codes(phi, chosen)
                 sub = SatInstance(phi.variable_count, tuple(phi.clauses[c] for c in chosen),
                                   phi.occurrence_bound)

@@ -148,3 +148,35 @@ def test_module_state_rule_catches_an_uncapped_cache():
               "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n")
     assert module_containers(source) == {"_codes", "SEEN"}
     assert sorted(cache_uses(source)) == [(2, "lru_cache"), (5, "cache"), (8, "lru_cache")]
+
+
+def unreferenced_private_functions(sources):
+    """(module, name) of each module-level function named _x that no code in
+    sources, by name or attribute, uses outside the function's own body."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.discard(node.name)
+                if node.name.startswith("_"):
+                    defined.add((module, node.name))
+            used |= names
+    return {(module, name) for module, name in defined if name not in used}
+
+
+def test_private_functions_are_used_by_the_package():
+    # a private helper that only tests call is a second path to keep in step
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in modules()}
+    assert unreferenced_private_functions(sources) == set()
+
+
+def test_private_function_rule_catches_a_test_only_helper():
+    sources = {
+        "a": ("def _only_itself(n):\n    return _only_itself(n - 1) if n else 0\n"
+              "def _called(x):\n    return x\ndef _by_attribute():\n    return 1\n"
+              "def public():\n    return _called(2)\n"),
+        "b": "import a\nVALUE = a._by_attribute()\n",
+    }
+    assert unreferenced_private_functions(sources) == {("a", "_only_itself")}
