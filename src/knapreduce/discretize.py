@@ -13,10 +13,12 @@ round-up of the cost and the budget minus the geometric round-down of
 the residual; ties go to the round-up branch.  Each coordinate is first
 keyed by (branch, exponent), which fixes its exact value given the budget
 and g.  Pruning compares these keys alone and never forms a rational
-power; digamma turns each key into its value.  It forms gamma^t as a
-Fraction power, which pairs p^t with q^t and, since gcd(p, q) = 1, skips
-the gcd that building a Fraction from two integers always takes; for the
-exponents of wide budgets that gcd costs far more than the power.
+power.  digamma takes the same branch and forms its value; one call may
+sweep many (cost, budget) points, and it finds each distinct exponent and
+power once per call.  It forms gamma^t as a Fraction power, which pairs
+p^t with q^t and, since gcd(p, q) = 1, skips the gcd that building a
+Fraction from two integers always takes; for the exponents of wide
+budgets that gcd costs far more than the power.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import CapExceededError
 
@@ -176,28 +177,50 @@ def _coordinate_key(table: _FloorTable, x, b: int) -> CoordKey:
     return (COMP_DOWN, t_down)
 
 
-def _key_value(key: CoordKey, b: int, gamma: Fraction) -> Fraction:
-    """The exact discretized coordinate that key stands for against budget b."""
-    if key[0] == ZERO:
-        return Fraction(0)
-    if key[0] == UP:
-        return gamma ** key[1]
-    if key[1] is None:
-        return Fraction(b)
-    return b - gamma ** key[1]
-
-
 def digamma(cost_vector, budget, gamma: Fraction) -> tuple[Fraction, ...]:
-    """Discretize one cost vector against its budget, coordinate by coordinate."""
+    """Discretize one cost vector against its budget, coordinate by coordinate.
+
+    The coordinates may carry different budgets, so one call can sweep many
+    (cost, budget) points.  Within a call the floors are reached once per
+    distinct budget, and each distinct exponent and power is found once per
+    call: the round-up exponent by cost, the round-down exponent by residual
+    and gamma^t by t are each kept for the call's lifetime.
+    """
     if len(cost_vector) != len(budget):
         raise ValueError("cost vector and budget must have equal length")
     table = _table(gamma)
-    # lists, then one tuple made at its final size: tuple(map(...)) starts at
-    # 10 slots and resizes, and the resized rows fill CPython's per-length
-    # tuple free lists, ~1 MB of peak memory over a verify sweep
     budget = list(map(operator.index, budget))
-    keys = map(_coordinate_key, repeat(table), cost_vector, budget)
-    return tuple(list(map(_key_value, keys, budget, repeat(table.gamma))))
+    floors, gamma = table.floors, table.gamma
+    t_ups, t_downs, powers, values = {}, {}, {}, []
+    reached = 0
+    for x, b in zip(cost_vector, budget):
+        x = operator.index(x)
+        if not 0 <= x <= b:
+            raise ValueError(f"cost {x} outside the budget range [0, {b}]")
+        if x == 0:
+            values.append(Fraction(0))
+            continue
+        if b > reached:
+            table.reach(b)
+            reached = b
+        t_up = t_ups.get(x)
+        if t_up is None:
+            t_up = t_ups[x] = bisect_left(floors, x)
+        t_down = None
+        if x != b:
+            t_down = t_downs.get(b - x)
+            if t_down is None:
+                t_down = t_downs[b - x] = table.round_down_exponent(b - x)
+        up = table.sum_at_most(t_up, t_down, b)
+        t = t_up if up else t_down
+        if t is None:
+            values.append(Fraction(b))
+            continue
+        power = powers.get(t)
+        if power is None:
+            power = powers[t] = gamma**t
+        values.append(power if up else b - power)
+    return tuple(values)
 
 
 def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:

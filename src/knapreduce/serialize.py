@@ -214,14 +214,26 @@ def _per_edge(kind: str, field: str, graph: Graph, entries):
     return zip(graph.edge_list, entries)
 
 
+def _refuse_unknown_keys(kind: str, entry: dict, *keys: str) -> None:
+    """Refuse a key of entry that kind's writer does not write: it would be
+    dropped, so the document would not round-trip."""
+    for key in entry:
+        if key not in keys:
+            raise ValueError(f"malformed {kind} instance: unknown key {key!r}")
+
+
 def _instance_from_payload(kind, payload: dict):
     if kind == "sat":
+        _refuse_unknown_keys(kind, payload, "clauses", "kind", "occurrence_bound",
+                             "variables")
         return SatInstance(
             payload["variables"],
             tuple(tuple(c) for c in payload["clauses"]),
             payload["occurrence_bound"],
         )
     if kind == "csp2":
+        _refuse_unknown_keys(kind, payload, "constraints", "edges", "kind", "sigma_size",
+                             "vertices")
         graph = _graph_from_payload(kind, payload)
         constraints, listed = {}, []
         for e, entries in _per_edge(kind, "constraints", graph, payload["constraints"]):
@@ -244,19 +256,19 @@ def _instance_from_payload(kind, payload: dict):
                                      f"{list(after)}")
         return gamma
     if kind == "rcsp":
+        _refuse_unknown_keys(kind, payload, "edges", "kind", "projections", "sigma_size",
+                             "upsilon_size", "vertices")
         graph = _graph_from_payload(kind, payload)
-        projections = {
-            e: (
-                tuple(t - 1 for t in entry["u"]),
-                tuple(t - 1 for t in entry["v"]),
-            )
-            for e, entry in _per_edge(kind, "projections", graph, payload["projections"])
-        }
+        projections = {}
+        for e, entry in _per_edge(kind, "projections", graph, payload["projections"]):
+            projections[e] = tuple(t - 1 for t in entry["u"]), tuple(t - 1 for t in entry["v"])
+            _refuse_unknown_keys(kind, entry, "u", "v")
         return RcspInstance(
             graph, payload["sigma_size"], payload["upsilon_size"], projections
         )
     if kind == "vk":
-        # optional on input, since the budget fixes it; refused if it disagrees
+        _refuse_unknown_keys(kind, payload, "budget", "costs", "dimension", "kind", "profits")
+        # dimension is optional on input, since the budget fixes it; refused if it disagrees
         profits, costs, budget = (_vk_array(payload[f], f) for f in ("profits", "costs", "budget"))
         dimension = payload.get("dimension", len(budget))
         if type(dimension) is not int or dimension != len(budget):

@@ -246,6 +246,22 @@ def _csp_chain(count: int, seed: int):
 # discretization bounds
 # ---------------------------------------------------------------------------
 
+def _point_blocks(budget_max: int, size: int = 2000):
+    """The points (x, b) with 0 <= x <= b <= budget_max as (costs, budgets)
+    lists, built lazily from consecutive budget rows; a block is cut once it
+    holds size points, so one block holds every point up to budget_max = 62
+    and a sweep to 200 never holds more than about size points at once."""
+    costs, budgets = [], []
+    for b in range(budget_max + 1):
+        costs += range(b + 1)
+        budgets += [b] * (b + 1)
+        if len(costs) >= size:
+            yield costs, budgets
+            costs, budgets = [], []
+    if costs:
+        yield costs, budgets
+
+
 def _discretize(count: int, seed: int):
     """Both bounds on every point (b, x) with 0 <= x <= b <= budget_max, in
     dimensions 1..5, where budget_max is count capped at 200; the sweep is
@@ -254,10 +270,12 @@ def _discretize(count: int, seed: int):
     The sandwich test depends on x alone, so it runs once per x and a
     failure counts once for each of the budget_max + 1 - x budgets whose
     sweep contains x; the counts read as those of a per-point sweep.  The
-    min bounds depend on the budget, so each budget b takes one digamma call
-    over its whole row x = 0..b.  With gamma = p/q every bound is compared
-    in integers: value <= gamma*x as value*q <= p*x, up < gamma*x likewise,
-    and value <= b - (b - x)/gamma as value*p <= b*p - (b - x)*q.
+    min bounds depend on the budget, so the points go to digamma in blocks
+    of whole budget rows (see _point_blocks): one call per dimension per
+    block, which finds each distinct exponent and power once per call.
+    With gamma = p/q every bound is compared in integers: value <= gamma*x
+    as value*q <= p*x, up < gamma*x likewise, and value <= b - (b - x)/gamma
+    as value*p <= b*p - (b - x)*q.
     """
     budget_max = min(200, max(1, count))
     sweep = f"exhaustive-B{budget_max}"
@@ -271,8 +289,8 @@ def _discretize(count: int, seed: int):
             bad = (not down <= x <= up) + (x >= 1 and up.numerator * q >= p * x * up.denominator)
             sandwich_failures += bad * (budget_max + 1 - x)
         min_bound_failures = 0
-        for b in range(budget_max + 1):
-            for x, value in enumerate(digamma(range(b + 1), (b,) * (b + 1), gamma)):
+        for costs, budgets in _point_blocks(budget_max):
+            for x, b, value in zip(costs, budgets, digamma(costs, budgets, gamma)):
                 num, den = value.numerator, value.denominator
                 if num * q > p * x * den:
                     min_bound_failures += 1

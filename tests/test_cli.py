@@ -473,6 +473,25 @@ def test_non_integer_number_is_usage_error(tmp_path, capsys, kind, edit, route):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, command", [
+    ("sat", ["reduce", "sat2rcsp-embed", "--k", "7"]),
+    ("csp2", ["reduce", "csp2rcsp"]),
+    ("rcsp", ["reduce", "rcsp2vk-simple"]),
+    ("vk", ["solve", "brute"]),
+])
+def test_unknown_key_is_usage_error(tmp_path, capsys, kind, command):
+    # the writer would drop the key, so the document would not round-trip
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    main(["gen", kind, "--seed", "3", "--out", str(src)] + GEN_FLAGS[kind])
+    doc = json.loads(read(src))
+    doc["extra"] = 7
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(command + ["--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed {kind} instance: unknown key 'extra'\n")
+    assert not out.exists()
+
+
 def test_unsorted_csp2_pairs_are_usage_error(tmp_path, capsys):
     src, out = tmp_path / "in.json", tmp_path / "out.json"
     src.write_text(json.dumps({"kind": "csp2", "vertices": 2, "edges": [[0, 1]], "sigma_size": 2,

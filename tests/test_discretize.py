@@ -207,6 +207,14 @@ class TestAgainstFractionReference:
             varpi_up(3, gamma)
         with pytest.raises(CapExceededError):
             digamma((1,), (3,), gamma)
+        # in a vector of several budgets, coordinates are checked in order: an
+        # earlier range error wins, a later over-cap budget still refuses, and
+        # a zero cost never reaches its budget
+        assert digamma((0, 1), (3, 2), gamma) == (0, gamma ** FractionReference(gamma).exponent(1))
+        with pytest.raises(ValueError, match="outside the budget range"):
+            digamma((1, 5, 1), (2, 2, 3), gamma)
+        with pytest.raises(CapExceededError):
+            digamma((1, 2, 0, 1, 5), (2, 2, 3, 3, 2), gamma)
         table = discretize._tables[table_key(gamma)]
         assert len(table.floors) == 100
         assert running_pair(table) == (101 ** 99, 100 ** 99)
@@ -263,12 +271,26 @@ class TestDigamma:
             digamma((3,), (2,), gamma_for_dimension(1))
 
     def test_batched_row_equals_per_point_values(self):
-        # one call per budget row, as the verify sweep makes, up to its largest budget
+        # one call per budget row, up to the verify sweep's largest budget
         for d in range(1, 6):
             gamma = gamma_for_dimension(d)
             for b in range(201):
                 row = digamma(range(b + 1), (b,) * (b + 1), gamma)
                 assert row == tuple(digamma((x,), (b,), gamma)[0] for x in range(b + 1)), (d, b)
+        # one call over many budgets, as the verify sweep makes per block:
+        # every point (x, b) with b <= 40 plus repeats, in shuffled order
+        rng = random.Random(35)
+        points = [(x, b) for b in range(41) for x in range(b + 1)]
+        for d in range(1, 6):
+            gamma = gamma_for_dimension(d)
+            reference = FractionReference(gamma)
+            shuffled = points + rng.choices(points, k=300)
+            rng.shuffle(shuffled)
+            costs, budgets = zip(*shuffled)
+            for (x, b), value in zip(shuffled, digamma(costs, budgets, gamma), strict=True):
+                expected = reference.digamma((x,), (b,))[1]
+                assert type(value) is Fraction, (d, b, x)
+                assert (value,) == digamma((x,), (b,), gamma) == expected, (d, b, x)
 
     def test_both_upper_bounds(self):
         for d in (1, 3):

@@ -107,6 +107,29 @@ def test_parse_then_serialize_is_byte_identity():
         assert serialize_instance(parse_instance(text)) == text
 
 
+def test_unknown_keys_are_refused():
+    # the writer writes only its own keys, so any other would be dropped
+    rng = random.Random(8)
+    for obj in (gen_sat(6, 4, 4, rng), gen_csp2(4, 2, rng, regular3=True),
+                gen_rcsp(4, 2, 3, rng, regular3=True), gen_vk(4, 2, 9, 9, rng)):
+        payload = json.loads(serialize_instance(obj))
+        kind = payload["kind"]
+        with pytest.raises(ValueError, match=f"^malformed {kind} instance: unknown key 'extra'$"):
+            parse_instance(json.dumps({**payload, "extra": 7}))
+        if kind == "rcsp":
+            for key in ("w", "kind"):
+                entry = payload["projections"][1]
+                payload["projections"][1] = {**entry, key: [1]}
+                message = f"^malformed rcsp instance: unknown key '{key}'$"
+                with pytest.raises(ValueError, match=message):
+                    parse_instance(json.dumps(payload))
+                payload["projections"][1] = entry
+        if kind == "vk":
+            # dimension is optional, as the budget fixes it
+            del payload["dimension"]
+        assert parse_instance(json.dumps(payload)) == obj
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         parse_instance('{"kind": "mystery"}')

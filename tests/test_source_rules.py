@@ -180,3 +180,30 @@ def test_private_function_rule_catches_a_test_only_helper():
         "b": "import a\nVALUE = a._by_attribute()\n",
     }
     assert unreferenced_private_functions(sources) == {("a", "_only_itself")}
+
+
+def unused_imports(source):
+    """(line, name) of each name that source imports and never names again;
+    __future__ imports are compiler directives, not names."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, (alias.asname or alias.name).partition(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_package_imports_only_what_it_uses():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules()}
+    assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_unused_import_rule_catches_a_dead_import():
+    source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+              "from itertools import chain, repeat\nfrom .errors import CapExceededError\n"
+              "def f(xs) -> CapExceededError:\n    return list(chain(xs, os.sep))\n")
+    assert unused_imports(source) == [(3, "regex"), (4, "repeat")]

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -258,12 +262,32 @@ def test_min_bound_failure_counts_once(monkeypatch, b, x, value):
     digamma = verify.digamma
 
     def wrong_at_point(cost, budget, gamma):
-        row = digamma(cost, budget, gamma)
-        return row[:x] + (value,) + row[x + 1:] if budget[0] == b else row
+        values = digamma(cost, budget, gamma)
+        return tuple(value if (cost[k], budget[k]) == (x, b) else v for k, v in enumerate(values))
 
     monkeypatch.setattr(verify, "digamma", wrong_at_point)
     assert _discretize_observed("min-bounds") == {f"{DISCRETIZE_POINTS} points, 1 violations"}
     assert _discretize_observed("sandwich") == {f"{DISCRETIZE_POINTS} points, 0 violations"}
+
+
+def _peak_rss_kb(code):
+    """ru_maxrss of a fresh interpreter that runs code.  Linux carries the
+    launching process's peak into a child's ru_maxrss at exec, so the
+    interpreter is launched from a small one, not from the test runner."""
+    measure = code + "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    launcher = ("import subprocess, sys\n"
+                "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)")
+    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", launcher, measure],
+                          capture_output=True, text=True, check=True, env=env)
+    return int(proc.stdout)
+
+
+def test_largest_sweep_peaks_at_the_import_level():
+    # the sweep goes to digamma in blocks of budget rows, never all at once
+    imported = _peak_rss_kb("import knapreduce.verify")
+    swept = _peak_rss_kb("from knapreduce.verify import run_suite\nrun_suite('discretize', 200, 1)")
+    assert swept - imported <= 3 * 1024, (imported, swept)
 
 
 def test_integer_bound_checks_equal_their_fraction_forms(monkeypatch):
@@ -279,8 +303,8 @@ def test_integer_bound_checks_equal_their_fraction_forms(monkeypatch):
         return bound, bound + nudge, bound - nudge
 
     def tallied_row(cost, budget, gamma):
-        b, row = budget[0], []
-        for x, value in enumerate(digamma(cost, budget, gamma)):
+        row = []
+        for x, b, value in zip(cost, budget, digamma(cost, budget, gamma)):
             bounds = gamma * x, b - (b - x) / gamma
             options = (value, *shifted(bounds[0]), *shifted(bounds[1]))
             value = options[(3 * b + x) % len(options)]
