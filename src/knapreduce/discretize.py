@@ -13,12 +13,12 @@ round-up of the cost and the budget minus the geometric round-down of
 the residual; ties go to the round-up branch.  Each coordinate is first
 keyed by (branch, exponent), which fixes its exact value given the budget
 and g.  Pruning compares these keys alone and never forms a rational
-power.  digamma takes the same branch and forms its value; one call may
-sweep many (cost, budget) points, and it finds each distinct exponent and
-power once per call.  It forms gamma^t as a Fraction power, which pairs
-p^t with q^t and, since gcd(p, q) = 1, skips the gcd that building a
-Fraction from two integers always takes; for the exponents of wide
-budgets that gcd costs far more than the power.
+power.  digamma turns each key into its value; one call may sweep many
+(cost, budget) points, and it finds each distinct exponent and power once
+per call.  It forms gamma^t as a Fraction power, which pairs p^t with q^t
+and, since gcd(p, q) = 1, skips the gcd that building a Fraction from two
+integers always takes; for the exponents of wide budgets that gcd costs
+far more than the power.
 """
 
 from __future__ import annotations
@@ -163,15 +163,27 @@ def varpi_down(x: int, gamma: Fraction) -> Fraction:
     return _grid_point(x, gamma, _FloorTable.round_down_exponent)
 
 
-def _coordinate_key(table: _FloorTable, x, b: int) -> CoordKey:
-    """The branch key of cost x against budget coordinate b."""
+def _coordinate_key(table: _FloorTable, x, b: int, t_ups: dict, t_downs: dict) -> CoordKey:
+    """The branch key of cost x against budget coordinate b.
+
+    t_ups keeps the round-up exponent by cost and t_downs the round-down
+    exponent by residual, for as long as the caller keeps them.
+    """
     x = operator.index(x)
     if not 0 <= x <= b:
         raise ValueError(f"cost {x} outside the budget range [0, {b}]")
     if x == 0:
         return (ZERO,)
-    t_up = bisect_left(table.reach(b), x)
-    t_down = None if x == b else table.round_down_exponent(b - x)
+    floors = table.reach(b)
+    t_up = t_ups.get(x)
+    if t_up is None:
+        t_up = t_ups[x] = bisect_left(floors, x)
+    t_down = None
+    if x != b:
+        rest = b - x
+        t_down = t_downs.get(rest)
+        if t_down is None:
+            t_down = t_downs[rest] = table.round_down_exponent(rest)
     if table.sum_at_most(t_up, t_down, b):
         return (UP, t_up)
     return (COMP_DOWN, t_down)
@@ -181,45 +193,29 @@ def digamma(cost_vector, budget, gamma: Fraction) -> tuple[Fraction, ...]:
     """Discretize one cost vector against its budget, coordinate by coordinate.
 
     The coordinates may carry different budgets, so one call can sweep many
-    (cost, budget) points.  Within a call the floors are reached once per
-    distinct budget, and each distinct exponent and power is found once per
-    call: the round-up exponent by cost, the round-down exponent by residual
-    and gamma^t by t are each kept for the call's lifetime.
+    (cost, budget) points.  Each takes the branch that _coordinate_key
+    decides, and each distinct exponent and power is found once per call:
+    the round-up exponent by cost, the round-down exponent by residual and
+    gamma^t by t are each kept for the call's lifetime.
     """
     if len(cost_vector) != len(budget):
         raise ValueError("cost vector and budget must have equal length")
     table = _table(gamma)
     budget = list(map(operator.index, budget))
-    floors, gamma = table.floors, table.gamma
     t_ups, t_downs, powers, values = {}, {}, {}, []
-    reached = 0
     for x, b in zip(cost_vector, budget):
-        x = operator.index(x)
-        if not 0 <= x <= b:
-            raise ValueError(f"cost {x} outside the budget range [0, {b}]")
-        if x == 0:
+        key = _coordinate_key(table, x, b, t_ups, t_downs)
+        if key[0] == ZERO:
             values.append(Fraction(0))
             continue
-        if b > reached:
-            table.reach(b)
-            reached = b
-        t_up = t_ups.get(x)
-        if t_up is None:
-            t_up = t_ups[x] = bisect_left(floors, x)
-        t_down = None
-        if x != b:
-            t_down = t_downs.get(b - x)
-            if t_down is None:
-                t_down = t_downs[b - x] = table.round_down_exponent(b - x)
-        up = table.sum_at_most(t_up, t_down, b)
-        t = t_up if up else t_down
+        branch, t = key
         if t is None:
             values.append(Fraction(b))
             continue
         power = powers.get(t)
         if power is None:
-            power = powers[t] = gamma**t
-        values.append(power if up else b - power)
+            power = powers[t] = table.gamma**t
+        values.append(power if branch == UP else b - power)
     return tuple(values)
 
 
@@ -230,13 +226,14 @@ def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:
     costs already fit the budget; profit ties keep the smaller index.
     Returns the surviving indices in ascending order.  Packed costs
     repeat across items, so each distinct (cost, budget) coordinate is
-    keyed once per call.
+    keyed, and each distinct exponent searched, once per call.
     """
     if not items:
         return []
     table = _table(gamma)
     budget = tuple(map(operator.index, budget))
     seen: dict[tuple[int, int], CoordKey] = {}
+    t_ups, t_downs = {}, {}
     best: dict[tuple[CoordKey, ...], tuple[int, int]] = {}
     for index, item_profit, cost in items:
         if len(cost) != len(budget):
@@ -246,7 +243,7 @@ def prune_by_discretization(items, budget, gamma: Fraction) -> list[int]:
             x = operator.index(x)
             coord = seen.get((x, b))
             if coord is None:
-                coord = seen[x, b] = _coordinate_key(table, x, b)
+                coord = seen[x, b] = _coordinate_key(table, x, b, t_ups, t_downs)
             key.append(coord)
         key = tuple(key)
         incumbent = best.get(key)

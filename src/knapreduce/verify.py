@@ -246,16 +246,16 @@ def _csp_chain(count: int, seed: int):
 # discretization bounds
 # ---------------------------------------------------------------------------
 
-def _point_blocks(budget_max: int, size: int = 2000):
+def _point_blocks(budget_max: int):
     """The points (x, b) with 0 <= x <= b <= budget_max as (costs, budgets)
     lists, built lazily from consecutive budget rows; a block is cut once it
-    holds size points, so one block holds every point up to budget_max = 62
-    and a sweep to 200 never holds more than about size points at once."""
+    holds 2,000 points, so one block holds every point up to budget_max = 62
+    and a sweep to 200 never holds more than about 2,000 points at once."""
     costs, budgets = [], []
     for b in range(budget_max + 1):
         costs += range(b + 1)
         budgets += [b] * (b + 1)
-        if len(costs) >= size:
+        if len(costs) >= 2000:
             yield costs, budgets
             costs, budgets = [], []
     if costs:

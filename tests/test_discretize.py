@@ -60,9 +60,10 @@ class FractionReference:
 
 
 def coordinate_keys(cost_vector, budget, gamma):
-    """The private per-coordinate keys that pruning compares."""
-    table = discretize._table(gamma)
-    return tuple(discretize._coordinate_key(table, x, b) for x, b in zip(cost_vector, budget))
+    """The private per-coordinate keys that pruning compares, with one pair
+    of exponent caches for the whole vector, as pruning and digamma keep."""
+    table, t_ups, t_downs = discretize._table(gamma), {}, {}
+    return tuple(discretize._coordinate_key(table, x, b, t_ups, t_downs) for x, b in zip(cost_vector, budget))
 
 
 def table_key(gamma):
