@@ -273,7 +273,9 @@ def _discretize(count: int, seed: int):
     min bounds depend on the budget, so the points go to digamma in blocks
     of whole budget rows (see _point_blocks): one call per dimension per
     block, which finds each distinct exponent and power once per call.
-    With gamma = p/q every bound is compared in integers: value <= gamma*x
+    With gamma = p/q every bound is compared in integers, each side
+    multiplied by the denominators: down <= x <= up as down's numerator
+    against x times its denominator and likewise for up, value <= gamma*x
     as value*q <= p*x, up < gamma*x likewise, and value <= b - (b - x)/gamma
     as value*p <= b*p - (b - x)*q.
     """
@@ -286,7 +288,10 @@ def _discretize(count: int, seed: int):
         sandwich_failures = 0
         for x in range(budget_max + 1):
             down, up = varpi_down(x, gamma), varpi_up(x, gamma)
-            bad = (not down <= x <= up) + (x >= 1 and up.numerator * q >= p * x * up.denominator)
+            up_num, up_den = up.numerator, up.denominator
+            bad = (down.numerator > x * down.denominator or x * up_den > up_num) + (
+                x >= 1 and up_num * q >= p * x * up_den
+            )
             sandwich_failures += bad * (budget_max + 1 - x)
         min_bound_failures = 0
         for costs, budgets in _point_blocks(budget_max):

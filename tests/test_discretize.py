@@ -71,10 +71,25 @@ def table_key(gamma):
     return gamma.numerator, gamma.denominator
 
 
-def running_pair(table):
-    """(p^t, q^t) for the last t in the floors, from floors[-1] and the carried rest."""
-    r, scale = table.rest
-    return table.floors[-1] * scale + r, scale
+def bracket_holds(table):
+    """Whether, for the last t in the floors, the carried bracket holds
+    gamma^t * 2^(FRACTION_BITS + shift) exactly, checked against p^t and q^t,
+    and is narrower than 2^shift."""
+    top = len(table.floors) - 1
+    low, high = table.bracket
+    power = table.p**top << (discretize.FRACTION_BITS + table.shift)
+    scale = table.q**top
+    return low * scale <= power <= high * scale and high - low < 1 << table.shift
+
+
+def fraction_bounds_hold(table, ts):
+    """Whether frac(gamma^t) * 2^FRACTION_BITS lies in [fracs[t], fracs[t] + 2) for each t."""
+    one = 1 << discretize.FRACTION_BITS
+    for t in ts:
+        rest = table.p**t % table.q**t
+        if not table.fracs[t] * table.q**t <= rest * one < (table.fracs[t] + 2) * table.q**t:
+            return False
+    return True
 
 
 def reference_prune(items, budget, gamma):
@@ -191,13 +206,15 @@ class TestAgainstFractionReference:
         for cost in inst.costs:
             out = coordinate_keys(cost, inst.budget, gamma), digamma(cost, inst.budget, gamma)
             assert out == reference.digamma(cost, inst.budget)
-        # the cache holds small floors plus one exact running pair
+        # the cache holds small floors, 64-bit fraction bounds and one bracket
         table = discretize._tables[table_key(gamma)]
         widest = max(inst.budget).bit_length()
         assert all(f.bit_length() <= widest for f in table.floors[:-1])
         assert table.floors[-1] < gamma * max(inst.budget) + 1
         top = len(table.floors) - 1
-        assert running_pair(table) == (gamma.numerator ** top, gamma.denominator ** top)
+        for t in [*range(50), *range(50, top, 97), top]:
+            assert table.floors[t] == gamma.numerator**t // gamma.denominator**t, t
+        assert bracket_holds(table)
 
     def test_over_cap_request_is_refused(self, monkeypatch):
         gamma = Fraction(101, 100)
@@ -218,21 +235,76 @@ class TestAgainstFractionReference:
             digamma((1, 2, 0, 1, 5), (2, 2, 3, 3, 2), gamma)
         table = discretize._tables[table_key(gamma)]
         assert len(table.floors) == 100
-        assert running_pair(table) == (101 ** 99, 100 ** 99)
+        assert table.floors[-1] == 101**99 // 100**99
+        assert bracket_holds(table)
         assert varpi_up(2, gamma) == gamma ** FractionReference(gamma).exponent(2)
         discretize._tables.pop(table_key(gamma))
 
     def test_long_table_equals_direct_floors(self):
-        # the floors come from a carried remainder, not from dividing p^t by q^t
+        # the floors come from a stepped bracket, not from dividing p^t by q^t
         gamma = gamma_for_dimension(14)
         p, q = gamma.numerator, gamma.denominator
         table = discretize._FloorTable(gamma)
         floors = table.reach(p**5000 // q**5000)
         assert len(floors) > 4096
         top = len(floors) - 1
-        for t in [*range(50), *range(50, top, 97), top]:
+        sample = [*range(50), *range(50, top, 97), top]
+        for t in sample:
             assert floors[t] == p**t // q**t, t
-        assert running_pair(table) == (p**top, q**top)
+        assert fraction_bounds_hold(table, sample)
+        assert bracket_holds(table)
+
+    def test_precision_grows_with_the_reached_value(self):
+        # the bracket's shift is sized for the first, small value and must be
+        # raised, with a new exact seed, before the floors run to 200 bits
+        gamma = gamma_for_dimension(1)
+        p, q = gamma.numerator, gamma.denominator
+        table = discretize._FloorTable(gamma)
+        table.reach(2**10)
+        small_shift = table.shift
+        floors = table.reach(2**200)
+        assert table.shift > small_shift
+        assert all(floors[t] == p**t // q**t for t in range(len(floors)))
+        assert fraction_bounds_hold(table, range(len(floors)))
+        assert bracket_holds(table)
+
+    @pytest.mark.parametrize("gamma", [Fraction(11, 10), Fraction(51, 50), Fraction(5, 3),
+                                       Fraction(3, 2), Fraction(2), Fraction(3)], ids=str)
+    def test_sum_at_most_equals_the_exact_power_comparison(self, gamma):
+        # every pair of exponents, one term or two, against every bound from
+        # the floors' sum - 1 to + 2, so the band the fraction bounds settle
+        # (floors = bound - 1, both terms fractional) is crossed everywhere
+        table = discretize._FloorTable(gamma)
+        floors = table.reach(60)
+        powers = [gamma**t for t in range(len(floors))]
+        for t_up in range(len(floors)):
+            for t_down in [None, *range(len(floors))]:
+                low = floors[t_up] + (0 if t_down is None else floors[t_down])
+                exact = powers[t_up] + (0 if t_down is None else powers[t_down])
+                for bound in range(low - 1, low + 3):
+                    assert table.sum_at_most(t_up, t_down, bound) == (exact <= bound), (t_up, t_down, bound)
+        assert fraction_bounds_hold(table, range(len(floors)))
+
+    def test_exact_tie_goes_to_the_power_comparison(self):
+        # 3/2 + 3/2 = 3: the fraction bounds sum to exactly one, which they
+        # cannot place on either side of 1, so the exact comparison decides
+        table = discretize._FloorTable(Fraction(3, 2))
+        table.reach(3)
+        assert table.fracs[1] * 2 == 1 << discretize.FRACTION_BITS
+        assert table.sum_at_most(1, 1, 3)
+
+    def test_a_full_table_stays_small(self, peak_rss_kb):
+        # d = 40 filled to the cap holds 32,768 floors of up to 118 bits, a
+        # 64-bit fraction bound for each in an array, and one bracket
+        imported = peak_rss_kb("import knapreduce.discretize")
+        filled = peak_rss_kb(
+            "from knapreduce import discretize\n"
+            "gamma = discretize.gamma_for_dimension(40)\n"
+            "top = discretize.FLOOR_TABLE_CAP - 1\n"
+            "upto = gamma.numerator**top // gamma.denominator**top\n"
+            "assert len(discretize._FloorTable(gamma).reach(upto)) == discretize.FLOOR_TABLE_CAP"
+        )
+        assert filled - imported <= 3 * 1024, (imported, filled)
 
     def test_table_count_is_bounded(self, monkeypatch):
         monkeypatch.setattr(discretize, "TABLE_COUNT_CAP", 3)

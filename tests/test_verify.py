@@ -1,12 +1,8 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -270,23 +266,10 @@ def test_min_bound_failure_counts_once(monkeypatch, b, x, value):
     assert _discretize_observed("sandwich") == {f"{DISCRETIZE_POINTS} points, 0 violations"}
 
 
-def _peak_rss_kb(code):
-    """ru_maxrss of a fresh interpreter that runs code.  Linux carries the
-    launching process's peak into a child's ru_maxrss at exec, so the
-    interpreter is launched from a small one, not from the test runner."""
-    measure = code + "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-    launcher = ("import subprocess, sys\n"
-                "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)")
-    env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", launcher, measure],
-                          capture_output=True, text=True, check=True, env=env)
-    return int(proc.stdout)
-
-
-def test_largest_sweep_peaks_at_the_import_level():
+def test_largest_sweep_peaks_at_the_import_level(peak_rss_kb):
     # the sweep goes to digamma in blocks of budget rows, never all at once
-    imported = _peak_rss_kb("import knapreduce.verify")
-    swept = _peak_rss_kb("from knapreduce.verify import run_suite\nrun_suite('discretize', 200, 1)")
+    imported = peak_rss_kb("import knapreduce.verify")
+    swept = peak_rss_kb("from knapreduce.verify import run_suite\nrun_suite('discretize', 200, 1)")
     assert swept - imported <= 3 * 1024, (imported, swept)
 
 
